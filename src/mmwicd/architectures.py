@@ -7,6 +7,7 @@ on whether positioning context removes the MS-side half of the search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .signaling import FrameConfig
@@ -101,8 +102,10 @@ def build_scenario(
     if kind == "CID":
         t = DEFAULT_T_CI if t_ci is None else float(t_ci)
         p = DEFAULT_P_CI if p_ci is None else float(p_ci)
-        if t < 0 or p < 0:
-            raise ValueError("CID acquisition delay and power must be >= 0")
+        if not (math.isfinite(t) and math.isfinite(p)) or t < 0 or p < 0:
+            raise ValueError(
+                f"CID acquisition delay and power must be finite and >= 0, got t_ci={t}, p_ci={p}"
+            )
         return Scenario(kind=kind, t_ci=t, p_ci=p)
     if t_ci not in (None, 0, 0.0) or p_ci not in (None, 0, 0.0):
         raise ValueError(f"{kind} carries no context-acquisition budget")

@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,11 +111,16 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_positive_number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v) and v > 0)
+
+
 def _positive_floats(raw: dict, key: str) -> tuple[float, ...]:
     values = raw[key]
     _require(isinstance(values, list) and values, f"{key} must be a non-empty list")
     for v in values:
-        _require(isinstance(v, (int, float)) and v > 0, f"{key} entries must be > 0")
+        _require(_is_positive_number(v), f"{key} entries must be finite numbers > 0")
     return tuple(float(v) for v in values)
 
 
@@ -199,8 +205,7 @@ def resolve_config(raw: dict) -> RunConfig:
         _require(order in SWEEP_ORDERS, f"unknown sweep order {order!r}")
 
     pss_base = merged["pss_base_b_sc_hz"]
-    _require(isinstance(pss_base, (int, float)) and pss_base > 0,
-             "pss_base_b_sc_hz must be > 0")
+    _require(_is_positive_number(pss_base), "pss_base_b_sc_hz must be a finite number > 0")
 
     return RunConfig(
         raw=merged,
@@ -222,12 +227,22 @@ def resolve_config(raw: dict) -> RunConfig:
     )
 
 
+def _reject_non_finite(pairs: list[tuple[str, object]]) -> dict:
+    """JSON object hook: fail on NaN, Infinity or an overflowing literal
+    (1e999), naming its key."""
+    for key, val in pairs:
+        for v in val if isinstance(val, list) else (val,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{key} must be finite, got {v}")
+    return dict(pairs)
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
     raw: dict = {}
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, object_pairs_hook=_reject_non_finite)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:

@@ -5,14 +5,16 @@ by slot and discovery time is whatever the walk produces, never the closed
 form.  Detection is decided at the end of a dwell, so discovery lands on slot
 boundaries; context acquisition, when paid, precedes the sweep.
 
-The all-targets enumeration runs on a compiled kernel when the extension was
-built, with a pure-Python fallback (force it with MMWICD_PURE_PYTHON=1).
+The all-targets enumeration (discovery_slot_grid) is one numpy broadcast that
+inverts the walk's slot -> (BS group, beam set) schedule: every pair is visited
+exactly once per sweep, so a target's first-alignment slot follows from its own
+group and set.  The slot-by-slot walk (_walk) is the reference the grid is
+tested against.
 """
 
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -36,27 +38,6 @@ _ORDER_CODES = {SEQUENTIAL_BS_OUTER: 0, SEQUENTIAL_MS_OUTER: 1}
 
 PSS_TX = "PssTx"
 ALIGNED = "Aligned"
-
-
-def _load_kernel():
-    if not os.environ.get("MMWICD_PURE_PYTHON"):
-        try:
-            from . import _sweepwalk
-
-            return _sweepwalk, "compiled"
-        except ImportError:
-            pass
-    from . import _sweepwalk_py
-
-    return _sweepwalk_py, "python"
-
-
-_KERNEL, _BACKEND = _load_kernel()
-
-
-def kernel_backend() -> str:
-    """Active slot-walk kernel: "compiled" or "python"."""
-    return _BACKEND
 
 
 @dataclass(frozen=True)
@@ -269,24 +250,30 @@ def discovery_slot_grid(
     sweep_order: str = SEQUENTIAL_BS_OUTER,
     k: int = 1,
 ) -> np.ndarray:
-    """1-based discovery slot for every (bs, ms) target, via the fast kernel.
+    """1-based discovery slot for every (bs, ms) target.
 
-    Pinned scenarios are enumerated one beam set at a time, each target pinned
-    to its own correct set.  Shape (n_bs_directions, n_ms_directions).
+    A target is seen in the one slot that pairs its BS group (tb // k) with
+    its beam set (tm // beams).  SequentialBsOuter reaches that pair at
+    0-based slot set * n_groups + group, SequentialMsOuter at
+    group * n_sets + set.  In pinned scenarios each target is pinned to its
+    own correct set, so the sweep runs over BS groups only and the slot is the
+    group index.  Computed without walking the sweep; _walk is the
+    slot-by-slot reference.  Shape (n_bs_directions, n_ms_directions).
     """
     order = _order_code(sweep_order)
     n_bs, n_ms = geom.n_bs_directions, geom.n_ms_directions
     beams = arch.simultaneous_beams
-    out = np.zeros(n_bs * n_ms, dtype=np.int64)
+    n_groups = -(-n_bs // k)
+    group = np.arange(n_bs, dtype=np.int64)[:, None] // k
     if scenario.kind == "nCI":
-        _KERNEL.enumerate_discovery_slots(n_bs, n_ms, beams, k, order, -1, out)
+        n_sets = -(-n_ms // beams)
+        set_i = np.arange(n_ms, dtype=np.int64)[None, :] // beams
     else:
-        tmp = np.zeros_like(out)
-        for set_i in range(-(-n_ms // beams)):
-            tmp[:] = 0
-            _KERNEL.enumerate_discovery_slots(n_bs, n_ms, beams, k, order, set_i, tmp)
-            np.maximum(out, tmp, out=out)
-    return out.reshape(n_bs, n_ms)
+        n_sets = 1
+        set_i = np.zeros((1, n_ms), dtype=np.int64)
+    if order == 0:
+        return set_i * n_groups + group + 1
+    return group * n_sets + set_i + 1
 
 
 @dataclass(frozen=True)

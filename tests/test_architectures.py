@@ -68,6 +68,11 @@ class TestScenarios:
         with pytest.raises(ValueError):
             build_scenario("XCI")
 
+    @pytest.mark.parametrize("budget", [{"t_ci": float("nan")}, {"p_ci": float("inf")}])
+    def test_cid_rejects_non_finite_budget(self, budget):
+        with pytest.raises(ValueError, match="finite"):
+            build_scenario("CID", **budget)
+
 
 class TestDirectionalScans:
     def test_no_context_counts(self, archs, scens, geom):

@@ -182,6 +182,39 @@ class TestConfigHandling:
         config.write_text(json.dumps({"architectures": ["ABF", "QBF"]}))
         assert run(["tables"], tmp_path, ("--config", str(config))) == 2
 
+    @pytest.mark.parametrize("text,key", [
+        ('{"b_sc_hz": [Infinity]}', "b_sc_hz"),
+        ('{"scenario_params": {"t_ci_s": NaN, "p_ci_w": 0.1}}', "t_ci_s"),
+        ('{"pss_base_b_sc_hz": Infinity}', "pss_base_b_sc_hz"),
+        ('{"geometry": {"n_bs_directions": 1e999, "n_ms_directions": 16}}',
+         "n_bs_directions"),
+    ])
+    def test_non_finite_literal_is_config_error(self, tmp_path, capsys, text, key):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert run(["verify"], tmp_path, ("--config", str(config))) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+
+    @pytest.mark.parametrize("raw,key", [
+        ({"b_sc_hz": [True]}, "b_sc_hz"),
+        ({"pss_base_b_sc_hz": True}, "pss_base_b_sc_hz"),
+    ])
+    def test_boolean_number_is_config_error(self, tmp_path, capsys, raw, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        assert run(["verify"], tmp_path, ("--config", str(config))) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw,key", [
+        ({"b_sc_hz": [float("inf")]}, "b_sc_hz"),
+        ({"pss_base_b_sc_hz": float("inf")}, "pss_base_b_sc_hz"),
+        ({"scenario_params": {"t_ci_s": float("nan"), "p_ci_w": 0.1}}, "scenario_params"),
+    ])
+    def test_non_finite_value_rejected_by_resolve_config(self, raw, key):
+        with pytest.raises(cli.ConfigError, match=key):
+            cli.resolve_config(raw)
+
     def test_config_overrides_grid(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"b_sc_hz": [15e3]}))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwicd import (
     ARCHITECTURE_NAMES,
@@ -9,26 +11,21 @@ from mmwicd import (
     SWEEP_ORDERS,
     NoDiscoveryError,
     SweepGeometry,
+    build_architecture,
     build_pss_structure,
+    build_scenario,
     derive_frame,
     discovery_slot_grid,
     dump_trace,
-    kernel_backend,
     simulate,
     simulate_pss_structure,
     total_delay,
     verify_against_analytic,
     worst_case_structure_delay,
 )
-from mmwicd import _sweepwalk_py
-from mmwicd.sweepsim import ALIGNED, PSS_TX
+from mmwicd.sweepsim import ALIGNED, PSS_TX, _ci_lead_time, _walk
 
 from conftest import TABULATED_B_SC
-
-try:
-    from mmwicd import _sweepwalk as _sweepwalk_c
-except ImportError:
-    _sweepwalk_c = None
 
 
 class TestExhaustiveOracle:
@@ -220,49 +217,55 @@ class TestPssStructureSim:
         assert result.discovery_time == 8 * structure.frame.t_pss
 
 
-class TestKernels:
+def _beams_arch(beams):
+    """HBF receiver forming `beams` simultaneous beams."""
+    return build_architecture("HBF", n_rf_chains=beams)
+
+
+def _assert_grid_matches_walk(arch, scenario, geom, order, k):
+    """Every target's grid slot, in seconds, equals the slot-by-slot walk."""
+    t_pss = derive_frame(15e3).t_pss
+    t_ci = _ci_lead_time(arch, scenario, geom)
+    grid = discovery_slot_grid(arch, scenario, geom, sweep_order=order, k=k)
+    assert grid.shape == (geom.n_bs_directions, geom.n_ms_directions)
+    assert grid.dtype == np.int64
+    for tb in range(geom.n_bs_directions):
+        for tm in range(geom.n_ms_directions):
+            walked = _walk(arch, scenario, geom, (tb, tm), order, None, False,
+                           t_pss, k, [0.0] * k, t_ci)
+            assert grid[tb, tm] * t_pss + t_ci == walked.discovery_time, (tb, tm)
+
+
+class TestDiscoveryGrid:
+    # (n_bs, n_ms, beams, k, order, scenario)
     CASES = [
-        (64, 16, 1, 1, 0, -1),
-        (64, 16, 1, 1, 1, -1),
-        (64, 16, 4, 1, 0, -1),
-        (64, 16, 4, 1, 1, 2),
-        (64, 16, 16, 1, 0, -1),
-        (64, 16, 1, 8, 0, -1),
-        (64, 16, 4, 8, 1, -1),
-        (60, 14, 4, 7, 0, -1),  # nothing divides evenly
-        (60, 14, 4, 7, 1, 3),
-        (7, 3, 2, 3, 0, -1),
+        (64, 16, 1, 1, 0, "nCI"),
+        (64, 16, 1, 1, 1, "nCI"),
+        (64, 16, 4, 1, 0, "nCI"),
+        (64, 16, 4, 1, 1, "CInD"),
+        (64, 16, 16, 1, 0, "nCI"),
+        (64, 16, 1, 8, 0, "nCI"),
+        (64, 16, 4, 8, 1, "nCI"),
+        (60, 14, 4, 7, 0, "nCI"),  # nothing divides evenly
+        (60, 14, 4, 7, 1, "CInD"),
+        (7, 3, 2, 3, 0, "nCI"),
     ]
 
     @pytest.mark.parametrize("params", CASES)
-    def test_backends_agree(self, params):
-        if _sweepwalk_c is None:
-            pytest.skip("compiled kernel not built")
-        n_bs, n_ms, beams, k, order, pinned = params
-        out_py = np.zeros(n_bs * n_ms, dtype=np.int64)
-        out_c = np.zeros(n_bs * n_ms, dtype=np.int64)
-        total_py = _sweepwalk_py.enumerate_discovery_slots(
-            n_bs, n_ms, beams, k, order, pinned, out_py
-        )
-        total_c = _sweepwalk_c.enumerate_discovery_slots(
-            n_bs, n_ms, beams, k, order, pinned, out_c
-        )
-        assert total_py == total_c
-        assert np.array_equal(out_py, out_c)
-
-    @pytest.mark.parametrize("params", CASES)
-    def test_python_kernel_marks_first_alignment(self, params):
+    def test_grid_marks_first_alignment(self, params):
         # brute-force re-derivation of each target's first aligned slot
-        n_bs, n_ms, beams, k, order, pinned = params
-        out = np.zeros(n_bs * n_ms, dtype=np.int64)
-        total = _sweepwalk_py.enumerate_discovery_slots(
-            n_bs, n_ms, beams, k, order, pinned, out
+        n_bs, n_ms, beams, k, order, kind = params
+        grid = discovery_slot_grid(
+            _beams_arch(beams), build_scenario(kind),
+            SweepGeometry(n_bs_directions=n_bs, n_ms_directions=n_ms),
+            sweep_order=SWEEP_ORDERS[order], k=k,
         )
         n_groups = -(-n_bs // k)
-        eff_sets = 1 if pinned >= 0 else -(-n_ms // beams)
-        assert total == n_groups * eff_sets
+        eff_sets = 1 if kind != "nCI" else -(-n_ms // beams)
+        total = n_groups * eff_sets
         for tb in range(n_bs):
             for tm in range(n_ms):
+                pinned = -1 if kind == "nCI" else tm // beams  # the target's own set
                 expected = 0
                 for slot in range(total):
                     if order == 0:
@@ -275,10 +278,34 @@ class TestKernels:
                             set_i * beams <= tm < min(set_i * beams + beams, n_ms):
                         expected = slot + 1
                         break
-                assert out[tb * n_ms + tm] == expected
+                assert grid[tb, tm] == expected
 
-    def test_backend_name(self):
-        assert kernel_backend() in ("compiled", "python")
+    @pytest.mark.parametrize("n_bs,n_ms,beams,k", sorted({c[:4] for c in CASES}))
+    def test_grid_equals_walk(self, n_bs, n_ms, beams, k):
+        geom = SweepGeometry(n_bs_directions=n_bs, n_ms_directions=n_ms)
+        for kind in SCENARIO_KINDS:
+            for order in SWEEP_ORDERS:
+                _assert_grid_matches_walk(_beams_arch(beams), build_scenario(kind),
+                                          geom, order, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_bs=st.integers(1, 12),
+        n_ms=st.integers(1, 10),
+        name=st.sampled_from(ARCHITECTURE_NAMES),
+        n_ms_antennas=st.integers(1, 12),
+        n_rf_chains=st.integers(1, 12),
+        n_combiners=st.integers(1, 12),
+        k=st.integers(1, 9),
+        order=st.sampled_from(SWEEP_ORDERS),
+        kind=st.sampled_from(SCENARIO_KINDS),
+    )
+    def test_grid_equals_walk_property(self, n_bs, n_ms, name, n_ms_antennas,
+                                       n_rf_chains, n_combiners, k, order, kind):
+        arch = build_architecture(name, n_ms_antennas=n_ms_antennas,
+                                  n_rf_chains=n_rf_chains, n_combiners=n_combiners)
+        geom = SweepGeometry(n_bs_directions=n_bs, n_ms_directions=n_ms)
+        _assert_grid_matches_walk(arch, build_scenario(kind), geom, order, k)
 
 
 class TestScaledGeometry:
