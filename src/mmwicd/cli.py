@@ -35,7 +35,8 @@ from .energy import (
     CSV_COLUMNS,
     POWER_MODES,
     convergence_value,
-    energy,
+    energy,  # noqa: F401 - unused here; perfbench's tracer test looks it up in this namespace
+    energy_columns,
     proposed_structure_energy,
 )
 from .power import (
@@ -359,15 +360,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
             model = _model(cfg, cls) if cfg.power_mode == "parametric" else None
             for bits in cfg.bits:
                 adc = _adc(cfg, cls, bits)
+                # One column set per architecture, as plain Python numbers: json
+                # cannot encode numpy integers.
+                per_arch = []
+                for arch in cfg.architectures:
+                    cols = energy_columns(arch, scenario, adc, cfg.b_sc, cfg.power_mode,
+                                          geom=cfg.geom, model=model)
+                    per_arch.append(list(zip(*(col.tolist() for col in cols))))
+                # Rows in b_sc-major, architecture-minor order; values[-1] is e_total.
                 grid_rows = []
-                for b_sc in cfg.b_sc:
-                    ec = []
-                    for arch in cfg.architectures:
-                        rep = energy(arch, scenario, adc, b_sc, cfg.power_mode,
-                                     geom=cfg.geom, model=model)
-                        ec.append(rep.e_total)
-                        report_rows.append(tuple(rep.csv_row()))
-                    grid_rows.append((b_sc, *ec))
+                for b_sc, point in zip(cfg.b_sc, zip(*per_arch)):
+                    report_rows.extend((name, scenario.kind, cls, bits, b_sc, *values)
+                                       for name, values in zip(arch_names, point))
+                    grid_rows.append((b_sc, *(values[-1] for values in point)))
                 _emit(cfg, f"sweep-{scenario.kind}-{cls}-{bits}b",
                       ("b_sc_hz", *arch_names), grid_rows)
     _emit(cfg, "sweep-report", CSV_COLUMNS, report_rows)

@@ -2,14 +2,20 @@
 
 The receive chain is off while positioning is acquired, so a CID search costs
 p_rx over the scan time plus the separate acquisition budget p_ci * t_ci.
+
+energy_columns() evaluates a whole b_sc column of one (architecture,
+scenario, ADC) combination in one numpy pass; energy() is its one-point case
+and returns the same numbers as an EnergyReport.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
-from typing import Iterable, TextIO
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Sequence, TextIO
+
+import numpy as np
 
 from .architectures import (
     Architecture,
@@ -27,7 +33,7 @@ from .power import (
     parametric_power,
     resolution_factor,
 )
-from .signaling import SYNC_TIME_BANDWIDTH, derive_frame
+from .signaling import SYNC_TIME_BANDWIDTH, derive_frame, frame_scaling
 
 POWER_MODES = ("lookup", "parametric")
 
@@ -62,12 +68,12 @@ class EnergyReport:
     e_total: float  # J
 
     def to_dict(self) -> dict:
-        row = asdict(self)
-        return {col: row[key] for col, key in zip(CSV_COLUMNS, row)}
+        return dict(zip(CSV_COLUMNS, self.csv_row()))
 
     def csv_row(self) -> list:
-        d = self.to_dict()
-        return [d[col] for col in CSV_COLUMNS]
+        """Field values in CSV_COLUMNS order."""
+        return [self.arch, self.scenario, self.adc_class, self.bits, self.b_sc,
+                self.n_d, self.t_del, self.p_rx, self.e_ci, self.e_total]
 
 
 def reports_to_csv(reports: Iterable[EnergyReport], fh: TextIO) -> None:
@@ -81,21 +87,85 @@ def reports_to_json(reports: Iterable[EnergyReport]) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=2)
 
 
+class EnergyColumns(NamedTuple):
+    """EnergyReport's numeric columns over a b_sc sequence, as numpy arrays."""
+
+    n_d: np.ndarray  # int64, directional scans (the same at every point)
+    t_del: np.ndarray  # s
+    p_rx: np.ndarray  # W
+    e_ci: np.ndarray  # J
+    e_total: np.ndarray  # J
+
+
 def _receive_power(
     arch: Architecture,
     adc: AdcModel,
-    b_sc: float,
+    b_sc: np.ndarray,
     power_mode: str,
     model: PowerModel | None,
     table: Iterable[PowerSample] | None,
-) -> float:
+) -> np.ndarray:
     if power_mode == "lookup":
-        return lookup_power(arch, adc, b_sc, table=table)
+        if table is not None:
+            table = tuple(table)
+        return np.array([lookup_power(arch, adc, b, table=table) for b in b_sc.tolist()])
     if power_mode == "parametric":
         if model is None:
             model = default_power_model(adc.cls)
         return parametric_power(model, arch, adc, b_sc)
     raise ValueError(f"unknown power mode {power_mode!r}; expected one of {POWER_MODES}")
+
+
+def energy_columns(
+    arch: Architecture,
+    scenario: Scenario,
+    adc: AdcModel,
+    b_sc: Sequence[float],
+    power_mode: str = "lookup",
+    *,
+    k: int = 1,
+    geom: SweepGeometry | None = None,
+    model: PowerModel | None = None,
+    table: Iterable[PowerSample] | None = None,
+) -> EnergyColumns:
+    """Delay, power and energy at every b_sc of one configuration, in one pass.
+
+    Each value equals the scalar evaluation bit for bit: scan time n_d * t_pss,
+    receive power at b_tot, e_total = p_rx * scan time + e_ci.  k > 1 is the
+    widened-sync layout of proposed_structure_energy: power is drawn at
+    k * b_sc and the scan time is (n_d * t_pss) / k.
+    """
+    if not {bool, np.bool_}.isdisjoint(map(type, b_sc)):
+        raise ValueError(f"sub-carrier bandwidths must be numbers, got {b_sc!r}")
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if geom is None:
+        geom = SweepGeometry()
+    b_sc = np.asarray(b_sc, dtype=np.float64)
+    t_pss, _ = frame_scaling(b_sc)
+    n_d = directional_scans(arch, scenario, geom)
+    scan_time = n_d * t_pss / k
+    if uses_ci_budget(arch, scenario, geom):
+        t_ci, e_ci = scenario.t_ci, scenario.p_ci * scenario.t_ci
+    else:
+        t_ci, e_ci = 0.0, 0.0
+    p_rx = _receive_power(arch, adc, k * b_sc, power_mode, model, table)
+    return EnergyColumns(
+        n_d=np.full(b_sc.shape, n_d, dtype=np.int64),
+        t_del=scan_time + t_ci,
+        p_rx=p_rx,
+        e_ci=np.full(b_sc.shape, e_ci),
+        e_total=p_rx * scan_time + e_ci,
+    )
+
+
+def _report(arch, scenario, adc, b_sc, power_mode, k, geom, model, table) -> EnergyReport:
+    columns = energy_columns(arch, scenario, adc, [b_sc], power_mode,
+                             k=k, geom=geom, model=model, table=table)
+    return EnergyReport(arch.name, scenario.kind, adc.cls, adc.bits, float(b_sc),
+                        *(column[0].item() for column in columns))
 
 
 def energy(
@@ -109,29 +179,8 @@ def energy(
     model: PowerModel | None = None,
     table: Iterable[PowerSample] | None = None,
 ) -> EnergyReport:
-    """Full energy report for one configuration point."""
-    if geom is None:
-        geom = SweepGeometry()
-    frame = derive_frame(b_sc)
-    n_d = directional_scans(arch, scenario, geom)
-    scan_time = n_d * frame.t_pss
-    if uses_ci_budget(arch, scenario, geom):
-        t_ci, e_ci = scenario.t_ci, scenario.p_ci * scenario.t_ci
-    else:
-        t_ci, e_ci = 0.0, 0.0
-    p_rx = _receive_power(arch, adc, b_sc, power_mode, model, table)
-    return EnergyReport(
-        arch=arch.name,
-        scenario=scenario.kind,
-        adc_class=adc.cls,
-        bits=adc.bits,
-        b_sc=float(b_sc),
-        n_d=n_d,
-        t_del=scan_time + t_ci,
-        p_rx=p_rx,
-        e_ci=e_ci,
-        e_total=p_rx * scan_time + e_ci,
-    )
+    """Full energy report for one configuration point (energy_columns at one b_sc)."""
+    return _report(arch, scenario, adc, b_sc, power_mode, 1, geom, model, table)
 
 
 def convergence_value(
@@ -232,33 +281,8 @@ def proposed_structure_energy(
     k * base_b_sc; the dwell per direction shrinks to t_pss / k.  Context
     acquisition, when paid, is not accelerated by k.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if geom is None:
-        geom = SweepGeometry()
-    frame = derive_frame(base_b_sc)
+    proposed = _report(arch, scenario, adc, base_b_sc, power_mode, k, geom, model, table)
     wide_b_sc = k * base_b_sc
-    n_d = directional_scans(arch, scenario, geom)
-    scan_time = n_d * frame.t_pss / k
-    if uses_ci_budget(arch, scenario, geom):
-        t_ci, e_ci = scenario.t_ci, scenario.p_ci * scenario.t_ci
-    else:
-        t_ci, e_ci = 0.0, 0.0
-    p_rx = _receive_power(arch, adc, wide_b_sc, power_mode, model, table)
-    proposed = EnergyReport(
-        arch=arch.name,
-        scenario=scenario.kind,
-        adc_class=adc.cls,
-        bits=adc.bits,
-        b_sc=float(base_b_sc),
-        n_d=n_d,
-        t_del=scan_time + t_ci,
-        p_rx=p_rx,
-        e_ci=e_ci,
-        e_total=p_rx * scan_time + e_ci,
-    )
     baseline = energy(
         arch, scenario, adc, wide_b_sc, power_mode, geom=geom, model=model, table=table
     )

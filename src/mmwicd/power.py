@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from .architectures import Architecture, default_architectures
-from .signaling import derive_frame
+from .signaling import derive_frame, frame_scaling
 
 ADC_CLASSES = ("LPADC", "HPADC")
 RESOLUTION_LAWS = ("exponential", "linear")
@@ -49,10 +50,14 @@ class AdcModel:
     def __post_init__(self):
         if self.cls not in ADC_CLASSES:
             raise ValueError(f"unknown ADC class {self.cls!r}; expected one of {ADC_CLASSES}")
-        if self.bits < 1:
-            raise ValueError(f"bits must be >= 1, got {self.bits}")
-        if self.c is not None and self.c <= 0:
-            raise ValueError("energy-per-conversion constant must be positive")
+        if not isinstance(self.bits, (int, np.integer)) or isinstance(self.bits, bool) or self.bits < 1:
+            raise ValueError(f"bits must be an integer >= 1, got {self.bits!r}")
+        if self.c is not None and (
+            isinstance(self.c, bool) or not math.isfinite(self.c) or self.c <= 0
+        ):
+            raise ValueError(
+                f"energy-per-conversion constant must be a finite number > 0, got {self.c!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -230,13 +235,16 @@ def calibrate(
     )
 
 
-def parametric_power(model: PowerModel, arch: Architecture, adc: AdcModel, b_sc: float) -> float:
-    """Model power (W) at any b_sc and resolution for a calibrated class."""
+def parametric_power(model: PowerModel, arch: Architecture, adc: AdcModel, b_sc):
+    """Model power (W) at any b_sc and resolution for a calibrated class.
+
+    b_sc may be a numpy array, giving the power at each point.
+    """
     if model.adc_class != adc.cls:
         raise ValueError(f"model calibrated for {model.adc_class}, got {adc.cls}")
     if arch.name not in model.base_power:
         raise CalibrationError(f"model was not calibrated for architecture {arch.name}")
-    return model.evaluate(arch, adc.bits, derive_frame(b_sc).b_tot, c=adc.c)
+    return model.evaluate(arch, adc.bits, frame_scaling(b_sc)[1], c=adc.c)
 
 
 _MODEL_CACHE: dict[tuple[str, str], PowerModel] = {}

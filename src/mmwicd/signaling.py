@@ -9,7 +9,10 @@ direct proportion.  All quantities are SI (Hz, s).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 # Reference anchor: 15 kHz sub-carriers transmit the sync signals every 5 ms.
 B_SC_REF = 15e3  # Hz
@@ -62,6 +65,36 @@ class FrameConfig:
         return json.dumps(self.to_dict(), **kwargs)
 
 
+def _check_b_sc(b_sc) -> None:
+    if isinstance(b_sc, np.ndarray):
+        ok = b_sc.dtype.kind in "iuf" and bool(np.all(np.isfinite(b_sc) & (b_sc > 0)))
+    else:
+        ok = not isinstance(b_sc, (bool, np.bool_)) and math.isfinite(b_sc) and b_sc > 0
+    if not ok:
+        raise ValueError(f"sub-carrier bandwidth must be a finite number > 0, got {b_sc!r}")
+
+
+def frame_scaling(
+    b_sc,
+    *,
+    utilization: float = SYNC_BW_UTILIZATION,
+    subcarriers_per_rb: int = SUBCARRIERS_PER_RB,
+    rbs_for_sync: int = RBS_FOR_SYNC,
+):
+    """(t_pss, b_tot) for one sub-carrier bandwidth, or elementwise for a numpy array.
+
+    t_pss scales inversely with b_sc (anchored at 15 kHz <-> 5 ms) and b_tot
+    grows linearly: b_tot = subcarriers_per_rb * rbs_for_sync * b_sc / utilization.
+    This is the only copy of both formulas.
+    """
+    _check_b_sc(b_sc)
+    if not 0 < utilization <= 1:
+        raise ValueError(f"utilization must be in (0, 1], got {utilization!r}")
+    if subcarriers_per_rb < 1 or rbs_for_sync < 1:
+        raise ValueError("sub-carrier and RB counts must be >= 1")
+    return PSS_TIME_SCALE / b_sc, subcarriers_per_rb * rbs_for_sync * b_sc / utilization
+
+
 def derive_frame(
     b_sc: float,
     *,
@@ -69,19 +102,13 @@ def derive_frame(
     subcarriers_per_rb: int = SUBCARRIERS_PER_RB,
     rbs_for_sync: int = RBS_FOR_SYNC,
 ) -> FrameConfig:
-    """Build the frame quantities for a sub-carrier bandwidth.
-
-    t_pss scales inversely with b_sc (anchored at 15 kHz <-> 5 ms) and b_tot
-    grows linearly: b_tot = subcarriers_per_rb * rbs_for_sync * b_sc / utilization.
-    """
-    if b_sc <= 0:
-        raise ValueError(f"sub-carrier bandwidth must be positive, got {b_sc!r}")
-    if not 0 < utilization <= 1:
-        raise ValueError(f"utilization must be in (0, 1], got {utilization!r}")
-    if subcarriers_per_rb < 1 or rbs_for_sync < 1:
-        raise ValueError("sub-carrier and RB counts must be >= 1")
-    t_pss = PSS_TIME_SCALE / b_sc
-    b_tot = subcarriers_per_rb * rbs_for_sync * b_sc / utilization
+    """Build the frame quantities for a sub-carrier bandwidth (see frame_scaling)."""
+    t_pss, b_tot = frame_scaling(
+        b_sc,
+        utilization=utilization,
+        subcarriers_per_rb=subcarriers_per_rb,
+        rbs_for_sync=rbs_for_sync,
+    )
     return FrameConfig(
         b_sc=float(b_sc),
         t_pss=t_pss,

@@ -6,8 +6,12 @@ import pytest
 from mmwicd import (
     SweepGeometry,
     default_architectures,
+    default_power_model,
     default_scenarios,
     derive_frame,
+    directional_scans,
+    lookup_power,
+    uses_ci_budget,
 )
 
 # The five sub-carrier bandwidths the bundled power table was measured at.
@@ -43,3 +47,21 @@ def read_csv(path):
 
 def rel_err(value, reference):
     return abs(value - reference) / abs(reference)
+
+
+def scalar_energy(arch, scenario, adc, b_sc, power_mode, geom, k=1):
+    """(n_d, t_del, p_rx, e_ci, e_total) at one point, one scalar operation at a
+    time: the reference the vectorised energy columns must equal exactly."""
+    frame = derive_frame(b_sc)
+    n_d = directional_scans(arch, scenario, geom)
+    scan_time = n_d * frame.t_pss / k
+    if uses_ci_budget(arch, scenario, geom):
+        t_ci, e_ci = scenario.t_ci, scenario.p_ci * scenario.t_ci
+    else:
+        t_ci, e_ci = 0.0, 0.0
+    if power_mode == "lookup":
+        p_rx = lookup_power(arch, adc, k * b_sc)
+    else:
+        model = default_power_model(adc.cls)
+        p_rx = model.evaluate(arch, adc.bits, derive_frame(k * b_sc).b_tot, c=adc.c)
+    return n_d, scan_time + t_ci, p_rx, e_ci, p_rx * scan_time + e_ci

@@ -3,11 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from mmwicd import cli
+from mmwicd import AdcModel, SweepGeometry, cli
 from mmwicd.cli import DEFAULT_CONFIG, config_fingerprint, main
 from mmwicd.sweepsim import VerificationReport
 
-from conftest import read_csv
+from conftest import read_csv, scalar_energy
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 ARCH_ORDER = ("ABF", "DBF", "HBF", "PSN")
@@ -95,6 +95,42 @@ class TestSweep:
         assert code == 0
         assert (tmp_path / "out" / "sweep-nCI-HPADC-4b.csv").exists()
         assert (tmp_path / "out" / "sweep-nCI-HPADC-8b.csv").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_equal_scalar_arithmetic(self, tmp_path, archs, scens, fmt):
+        b_sc = [15e3, 41e3, 2.5e6, 3e9]
+        bits = [2, 6, 11]
+        geom = SweepGeometry(60, 12)  # scan counts that are not powers of two
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "b_sc_hz": b_sc, "bits": bits, "power_mode": "parametric",
+            "geometry": {"n_bs_directions": 60, "n_ms_directions": 12},
+        }))
+        assert run(["sweep"], tmp_path, ("--config", str(config), "--format", fmt)) == 0
+        out = tmp_path / "out"
+
+        def rows(name):
+            if fmt == "json":
+                return [list(r.values()) for r in json.loads((out / f"{name}.json").read_text())["rows"]]
+            return [list(r.values()) for r in read_csv(out / f"{name}.csv")]
+
+        def cells(row):  # csv holds str() of each value, which round-trips floats exactly
+            return row if fmt == "json" else [str(v) for v in row]
+
+        expected = []
+        for kind in DEFAULT_CONFIG["scenarios"]:
+            for cls in DEFAULT_CONFIG["adc_classes"]:
+                for n_bits in bits:
+                    adc = AdcModel(cls, bits=n_bits)
+                    points = [[b, *(scalar_energy(archs[name], scens[kind], adc, b, "parametric", geom)
+                                    for name in ARCH_ORDER)] for b in b_sc]
+                    assert rows(f"sweep-{kind}-{cls}-{n_bits}b") == [
+                        cells([b, *(values[-1] for values in per_arch)]) for b, *per_arch in points
+                    ]
+                    expected += [cells([name, kind, cls, n_bits, b, *values])
+                                 for b, *per_arch in points
+                                 for name, values in zip(ARCH_ORDER, per_arch)]
+        assert rows("sweep-report") == expected
 
     def test_lookup_mode_outside_table_is_runtime_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -1,13 +1,19 @@
 import io
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwicd import (
     ADC_CLASSES,
     ARCHITECTURE_NAMES,
+    SCENARIO_KINDS,
     AdcModel,
     PowerTableError,
+    SweepGeometry,
     build_pss_structure,
     convergence_value,
     default_power_model,
@@ -15,12 +21,13 @@ from mmwicd import (
     directional_scans,
     ec_crossover,
     energy,
+    energy_columns,
     proposed_structure_energy,
 )
 from mmwicd.energy import CSV_COLUMNS, reports_to_csv, reports_to_json
 from mmwicd.signaling import SYNC_TIME_BANDWIDTH
 
-from conftest import TABULATED_B_SC, rel_err
+from conftest import TABULATED_B_SC, rel_err, scalar_energy
 
 
 class TestEnergySpotValues:
@@ -61,6 +68,71 @@ class TestEnergySpotValues:
     def test_unknown_power_mode_rejected(self, archs, scens):
         with pytest.raises(ValueError):
             energy(archs["ABF"], scens["nCI"], AdcModel("HPADC"), 15e3, "psychic")
+
+
+def _columns_as_points(columns):
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+class TestEnergyColumns:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        b_sc=st.lists(st.floats(1e3, 1e9), min_size=1, max_size=20),
+        name=st.sampled_from(ARCHITECTURE_NAMES),
+        kind=st.sampled_from(SCENARIO_KINDS),
+        cls=st.sampled_from(ADC_CLASSES),
+        bits=st.integers(1, 12),
+        n_bs=st.integers(1, 100),
+        n_ms=st.integers(1, 40),
+    )
+    def test_parametric_equals_scalar_arithmetic(self, archs, scens, b_sc, name, kind, cls, bits,
+                                                 n_bs, n_ms):
+        # Non-power-of-two scan counts, so that a reordered product rounds differently.
+        arch, scenario, adc = archs[name], scens[kind], AdcModel(cls, bits=bits)
+        geom = SweepGeometry(n_bs, n_ms)
+        columns = energy_columns(arch, scenario, adc, b_sc, "parametric", geom=geom)
+        assert _columns_as_points(columns) == [
+            scalar_energy(arch, scenario, adc, b, "parametric", geom) for b in b_sc
+        ]
+
+    @pytest.mark.parametrize("cls", ADC_CLASSES)
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    @pytest.mark.parametrize("name", ARCHITECTURE_NAMES)
+    def test_lookup_equals_scalar_arithmetic(self, archs, scens, geom, name, kind, cls):
+        arch, scenario, adc = archs[name], scens[kind], AdcModel(cls)
+        columns = energy_columns(arch, scenario, adc, TABULATED_B_SC)
+        assert _columns_as_points(columns) == [
+            scalar_energy(arch, scenario, adc, b, "lookup", geom) for b in TABULATED_B_SC
+        ]
+
+    def test_energy_is_the_one_point_case(self, archs, scens):
+        adc = AdcModel("LPADC", bits=9)
+        columns = energy_columns(archs["HBF"], scens["CID"], adc, [33e3, 2e6], "parametric")
+        for i, b_sc in enumerate((33e3, 2e6)):
+            report = energy(archs["HBF"], scens["CID"], adc, b_sc, "parametric")
+            assert report.csv_row()[5:] == [column[i] for column in columns]
+            assert type(report.n_d) is int and type(report.e_total) is float
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_widened_sync_equals_scalar_arithmetic(self, archs, scens, kind, k):
+        adc = AdcModel("HPADC", bits=7)
+        geom = SweepGeometry(60, 12)  # scan counts that are not powers of two
+        for name in ARCHITECTURE_NAMES:
+            arch, scenario = archs[name], scens[kind]
+            for base in (250e3, 33e3, 7e5):
+                proposed = proposed_structure_energy(arch, scenario, adc, base, k, geom=geom).proposed
+                assert tuple(proposed.csv_row()[5:]) == scalar_energy(
+                    arch, scenario, adc, base, "parametric", geom, k=k
+                )
+
+    @pytest.mark.parametrize(
+        "bad", [[math.nan], [15e3, math.inf], [True], [15e3, np.bool_(True)]],
+        ids=["nan", "inf", "bool", "numpy-bool"],
+    )
+    def test_rejects_bad_bandwidth(self, archs, scens, bad):
+        with pytest.raises(ValueError):
+            energy_columns(archs["ABF"], scens["nCI"], AdcModel("HPADC"), bad, "parametric")
 
 
 class TestReportSerialization:

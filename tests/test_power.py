@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from mmwicd import (
@@ -131,6 +134,13 @@ class TestCalibration:
         plain = parametric_power(model, archs["ABF"], AdcModel("HPADC"), 15e3)
         assert doubled - base == pytest.approx(2 * (plain - base), rel=1e-9)
 
+    def test_array_bandwidths_match_scalar_calls(self, archs):
+        model = default_power_model("LPADC")
+        adc = AdcModel("LPADC", bits=3)
+        b_sc = [15e3, 41e3, 2.5e6, 7e8]
+        powers = parametric_power(model, archs["PSN"], adc, np.array(b_sc))
+        assert powers.tolist() == [parametric_power(model, archs["PSN"], adc, b) for b in b_sc]
+
     def test_class_mismatch_raises(self, archs):
         model = default_power_model("HPADC")
         with pytest.raises(ValueError):
@@ -162,3 +172,13 @@ class TestAdcModelValidation:
     def test_rejects_nonpositive_constant(self):
         with pytest.raises(ValueError):
             AdcModel("HPADC", c=0.0)
+
+    @pytest.mark.parametrize("bad", [True, 6.5], ids=["bool", "fraction"])
+    def test_rejects_non_integer_bits(self, bad):
+        with pytest.raises(ValueError):
+            AdcModel("HPADC", bits=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True], ids=["nan", "inf", "bool"])
+    def test_rejects_non_finite_or_boolean_constant(self, bad):
+        with pytest.raises(ValueError):
+            AdcModel("HPADC", c=bad)

@@ -62,6 +62,11 @@ class TestDeriveFrame:
         with pytest.raises(ValueError):
             derive_frame(bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True], ids=["nan", "inf", "bool"])
+    def test_rejects_non_finite_or_boolean_bandwidth(self, bad):
+        with pytest.raises(ValueError):
+            derive_frame(bad)
+
     @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5])
     def test_rejects_bad_utilization(self, bad):
         with pytest.raises(ValueError):
