@@ -19,6 +19,14 @@ DEFAULT_T_CI = 1.5  # s, positioning acquisition delay (assisted-GPS fix budget)
 DEFAULT_P_CI = 0.1  # W, receiver draw while acquiring positioning
 
 
+def _check_counts(obj, fields: tuple[str, ...]) -> None:
+    """Each named field of obj must be an integer >= 1 (booleans are not counts)."""
+    for fname in fields:
+        value = getattr(obj, fname)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{fname} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Architecture:
     """One receiver beamforming scheme.
@@ -35,9 +43,8 @@ class Architecture:
     simultaneous_beams: int
 
     def __post_init__(self):
-        for fname in ("n_ms_antennas", "n_rf_chains", "n_combiners", "n_adc", "simultaneous_beams"):
-            if getattr(self, fname) < 1:
-                raise ValueError(f"{fname} must be >= 1, got {getattr(self, fname)}")
+        _check_counts(self, ("n_ms_antennas", "n_rf_chains", "n_combiners", "n_adc",
+                             "simultaneous_beams"))
 
 
 def build_architecture(
@@ -124,26 +131,29 @@ class SweepGeometry:
     n_ms_directions: int = 16
 
     def __post_init__(self):
-        if self.n_bs_directions < 1 or self.n_ms_directions < 1:
-            raise ValueError("direction counts must be >= 1")
+        _check_counts(self, ("n_bs_directions", "n_ms_directions"))
 
     @property
     def search_space(self) -> int:
         return self.n_bs_directions * self.n_ms_directions
 
 
-def directional_scans(arch: Architecture, scenario: Scenario, geom: SweepGeometry) -> int:
-    """Number of dwell periods needed to cover the angular search space.
+def directional_scans(
+    arch: Architecture, scenario: Scenario, geom: SweepGeometry, k: int = 1
+) -> int:
+    """Number of dwell periods the sweep walks to cover the angular search space.
 
-    Without context the MS must examine all n_bs * n_ms pairs, beams-at-a-time
-    (ceiling division for non-divisible beam counts; beams beyond the MS
-    direction count cannot help, so they are clamped).  With context the
-    MS-side search disappears and only the BS sweep remains.
+    Each dwell pairs one group of k BS directions (k > 1 is the widened-sync
+    layout) with one MS beam set of simultaneous_beams directions; a partly
+    filled last group or set still takes a whole dwell.  Without context the
+    walk visits every pair: ceil(n_bs / k) * ceil(n_ms / beams).  With
+    context the MS beam set is known and only the ceil(n_bs / k) BS groups
+    remain.  This is the only closed-form slot count.
     """
+    groups = -(-geom.n_bs_directions // k)
     if scenario.kind == "nCI":
-        beams = min(arch.simultaneous_beams, geom.n_ms_directions)
-        return -(-geom.search_space // beams)
-    return geom.n_bs_directions
+        return groups * -(-geom.n_ms_directions // arch.simultaneous_beams)
+    return groups
 
 
 def uses_ci_budget(arch: Architecture, scenario: Scenario, geom: SweepGeometry) -> bool:
@@ -156,9 +166,19 @@ def uses_ci_budget(arch: Architecture, scenario: Scenario, geom: SweepGeometry) 
     return scenario.kind == "CID" and arch.simultaneous_beams < geom.n_ms_directions
 
 
+def ci_cost(arch: Architecture, scenario: Scenario, geom: SweepGeometry) -> tuple[float, float]:
+    """(t_ci, e_ci): context-acquisition delay (s) and energy (J) paid before the sweep.
+
+    Both are 0.0 unless uses_ci_budget; the sweep's k never shortens them.
+    """
+    if uses_ci_budget(arch, scenario, geom):
+        return scenario.t_ci, scenario.p_ci * scenario.t_ci
+    return 0.0, 0.0
+
+
 def total_delay(
-    arch: Architecture, scenario: Scenario, geom: SweepGeometry, frame: FrameConfig
+    arch: Architecture, scenario: Scenario, geom: SweepGeometry, frame: FrameConfig, k: int = 1
 ) -> float:
     """Total discovery delay (s): scan dwells plus any context-acquisition time."""
-    t_ci = scenario.t_ci if uses_ci_budget(arch, scenario, geom) else 0.0
-    return directional_scans(arch, scenario, geom) * frame.t_pss + t_ci
+    t_ci, _ = ci_cost(arch, scenario, geom)
+    return directional_scans(arch, scenario, geom, k) * frame.t_pss + t_ci

@@ -27,9 +27,9 @@ from .architectures import (
     SweepGeometry,
     build_architecture,
     build_scenario,
+    ci_cost,
     directional_scans,
     total_delay,
-    uses_ci_budget,
 )
 from .energy import (
     CSV_COLUMNS,
@@ -301,10 +301,6 @@ def _emit(cfg: RunConfig, name: str, columns: tuple[str, ...], rows: list[tuple]
     return path
 
 
-def _adc(cfg: RunConfig, cls: str, bits: int) -> AdcModel:
-    return AdcModel(cls=cls, bits=bits)
-
-
 def _model(cfg: RunConfig, cls: str):
     return default_power_model(cls, cfg.resolution_law)
 
@@ -324,9 +320,8 @@ def cmd_tables(cfg: RunConfig) -> int:
     rows_ii = []
     for arch in cfg.architectures:
         for scenario in cfg.scenarios:
-            t_ci = scenario.t_ci if uses_ci_budget(arch, scenario, cfg.geom) else 0.0
-            rows_ii.append((arch.name, scenario.kind,
-                            directional_scans(arch, scenario, cfg.geom), t_ci))
+            rows_ii.append((arch.name, scenario.kind, directional_scans(arch, scenario, cfg.geom),
+                            ci_cost(arch, scenario, cfg.geom)[0]))
     _emit(cfg, "tables-ii", ("architecture", "scenario", "n_scans", "t_ci_s"), rows_ii)
 
     table = default_power_table()
@@ -359,7 +354,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         for cls in cfg.adc_classes:
             model = _model(cfg, cls) if cfg.power_mode == "parametric" else None
             for bits in cfg.bits:
-                adc = _adc(cfg, cls, bits)
+                adc = AdcModel(cls, bits=bits)
                 # One column set per architecture, as plain Python numbers: json
                 # cannot encode numpy integers.
                 per_arch = []
@@ -387,7 +382,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
         rows = []
         for bits in cfg.convergence_bits:
             values = [
-                convergence_value(arch, _adc(cfg, cls, bits), cfg.geom, model=model)
+                convergence_value(arch, AdcModel(cls, bits=bits), cfg.geom, model=model)
                 for arch in cfg.architectures
             ]
             rows.append((bits, *values))
@@ -434,7 +429,6 @@ def cmd_pss(cfg: RunConfig) -> int:
     frame = derive_frame(cfg.pss_base_b_sc)
     rows = []
     for arch in cfg.architectures:
-        analytic_base = total_delay(arch, scenario, cfg.geom, frame)
         for k in cfg.k_values:
             structure = build_pss_structure(frame, k)
             worst = worst_case_structure_delay(
@@ -442,11 +436,12 @@ def cmd_pss(cfg: RunConfig) -> int:
             )
             cls = cfg.adc_classes[0]
             comparison = proposed_structure_energy(
-                arch, scenario, _adc(cfg, cls, cfg.bits[0]), cfg.pss_base_b_sc, k,
+                arch, scenario, AdcModel(cls, bits=cfg.bits[0]), cfg.pss_base_b_sc, k,
                 geom=cfg.geom, model=_model(cfg, cls),
             )
             rows.append((arch.name, k, cfg.pss_base_b_sc, structure.b_sc_pss,
-                         comparison.proposed.n_d, worst, analytic_base / k,
+                         comparison.proposed.n_d, worst,
+                         total_delay(arch, scenario, cfg.geom, frame, k),
                          comparison.proposed.e_total, comparison.baseline.e_total,
                          comparison.energy_ratio))
     _emit(cfg, "pss", columns, rows)

@@ -10,10 +10,8 @@ and returns the same numbers as an EnergyReport.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,8 +19,8 @@ from .architectures import (
     Architecture,
     Scenario,
     SweepGeometry,
+    ci_cost,
     directional_scans,
-    uses_ci_budget,
 )
 from .power import (
     AdcModel,
@@ -67,24 +65,10 @@ class EnergyReport:
     e_ci: float  # J, context-acquisition energy
     e_total: float  # J
 
-    def to_dict(self) -> dict:
-        return dict(zip(CSV_COLUMNS, self.csv_row()))
-
     def csv_row(self) -> list:
         """Field values in CSV_COLUMNS order."""
         return [self.arch, self.scenario, self.adc_class, self.bits, self.b_sc,
                 self.n_d, self.t_del, self.p_rx, self.e_ci, self.e_total]
-
-
-def reports_to_csv(reports: Iterable[EnergyReport], fh: TextIO) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(CSV_COLUMNS)
-    for report in reports:
-        writer.writerow(report.csv_row())
-
-
-def reports_to_json(reports: Iterable[EnergyReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2)
 
 
 class EnergyColumns(NamedTuple):
@@ -130,10 +114,11 @@ def energy_columns(
 ) -> EnergyColumns:
     """Delay, power and energy at every b_sc of one configuration, in one pass.
 
-    Each value equals the scalar evaluation bit for bit: scan time n_d * t_pss,
-    receive power at b_tot, e_total = p_rx * scan time + e_ci.  k > 1 is the
-    widened-sync layout of proposed_structure_energy: power is drawn at
-    k * b_sc and the scan time is (n_d * t_pss) / k.
+    Each value equals the scalar evaluation bit for bit: scan time
+    directional_scans(..., k) * t_pss, receive power at b_tot,
+    e_total = p_rx * scan time + e_ci.  k > 1 is the widened-sync layout of
+    proposed_structure_energy: k BS directions share a dwell and power is
+    drawn at k * b_sc.  n_d is the plain (k = 1) scan count.
     """
     if not {bool, np.bool_}.isdisjoint(map(type, b_sc)):
         raise ValueError(f"sub-carrier bandwidths must be numbers, got {b_sc!r}")
@@ -146,11 +131,8 @@ def energy_columns(
     b_sc = np.asarray(b_sc, dtype=np.float64)
     t_pss, _ = frame_scaling(b_sc)
     n_d = directional_scans(arch, scenario, geom)
-    scan_time = n_d * t_pss / k
-    if uses_ci_budget(arch, scenario, geom):
-        t_ci, e_ci = scenario.t_ci, scenario.p_ci * scenario.t_ci
-    else:
-        t_ci, e_ci = 0.0, 0.0
+    scan_time = directional_scans(arch, scenario, geom, k) * t_pss
+    t_ci, e_ci = ci_cost(arch, scenario, geom)
     p_rx = _receive_power(arch, adc, k * b_sc, power_mode, model, table)
     return EnergyColumns(
         n_d=np.full(b_sc.shape, n_d, dtype=np.int64),
@@ -248,10 +230,13 @@ class StructureComparison:
     """Wide-band sync slot layout vs. running everything at the widened bandwidth.
 
     The proposed layout widens only the sync sub-carrier by k, packing k sync
-    symbols per dwell, so the sweep finishes in 1/k of the time while data
-    traffic keeps the narrow sub-carrier.  The baseline widens b_sc for all
-    signaling instead.  Scan energies coincide; the difference is the
-    bandwidth the receiver must sustain outside discovery.
+    symbols per dwell, so the sweep finishes in about 1/k of the time while
+    data traffic keeps the narrow sub-carrier.  The baseline widens b_sc for
+    all signaling instead.  When k divides the BS direction count the scan
+    energies coincide and the difference is the bandwidth the receiver must
+    sustain outside discovery.  Otherwise the partly filled last BS group
+    still takes a whole dwell, and the proposed scan energy is
+    ceil(n_bs / k) * k / n_bs times the baseline's.
     """
 
     k: int
@@ -278,8 +263,9 @@ def proposed_structure_energy(
     """Energy of discovery under the k-fold wide-band sync layout.
 
     The receiver samples the widened sync signal, so power is evaluated at
-    k * base_b_sc; the dwell per direction shrinks to t_pss / k.  Context
-    acquisition, when paid, is not accelerated by k.
+    k * base_b_sc; k BS directions share each dwell, so the sweep takes
+    directional_scans(..., k) dwells of t_pss.  Context acquisition, when
+    paid, is not accelerated by k.
     """
     proposed = _report(arch, scenario, adc, base_b_sc, power_mode, k, geom, model, table)
     wide_b_sc = k * base_b_sc

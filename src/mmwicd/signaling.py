@@ -8,9 +8,8 @@ direct proportion.  All quantities are SI (Hz, s).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +43,6 @@ class FrameConfig:
     b_sc: float  # Hz, sub-carrier bandwidth
     t_pss: float  # s, sync transmission period (per-direction dwell)
     b_tot: float  # Hz, total system bandwidth (ADC sampling rate driver)
-    utilization: float  # fraction of b_tot carrying the sync grid
-    subcarriers_per_rb: int = SUBCARRIERS_PER_RB
-    rbs_for_sync: int = RBS_FOR_SYNC
 
     @property
     def t_sc(self) -> float:
@@ -55,14 +51,8 @@ class FrameConfig:
 
     @property
     def time_bandwidth(self) -> float:
-        """b_tot * t_pss (s*Hz); constant across frames with shared defaults."""
+        """b_tot * t_pss (s*Hz); SYNC_TIME_BANDWIDTH for every b_sc, up to rounding."""
         return self.b_tot * self.t_pss
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def _check_b_sc(b_sc) -> None:
@@ -74,49 +64,21 @@ def _check_b_sc(b_sc) -> None:
         raise ValueError(f"sub-carrier bandwidth must be a finite number > 0, got {b_sc!r}")
 
 
-def frame_scaling(
-    b_sc,
-    *,
-    utilization: float = SYNC_BW_UTILIZATION,
-    subcarriers_per_rb: int = SUBCARRIERS_PER_RB,
-    rbs_for_sync: int = RBS_FOR_SYNC,
-):
+def frame_scaling(b_sc):
     """(t_pss, b_tot) for one sub-carrier bandwidth, or elementwise for a numpy array.
 
     t_pss scales inversely with b_sc (anchored at 15 kHz <-> 5 ms) and b_tot
-    grows linearly: b_tot = subcarriers_per_rb * rbs_for_sync * b_sc / utilization.
+    grows linearly: b_tot = SUBCARRIERS_PER_RB * RBS_FOR_SYNC * b_sc / SYNC_BW_UTILIZATION.
     This is the only copy of both formulas.
     """
     _check_b_sc(b_sc)
-    if not 0 < utilization <= 1:
-        raise ValueError(f"utilization must be in (0, 1], got {utilization!r}")
-    if subcarriers_per_rb < 1 or rbs_for_sync < 1:
-        raise ValueError("sub-carrier and RB counts must be >= 1")
-    return PSS_TIME_SCALE / b_sc, subcarriers_per_rb * rbs_for_sync * b_sc / utilization
+    return PSS_TIME_SCALE / b_sc, SUBCARRIERS_PER_RB * RBS_FOR_SYNC * b_sc / SYNC_BW_UTILIZATION
 
 
-def derive_frame(
-    b_sc: float,
-    *,
-    utilization: float = SYNC_BW_UTILIZATION,
-    subcarriers_per_rb: int = SUBCARRIERS_PER_RB,
-    rbs_for_sync: int = RBS_FOR_SYNC,
-) -> FrameConfig:
+def derive_frame(b_sc: float) -> FrameConfig:
     """Build the frame quantities for a sub-carrier bandwidth (see frame_scaling)."""
-    t_pss, b_tot = frame_scaling(
-        b_sc,
-        utilization=utilization,
-        subcarriers_per_rb=subcarriers_per_rb,
-        rbs_for_sync=rbs_for_sync,
-    )
-    return FrameConfig(
-        b_sc=float(b_sc),
-        t_pss=t_pss,
-        b_tot=b_tot,
-        utilization=utilization,
-        subcarriers_per_rb=subcarriers_per_rb,
-        rbs_for_sync=rbs_for_sync,
-    )
+    t_pss, b_tot = frame_scaling(b_sc)
+    return FrameConfig(b_sc=float(b_sc), t_pss=t_pss, b_tot=b_tot)
 
 
 @dataclass(frozen=True)
@@ -136,23 +98,13 @@ class PssSlotStructure:
     cp: float  # s, cyclic prefix per sync symbol
     pss_per_slot: int  # sync transmissions per base slot (= k)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
-
-def build_pss_structure(
-    frame: FrameConfig, k: int, cp_fraction: float = DEFAULT_CP_FRACTION
-) -> PssSlotStructure:
+def build_pss_structure(frame: FrameConfig, k: int) -> PssSlotStructure:
     """Lay out k wide-band sync symbols per base slot of the given frame."""
     if not isinstance(k, int) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not 0 <= cp_fraction < 1:
-        raise ValueError(f"cp_fraction must be in [0, 1), got {cp_fraction!r}")
     t_sc = frame.t_sc
     t_sc_pss = t_sc / k
     return PssSlotStructure(
@@ -161,7 +113,7 @@ def build_pss_structure(
         b_sc_pss=k * frame.b_sc,
         t_sc=t_sc,
         t_sc_pss=t_sc_pss,
-        cp=cp_fraction * t_sc_pss,
+        cp=DEFAULT_CP_FRACTION * t_sc_pss,
         pss_per_slot=k,
     )
 
@@ -170,31 +122,7 @@ def slot_symbol_offsets(structure: PssSlotStructure) -> list[float]:
     """Start offsets (s) of each sync symbol within one base slot.
 
     Each of the k symbols is preceded by its cyclic prefix; the whole burst
-    occupies (1 + cp_fraction) base symbol periods at the head of the slot,
+    occupies (1 + DEFAULT_CP_FRACTION) base symbol periods at the head of the slot,
     which is always far shorter than the slot period t_pss.
     """
     return [structure.cp + j * (structure.cp + structure.t_sc_pss) for j in range(structure.k)]
-
-
-def pss_schedule(
-    structure: PssSlotStructure, n_directions: int
-) -> list[tuple[int, float, float]]:
-    """Transmission plan covering n_directions angular directions.
-
-    Returns one (direction index, start time, duration) entry per sync
-    transmission.  Consecutive symbols within a slot target consecutive
-    directions, so ceil(n_directions / k) base slots cover the sweep.
-    """
-    if n_directions < 1:
-        raise ValueError(f"n_directions must be >= 1, got {n_directions}")
-    t_pss = structure.frame.t_pss
-    offsets = slot_symbol_offsets(structure)
-    n_slots = -(-n_directions // structure.k)  # ceil
-    entries = []
-    for slot in range(n_slots):
-        for j in range(structure.k):
-            direction = slot * structure.k + j
-            if direction >= n_directions:
-                break
-            entries.append((direction, slot * t_pss + offsets[j], structure.t_sc_pss))
-    return entries

@@ -25,8 +25,8 @@ from .architectures import (
     Scenario,
     SweepGeometry,
     build_architecture,
+    ci_cost,
     total_delay,
-    uses_ci_budget,
 )
 from .signaling import FrameConfig, PssSlotStructure, derive_frame, slot_symbol_offsets
 
@@ -102,10 +102,6 @@ def _pinned_set(
     if not 0 <= ci_direction < n_ms:
         raise ValueError(f"ci_direction {ci_direction} outside [0, {n_ms})")
     return ci_direction // beams
-
-
-def _ci_lead_time(arch: Architecture, scenario: Scenario, geom: SweepGeometry) -> float:
-    return scenario.t_ci if uses_ci_budget(arch, scenario, geom) else 0.0
 
 
 def _walk(
@@ -202,7 +198,7 @@ def simulate(
         frame.t_pss,
         1,
         [0.0],
-        _ci_lead_time(arch, scenario, geom),
+        ci_cost(arch, scenario, geom)[0],
     )
 
 
@@ -238,7 +234,7 @@ def simulate_pss_structure(
         structure.frame.t_pss,
         structure.pss_per_slot,
         slot_symbol_offsets(structure),
-        _ci_lead_time(arch, scenario, geom),
+        ci_cost(arch, scenario, geom)[0],
     )
 
 
@@ -309,16 +305,10 @@ def verify_against_analytic(
     if frame is None:
         frame = derive_frame(15e3)
     grid = discovery_slot_grid(arch, scenario, geom, sweep_order=sweep_order)
-    t_ci = _ci_lead_time(arch, scenario, geom)
     analytic = total_delay(arch, scenario, geom, frame)
-    undiscovered = np.argwhere(grid == 0)
-    times = grid * frame.t_pss + t_ci
-    worst_flat = int(np.argmax(grid))
-    worst = (worst_flat // geom.n_ms_directions, worst_flat % geom.n_ms_directions)
+    times = grid * frame.t_pss + ci_cost(arch, scenario, geom)[0]
     max_time = float(times.max())
-    passed = max_time == analytic and undiscovered.size == 0
-    if undiscovered.size:
-        worst = tuple(int(x) for x in undiscovered[0])
+    passed = max_time == analytic
     return VerificationReport(
         arch=arch.name,
         scenario=scenario.kind,
@@ -330,7 +320,7 @@ def verify_against_analytic(
         max_time=max_time,
         analytic_delay=analytic,
         passed=passed,
-        first_mismatch=None if passed else worst,
+        first_mismatch=None if passed else divmod(int(np.argmax(grid)), geom.n_ms_directions),
     )
 
 
@@ -350,11 +340,7 @@ def worst_case_structure_delay(
     grid = discovery_slot_grid(
         arch, scenario, geom, sweep_order=sweep_order, k=structure.pss_per_slot
     )
-    if (grid == 0).any():
-        raise NoDiscoveryError(
-            tuple(int(x) for x in np.argwhere(grid == 0)[0]), int(grid.max())
-        )
-    return float(grid.max()) * structure.frame.t_pss + _ci_lead_time(arch, scenario, geom)
+    return float(grid.max()) * structure.frame.t_pss + ci_cost(arch, scenario, geom)[0]
 
 
 def dump_trace(events: Iterable[SweepEvent], fh: TextIO) -> None:

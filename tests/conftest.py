@@ -10,6 +10,7 @@ from mmwicd import (
     default_scenarios,
     derive_frame,
     directional_scans,
+    discovery_slot_grid,
     lookup_power,
     uses_ci_budget,
 )
@@ -51,10 +52,11 @@ def rel_err(value, reference):
 
 def scalar_energy(arch, scenario, adc, b_sc, power_mode, geom, k=1):
     """(n_d, t_del, p_rx, e_ci, e_total) at one point, one scalar operation at a
-    time: the reference the vectorised energy columns must equal exactly."""
+    time: the reference the vectorised energy columns must equal exactly.  The
+    scan takes as many dwells as the walk needs at k (the grid's last slot)."""
     frame = derive_frame(b_sc)
     n_d = directional_scans(arch, scenario, geom)
-    scan_time = n_d * frame.t_pss / k
+    scan_time = int(discovery_slot_grid(arch, scenario, geom, k=k).max()) * frame.t_pss
     if uses_ci_budget(arch, scenario, geom):
         t_ci, e_ci = scenario.t_ci, scenario.p_ci * scenario.t_ci
     else:

@@ -92,8 +92,8 @@ class TestDirectionalScans:
 
     def test_ceil_when_beams_do_not_divide(self, archs, scens):
         geom = SweepGeometry(n_bs_directions=10, n_ms_directions=10)
-        # 100 pairs at 4 beams a scan -> 25 full scans
-        assert directional_scans(archs["HBF"], scens["nCI"], geom) == 25
+        # the BS holds one direction per dwell: 10 directions x ceil(10 / 4) beam sets
+        assert directional_scans(archs["HBF"], scens["nCI"], geom) == 30
 
     def test_search_space(self, geom):
         assert geom.search_space == 1024

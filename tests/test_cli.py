@@ -17,6 +17,12 @@ def run(args, tmp_path, extra=()):
     return main([*args, "--out", str(tmp_path / "out"), *extra])
 
 
+def run_with_config(verb, tmp_path, raw):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    return run([verb], tmp_path, ("--config", str(config)))
+
+
 class TestTables:
     def test_table_i_matches_golden_bytes(self, tmp_path):
         assert run(["tables"], tmp_path) == 0
@@ -178,6 +184,14 @@ class TestVerify:
         assert run(["verify"], tmp_path) == 3
         assert "11/12 combinations pass" in capsys.readouterr().out
 
+    def test_beams_that_do_not_divide_pass(self, tmp_path, capsys):
+        # 3 and 5 beams divide neither 14 MS nor 60 BS directions
+        assert run_with_config("verify", tmp_path, {
+            "architecture_params": {"n_ms_antennas": 16, "n_rf_chains": 3, "n_combiners": 5},
+            "geometry": {"n_bs_directions": 60, "n_ms_directions": 14},
+        }) == 0
+        assert "12/12 combinations pass" in capsys.readouterr().out
+
 
 class TestPss:
     def test_delay_and_energy_vs_k(self, tmp_path):
@@ -191,6 +205,15 @@ class TestPss:
             by_arch.setdefault(r["architecture"], []).append(float(r["e_proposed_j"]))
         for name, totals in by_arch.items():
             assert all(a > b for a, b in zip(totals, totals[1:])), name
+
+    @pytest.mark.parametrize("raw", [{"k": [3, 5, 7]}, {"scenarios": ["CID"]}],
+                             ids=["k-3-5-7", "CID"])
+    def test_analytic_delay_equals_simulated(self, tmp_path, raw):
+        # k that does not divide the 64 BS directions; a CI lead time that k must not shorten
+        assert run_with_config("pss", tmp_path, raw) == 0
+        rows = read_csv(tmp_path / "out" / "pss.csv")
+        assert len(rows) == 4 * len(raw.get("k", DEFAULT_CONFIG["k"]))
+        assert all(r["sim_worst_delay_s"] == r["analytic_delay_s"] for r in rows)
 
 
 class TestConfigHandling:
@@ -250,6 +273,21 @@ class TestConfigHandling:
     def test_non_finite_value_rejected_by_resolve_config(self, raw, key):
         with pytest.raises(cli.ConfigError, match=key):
             cli.resolve_config(raw)
+
+    @pytest.mark.parametrize("raw,key", [
+        ({"geometry": {"n_bs_directions": 2.5, "n_ms_directions": 16}}, "geometry"),
+        ({"geometry": {"n_bs_directions": 64, "n_ms_directions": True}}, "geometry"),
+        ({"architecture_params": {"n_ms_antennas": 16, "n_rf_chains": 2.5, "n_combiners": 4}},
+         "architecture_params"),
+        ({"architecture_params": {"n_ms_antennas": 16, "n_rf_chains": 4, "n_combiners": True}},
+         "architecture_params"),
+    ], ids=["fractional-direction", "boolean-direction", "fractional-chains",
+            "boolean-combiners"])
+    def test_non_integer_count_is_config_error(self, tmp_path, capsys, raw, key):
+        assert run_with_config("sweep", tmp_path, raw) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not (tmp_path / "out").exists()
 
     def test_config_overrides_grid(self, tmp_path):
         config = tmp_path / "config.json"

@@ -14,7 +14,9 @@ from mmwicd import (
     build_architecture,
     build_pss_structure,
     build_scenario,
+    ci_cost,
     derive_frame,
+    directional_scans,
     discovery_slot_grid,
     dump_trace,
     simulate,
@@ -23,7 +25,7 @@ from mmwicd import (
     verify_against_analytic,
     worst_case_structure_delay,
 )
-from mmwicd.sweepsim import ALIGNED, PSS_TX, _ci_lead_time, _walk
+from mmwicd.sweepsim import ALIGNED, PSS_TX, _walk
 
 from conftest import TABULATED_B_SC
 
@@ -225,7 +227,7 @@ def _beams_arch(beams):
 def _assert_grid_matches_walk(arch, scenario, geom, order, k):
     """Every target's grid slot, in seconds, equals the slot-by-slot walk."""
     t_pss = derive_frame(15e3).t_pss
-    t_ci = _ci_lead_time(arch, scenario, geom)
+    t_ci, _ = ci_cost(arch, scenario, geom)
     grid = discovery_slot_grid(arch, scenario, geom, sweep_order=order, k=k)
     assert grid.shape == (geom.n_bs_directions, geom.n_ms_directions)
     assert grid.dtype == np.int64
@@ -304,8 +306,16 @@ class TestDiscoveryGrid:
                                        n_rf_chains, n_combiners, k, order, kind):
         arch = build_architecture(name, n_ms_antennas=n_ms_antennas,
                                   n_rf_chains=n_rf_chains, n_combiners=n_combiners)
+        scenario = build_scenario(kind)
         geom = SweepGeometry(n_bs_directions=n_bs, n_ms_directions=n_ms)
-        _assert_grid_matches_walk(arch, build_scenario(kind), geom, order, k)
+        _assert_grid_matches_walk(arch, scenario, geom, order, k)
+        # The closed forms equal the walk's worst case exactly, whatever divides.
+        grid = discovery_slot_grid(arch, scenario, geom, sweep_order=order, k=k)
+        assert grid.max() == directional_scans(arch, scenario, geom, k)
+        structure = build_pss_structure(derive_frame(15e3), k)
+        assert worst_case_structure_delay(
+            structure, geom, arch=arch, scenario=scenario, sweep_order=order
+        ) == total_delay(arch, scenario, geom, structure.frame, k)
 
 
 class TestScaledGeometry:
