@@ -19,12 +19,21 @@ DEFAULT_T_CI = 1.5  # s, positioning acquisition delay (assisted-GPS fix budget)
 DEFAULT_P_CI = 0.1  # W, receiver draw while acquiring positioning
 
 
+def _check_count(name: str, value) -> None:
+    """value must be an integer >= 1 (booleans are not counts).
+
+    Also the only check of k, the BS directions sharing one dwell: the slot
+    count, the discovery grid and the walk call it, and every other function
+    taking k reaches it through one of them.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _check_counts(obj, fields: tuple[str, ...]) -> None:
-    """Each named field of obj must be an integer >= 1 (booleans are not counts)."""
+    """Each named field of obj must be an integer >= 1."""
     for fname in fields:
-        value = getattr(obj, fname)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ValueError(f"{fname} must be an integer >= 1, got {value!r}")
+        _check_count(fname, getattr(obj, fname))
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,12 @@ def build_architecture(
     HBF: n_rf_chains analog sub-arrays, one beam each.
     PSN: single RF chain behind n_combiners analog combining networks whose
          outputs are compared in the analog domain, so ADC count stays at ABF's.
+
+    All three counts are checked whichever scheme is built.
     """
+    for param, value in (("n_ms_antennas", n_ms_antennas), ("n_rf_chains", n_rf_chains),
+                         ("n_combiners", n_combiners)):
+        _check_count(param, value)
     if name == "ABF":
         rf, comb, beams, adc = 1, 1, 1, 2
     elif name == "DBF":
@@ -150,6 +164,7 @@ def directional_scans(
     context the MS beam set is known and only the ceil(n_bs / k) BS groups
     remain.  This is the only closed-form slot count.
     """
+    _check_count("k", k)
     groups = -(-geom.n_bs_directions // k)
     if scenario.kind == "nCI":
         return groups * -(-geom.n_ms_directions // arch.simultaneous_beams)

@@ -46,7 +46,7 @@ from .power import (
     default_power_table,
     parametric_power,
 )
-from .signaling import build_pss_structure, derive_frame
+from .signaling import derive_frame
 from .sweepsim import (
     SWEEP_ORDERS,
     verify_against_analytic,
@@ -421,29 +421,31 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_pss(cfg: RunConfig) -> int:
-    """Widened-sync slot layout: delay and energy vs. k (parametric power)."""
+    """Widened-sync slot layout: delay and energy vs. k (parametric power).
+
+    Evaluated for nCI (else the first listed scenario), the first ADC class and
+    the first bits; the last three columns name them.
+    """
     columns = ("architecture", "k", "b_sc_hz", "b_sc_pss_hz", "n_d",
                "sim_worst_delay_s", "analytic_delay_s",
-               "e_proposed_j", "e_baseline_j", "energy_ratio")
+               "e_proposed_j", "e_baseline_j", "energy_ratio",
+               "scenario", "adc_class", "bits")
     scenario = next((s for s in cfg.scenarios if s.kind == "nCI"), cfg.scenarios[0])
+    cls, bits = cfg.adc_classes[0], cfg.bits[0]
+    adc, model = AdcModel(cls, bits=bits), _model(cfg, cls)
     frame = derive_frame(cfg.pss_base_b_sc)
     rows = []
     for arch in cfg.architectures:
         for k in cfg.k_values:
-            structure = build_pss_structure(frame, k)
-            worst = worst_case_structure_delay(
-                structure, cfg.geom, arch=arch, scenario=scenario
-            )
-            cls = cfg.adc_classes[0]
+            worst = worst_case_structure_delay(arch, scenario, cfg.geom, frame, k=k)
             comparison = proposed_structure_energy(
-                arch, scenario, AdcModel(cls, bits=cfg.bits[0]), cfg.pss_base_b_sc, k,
-                geom=cfg.geom, model=_model(cfg, cls),
+                arch, scenario, adc, cfg.pss_base_b_sc, k, geom=cfg.geom, model=model,
             )
-            rows.append((arch.name, k, cfg.pss_base_b_sc, structure.b_sc_pss,
+            rows.append((arch.name, k, cfg.pss_base_b_sc, k * frame.b_sc,
                          comparison.proposed.n_d, worst,
                          total_delay(arch, scenario, cfg.geom, frame, k),
                          comparison.proposed.e_total, comparison.baseline.e_total,
-                         comparison.energy_ratio))
+                         comparison.energy_ratio, scenario.kind, cls, bits))
     _emit(cfg, "pss", columns, rows)
     return 0
 

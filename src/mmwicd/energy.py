@@ -11,7 +11,7 @@ and returns the same numbers as an EnergyReport.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .architectures import (
 from .power import (
     AdcModel,
     PowerModel,
-    PowerSample,
     default_power_model,
     lookup_power,
     parametric_power,
@@ -87,12 +86,9 @@ def _receive_power(
     b_sc: np.ndarray,
     power_mode: str,
     model: PowerModel | None,
-    table: Iterable[PowerSample] | None,
 ) -> np.ndarray:
     if power_mode == "lookup":
-        if table is not None:
-            table = tuple(table)
-        return np.array([lookup_power(arch, adc, b, table=table) for b in b_sc.tolist()])
+        return np.array([lookup_power(arch, adc, b) for b in b_sc.tolist()])
     if power_mode == "parametric":
         if model is None:
             model = default_power_model(adc.cls)
@@ -110,7 +106,6 @@ def energy_columns(
     k: int = 1,
     geom: SweepGeometry | None = None,
     model: PowerModel | None = None,
-    table: Iterable[PowerSample] | None = None,
 ) -> EnergyColumns:
     """Delay, power and energy at every b_sc of one configuration, in one pass.
 
@@ -118,14 +113,11 @@ def energy_columns(
     directional_scans(..., k) * t_pss, receive power at b_tot,
     e_total = p_rx * scan time + e_ci.  k > 1 is the widened-sync layout of
     proposed_structure_energy: k BS directions share a dwell and power is
-    drawn at k * b_sc.  n_d is the plain (k = 1) scan count.
+    drawn at k * b_sc; directional_scans checks k.  n_d is the plain (k = 1)
+    scan count.
     """
     if not {bool, np.bool_}.isdisjoint(map(type, b_sc)):
         raise ValueError(f"sub-carrier bandwidths must be numbers, got {b_sc!r}")
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if geom is None:
         geom = SweepGeometry()
     b_sc = np.asarray(b_sc, dtype=np.float64)
@@ -133,7 +125,7 @@ def energy_columns(
     n_d = directional_scans(arch, scenario, geom)
     scan_time = directional_scans(arch, scenario, geom, k) * t_pss
     t_ci, e_ci = ci_cost(arch, scenario, geom)
-    p_rx = _receive_power(arch, adc, k * b_sc, power_mode, model, table)
+    p_rx = _receive_power(arch, adc, k * b_sc, power_mode, model)
     return EnergyColumns(
         n_d=np.full(b_sc.shape, n_d, dtype=np.int64),
         t_del=scan_time + t_ci,
@@ -143,9 +135,9 @@ def energy_columns(
     )
 
 
-def _report(arch, scenario, adc, b_sc, power_mode, k, geom, model, table) -> EnergyReport:
+def _report(arch, scenario, adc, b_sc, power_mode, k, geom, model) -> EnergyReport:
     columns = energy_columns(arch, scenario, adc, [b_sc], power_mode,
-                             k=k, geom=geom, model=model, table=table)
+                             k=k, geom=geom, model=model)
     return EnergyReport(arch.name, scenario.kind, adc.cls, adc.bits, float(b_sc),
                         *(column[0].item() for column in columns))
 
@@ -159,10 +151,9 @@ def energy(
     *,
     geom: SweepGeometry | None = None,
     model: PowerModel | None = None,
-    table: Iterable[PowerSample] | None = None,
 ) -> EnergyReport:
     """Full energy report for one configuration point (energy_columns at one b_sc)."""
-    return _report(arch, scenario, adc, b_sc, power_mode, 1, geom, model, table)
+    return _report(arch, scenario, adc, b_sc, power_mode, 1, geom, model)
 
 
 def convergence_value(
@@ -244,7 +235,6 @@ class StructureComparison:
     baseline: EnergyReport
     data_plane_b_sc: float  # Hz, sub-carrier the proposed layout keeps for data
     baseline_b_sc: float  # Hz, sub-carrier the baseline imposes everywhere
-    delay_ratio: float  # proposed t_del / baseline t_del
     energy_ratio: float  # proposed e_total / baseline e_total
 
 
@@ -258,7 +248,6 @@ def proposed_structure_energy(
     *,
     geom: SweepGeometry | None = None,
     model: PowerModel | None = None,
-    table: Iterable[PowerSample] | None = None,
 ) -> StructureComparison:
     """Energy of discovery under the k-fold wide-band sync layout.
 
@@ -267,17 +256,14 @@ def proposed_structure_energy(
     directional_scans(..., k) dwells of t_pss.  Context acquisition, when
     paid, is not accelerated by k.
     """
-    proposed = _report(arch, scenario, adc, base_b_sc, power_mode, k, geom, model, table)
+    proposed = _report(arch, scenario, adc, base_b_sc, power_mode, k, geom, model)
     wide_b_sc = k * base_b_sc
-    baseline = energy(
-        arch, scenario, adc, wide_b_sc, power_mode, geom=geom, model=model, table=table
-    )
+    baseline = energy(arch, scenario, adc, wide_b_sc, power_mode, geom=geom, model=model)
     return StructureComparison(
         k=k,
         proposed=proposed,
         baseline=baseline,
         data_plane_b_sc=float(base_b_sc),
         baseline_b_sc=float(wide_b_sc),
-        delay_ratio=proposed.t_del / baseline.t_del,
         energy_ratio=proposed.e_total / baseline.e_total,
     )

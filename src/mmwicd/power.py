@@ -118,17 +118,14 @@ def lookup_power(
     arch: Architecture,
     adc: AdcModel,
     b_sc: float,
-    table: Iterable[PowerSample] | None = None,
 ) -> float:
-    """Exact table entry for (architecture, ADC class, b_sc); 6-bit only."""
+    """Exact bundled-table entry for (architecture, ADC class, b_sc); 6-bit only."""
     if adc.bits != TABLE_BITS:
         raise PowerTableError(
             f"table holds {TABLE_BITS}-bit measurements, not {adc.bits}-bit; "
             "use the parametric model"
         )
-    if table is None:
-        table = default_power_table()
-    for sample in table:
+    for sample in default_power_table():
         if (
             sample.architecture == arch.name
             and sample.adc_class == adc.cls
@@ -150,7 +147,6 @@ class PowerModel:
     reconstructs the per-architecture W/Hz term at any resolution.
     """
 
-    mode: str  # "parametric" once calibrated
     adc_class: str
     c: float
     resolution_law: str
@@ -175,7 +171,6 @@ def calibrate(
     table: Iterable[PowerSample],
     adc_class: str,
     *,
-    architectures: dict[str, Architecture] | None = None,
     resolution_law: str = "exponential",
 ) -> PowerModel:
     """Fit per-architecture base powers and the shared conversion constant.
@@ -187,8 +182,7 @@ def calibrate(
     if adc_class not in ADC_CLASSES:
         raise ValueError(f"unknown ADC class {adc_class!r}; expected one of {ADC_CLASSES}")
     resolution_factor(TABLE_BITS, resolution_law)  # validate the law early
-    if architectures is None:
-        architectures = default_architectures()
+    architectures = default_architectures()
 
     rows = [s for s in table if s.adc_class == adc_class]
     if not rows:
@@ -223,7 +217,6 @@ def calibrate(
     residuals = {(s.architecture, s.b_sc): float(e) for s, e in zip(rows, rel)}
 
     return PowerModel(
-        mode="parametric",
         adc_class=adc_class,
         c=float(solution[m]),
         resolution_law=resolution_law,

@@ -4,6 +4,11 @@ The sync signals occupy a fixed grid of 6 resource blocks (72 sub-carriers)
 regardless of the sub-carrier bandwidth, so scaling the sub-carrier bandwidth
 up shrinks the transmission period and widens the total system bandwidth in
 direct proportion.  All quantities are SI (Hz, s).
+
+The widened-sync layout (the sync sub-carrier alone widened k-fold, so k BS
+directions share one slot) needs no frame type of its own: it is the k
+argument of the slot count, the sweep and the energy columns, with receive
+power drawn at k * b_sc.
 """
 
 from __future__ import annotations
@@ -28,12 +33,6 @@ SYNC_BW_UTILIZATION = 1.08e6 / 1.4e6
 
 # t_pss * b_tot under the defaults; independent of b_sc.
 SYNC_TIME_BANDWIDTH = SUBCARRIERS_PER_RB * RBS_FOR_SYNC * PSS_TIME_SCALE / SYNC_BW_UTILIZATION
-
-# Sync symbol duration (incl. cyclic prefix) at the reference spacing.
-# Informational only: delay accounting uses the transmission period t_pss.
-PSS_SYMBOL_DURATION_REF = 71.4e-6  # s
-
-DEFAULT_CP_FRACTION = 0.07  # cyclic prefix as a fraction of the symbol period
 
 
 @dataclass(frozen=True)
@@ -80,49 +79,3 @@ def derive_frame(b_sc: float) -> FrameConfig:
     t_pss, b_tot = frame_scaling(b_sc)
     return FrameConfig(b_sc=float(b_sc), t_pss=t_pss, b_tot=b_tot)
 
-
-@dataclass(frozen=True)
-class PssSlotStructure:
-    """Slot layout that packs k short wide-band sync symbols per base symbol.
-
-    The sync sub-carrier is widened k-fold relative to the frame's b_sc, so k
-    sync symbols (each 1/k of the base symbol period) fit where one fit
-    before.  k = 1 degenerates to the base frame.
-    """
-
-    frame: FrameConfig
-    k: int  # bandwidth multiplication factor
-    b_sc_pss: float  # Hz, widened sync sub-carrier bandwidth
-    t_sc: float  # s, base symbol period
-    t_sc_pss: float  # s, widened sync symbol period (= t_sc / k)
-    cp: float  # s, cyclic prefix per sync symbol
-    pss_per_slot: int  # sync transmissions per base slot (= k)
-
-
-def build_pss_structure(frame: FrameConfig, k: int) -> PssSlotStructure:
-    """Lay out k wide-band sync symbols per base slot of the given frame."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    t_sc = frame.t_sc
-    t_sc_pss = t_sc / k
-    return PssSlotStructure(
-        frame=frame,
-        k=k,
-        b_sc_pss=k * frame.b_sc,
-        t_sc=t_sc,
-        t_sc_pss=t_sc_pss,
-        cp=DEFAULT_CP_FRACTION * t_sc_pss,
-        pss_per_slot=k,
-    )
-
-
-def slot_symbol_offsets(structure: PssSlotStructure) -> list[float]:
-    """Start offsets (s) of each sync symbol within one base slot.
-
-    Each of the k symbols is preceded by its cyclic prefix; the whole burst
-    occupies (1 + DEFAULT_CP_FRACTION) base symbol periods at the head of the slot,
-    which is always far shorter than the slot period t_pss.
-    """
-    return [structure.cp + j * (structure.cp + structure.t_sc_pss) for j in range(structure.k)]

@@ -3,20 +3,19 @@
 Independent oracle for the analytic delay formulas: the sweep is walked slot
 by slot and discovery time is whatever the walk produces, never the closed
 form.  Detection is decided at the end of a dwell, so discovery lands on slot
-boundaries; context acquisition, when paid, precedes the sweep.
+boundaries; context acquisition, when paid, precedes the sweep.  The
+widened-sync layout is the same sweep with k BS directions per dwell.
 
 The all-targets enumeration (discovery_slot_grid) is one numpy broadcast that
 inverts the walk's slot -> (BS group, beam set) schedule: every pair is visited
 exactly once per sweep, so a target's first-alignment slot follows from its own
-group and set.  The slot-by-slot walk (_walk) is the reference the grid is
+group and set.  The slot-by-slot walk (simulate) is the reference the grid is
 tested against.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -24,11 +23,11 @@ from .architectures import (
     Architecture,
     Scenario,
     SweepGeometry,
-    build_architecture,
+    _check_count,
     ci_cost,
     total_delay,
 )
-from .signaling import FrameConfig, PssSlotStructure, derive_frame, slot_symbol_offsets
+from .signaling import FrameConfig, derive_frame
 
 SEQUENTIAL_BS_OUTER = "SequentialBsOuter"
 SEQUENTIAL_MS_OUTER = "SequentialMsOuter"
@@ -36,24 +35,12 @@ SWEEP_ORDERS = (SEQUENTIAL_BS_OUTER, SEQUENTIAL_MS_OUTER)
 
 _ORDER_CODES = {SEQUENTIAL_BS_OUTER: 0, SEQUENTIAL_MS_OUTER: 1}
 
-PSS_TX = "PssTx"
-ALIGNED = "Aligned"
-
-
-@dataclass(frozen=True)
-class SweepEvent:
-    time: float  # s
-    bs_direction: int
-    ms_beam_set: tuple[int, ...]
-    kind: str  # PSS_TX or ALIGNED
-
 
 @dataclass(frozen=True)
 class SimResult:
     discovery_time: float  # s
     events_consumed: int  # PSS transmissions observed, aligning one included
     target: tuple[int, int]  # (bs_direction, ms_direction)
-    events: tuple[SweepEvent, ...] | None = None
 
 
 class NoDiscoveryError(RuntimeError):
@@ -104,22 +91,29 @@ def _pinned_set(
     return ci_direction // beams
 
 
-def _walk(
+def simulate(
     arch: Architecture,
     scenario: Scenario,
     geom: SweepGeometry,
+    frame: FrameConfig,
     target: tuple[int, int],
-    sweep_order: str,
-    ci_direction: int | None,
-    record_events: bool,
-    slot_duration: float,
-    k: int,
-    symbol_offsets: list[float],
-    t_ci: float,
+    sweep_order: str = SEQUENTIAL_BS_OUTER,
+    *,
+    k: int = 1,
+    ci_direction: int | None = None,
 ) -> SimResult:
-    """Slot-granular walk for a single target; shared by both simulate flavors."""
+    """Walk the sweep slot by slot until the target aligns.
+
+    Each dwell of t_pss pairs a group of k BS directions (k > 1 is the
+    widened-sync layout) with one MS beam set.  SequentialBsOuter advances
+    the BS group every slot and the beam set once per full BS cycle;
+    SequentialMsOuter is the transpose.  CInD/CID pin the beam set to the one
+    containing ci_direction (the target's true MS direction when not given);
+    a wrong pin raises NoDiscoveryError after one full sweep.
+    """
     tb, tm = _check_target(target, geom)
     order = _order_code(sweep_order)
+    _check_count("k", k)
     n_bs, n_ms = geom.n_bs_directions, geom.n_ms_directions
     beams = arch.simultaneous_beams
     n_groups = -(-n_bs // k)
@@ -127,8 +121,8 @@ def _walk(
     pinned = _pinned_set(scenario, ci_direction, tm, beams, n_ms)
     eff_sets = 1 if pinned >= 0 else n_sets
     slots_total = n_groups * eff_sets
+    t_ci = ci_cost(arch, scenario, geom)[0]
 
-    events: list[SweepEvent] = []
     consumed = 0
     for slot in range(slots_total):
         if order == 0:
@@ -139,103 +133,16 @@ def _walk(
             group = slot // eff_sets
         if pinned >= 0:
             set_i = pinned
-        bs_lo = group * k
-        bs_hi = min(bs_lo + k, n_bs)
-        ms_lo = set_i * beams
-        beam_set = tuple(range(ms_lo, min(ms_lo + beams, n_ms)))
-        slot_start = t_ci + slot * slot_duration
-        hit = False
-        for j, bs_dir in enumerate(range(bs_lo, bs_hi)):
+        beam_set = range(set_i * beams, min(set_i * beams + beams, n_ms))
+        for bs_dir in range(group * k, min(group * k + k, n_bs)):
             consumed += 1
-            if record_events:
-                events.append(
-                    SweepEvent(slot_start + symbol_offsets[j], bs_dir, beam_set, PSS_TX)
-                )
             if bs_dir == tb and tm in beam_set:
-                hit = True
-                if not record_events:
-                    break
-        if hit:
-            discovery = t_ci + (slot + 1) * slot_duration
-            if record_events:
-                events.append(SweepEvent(discovery, tb, beam_set, ALIGNED))
-            return SimResult(
-                discovery_time=discovery,
-                events_consumed=consumed,
-                target=(tb, tm),
-                events=tuple(events) if record_events else None,
-            )
+                return SimResult(
+                    discovery_time=t_ci + (slot + 1) * frame.t_pss,
+                    events_consumed=consumed,
+                    target=(tb, tm),
+                )
     raise NoDiscoveryError((tb, tm), slots_total)
-
-
-def simulate(
-    arch: Architecture,
-    scenario: Scenario,
-    geom: SweepGeometry,
-    frame: FrameConfig,
-    target: tuple[int, int],
-    sweep_order: str = SEQUENTIAL_BS_OUTER,
-    *,
-    ci_direction: int | None = None,
-    record_events: bool = False,
-) -> SimResult:
-    """Walk the plain sweep (one direction per slot) until the target aligns.
-
-    SequentialBsOuter advances the BS direction every slot and the MS beam set
-    once per full BS cycle; SequentialMsOuter is the transpose.  CInD/CID pin
-    the beam set to the one containing ci_direction (the target's true MS
-    direction when not given); a wrong pin raises NoDiscoveryError after one
-    full sweep.
-    """
-    return _walk(
-        arch,
-        scenario,
-        geom,
-        target,
-        sweep_order,
-        ci_direction,
-        record_events,
-        frame.t_pss,
-        1,
-        [0.0],
-        ci_cost(arch, scenario, geom)[0],
-    )
-
-
-def simulate_pss_structure(
-    structure: PssSlotStructure,
-    geom: SweepGeometry,
-    target: tuple[int, int],
-    *,
-    arch: Architecture | None = None,
-    scenario: Scenario | None = None,
-    sweep_order: str = SEQUENTIAL_BS_OUTER,
-    ci_direction: int | None = None,
-    record_events: bool = False,
-) -> SimResult:
-    """Walk the widened-sync sweep: k directions per base slot.
-
-    Per-symbol transmission times inside a slot follow the structure's cyclic
-    prefix layout; detection is still decided at slot end.  Defaults to a
-    single-beam receiver with no context information.
-    """
-    if arch is None:
-        arch = build_architecture("ABF")
-    if scenario is None:
-        scenario = Scenario(kind="nCI")
-    return _walk(
-        arch,
-        scenario,
-        geom,
-        target,
-        sweep_order,
-        ci_direction,
-        record_events,
-        structure.frame.t_pss,
-        structure.pss_per_slot,
-        slot_symbol_offsets(structure),
-        ci_cost(arch, scenario, geom)[0],
-    )
 
 
 def discovery_slot_grid(
@@ -253,10 +160,11 @@ def discovery_slot_grid(
     0-based slot set * n_groups + group, SequentialMsOuter at
     group * n_sets + set.  In pinned scenarios each target is pinned to its
     own correct set, so the sweep runs over BS groups only and the slot is the
-    group index.  Computed without walking the sweep; _walk is the
+    group index.  Computed without walking the sweep; simulate is the
     slot-by-slot reference.  Shape (n_bs_directions, n_ms_directions).
     """
     order = _order_code(sweep_order)
+    _check_count("k", k)
     n_bs, n_ms = geom.n_bs_directions, geom.n_ms_directions
     beams = arch.simultaneous_beams
     n_groups = -(-n_bs // k)
@@ -325,27 +233,14 @@ def verify_against_analytic(
 
 
 def worst_case_structure_delay(
-    structure: PssSlotStructure,
+    arch: Architecture,
+    scenario: Scenario,
     geom: SweepGeometry,
+    frame: FrameConfig,
     *,
-    arch: Architecture | None = None,
-    scenario: Scenario | None = None,
     sweep_order: str = SEQUENTIAL_BS_OUTER,
+    k: int = 1,
 ) -> float:
-    """Max discovery time over all targets under the widened-sync layout (s)."""
-    if arch is None:
-        arch = build_architecture("ABF")
-    if scenario is None:
-        scenario = Scenario(kind="nCI")
-    grid = discovery_slot_grid(
-        arch, scenario, geom, sweep_order=sweep_order, k=structure.pss_per_slot
-    )
-    return float(grid.max()) * structure.frame.t_pss + ci_cost(arch, scenario, geom)[0]
-
-
-def dump_trace(events: Iterable[SweepEvent], fh: TextIO) -> None:
-    """Event log as CSV (time_s, bs_dir, ms_beams, kind); beams pipe-joined."""
-    writer = csv.writer(fh)
-    writer.writerow(("time_s", "bs_dir", "ms_beams", "kind"))
-    for ev in events:
-        writer.writerow((repr(ev.time), ev.bs_direction, "|".join(map(str, ev.ms_beam_set)), ev.kind))
+    """Max discovery time over all targets with k BS directions per dwell (s)."""
+    grid = discovery_slot_grid(arch, scenario, geom, sweep_order=sweep_order, k=k)
+    return float(grid.max()) * frame.t_pss + ci_cost(arch, scenario, geom)[0]

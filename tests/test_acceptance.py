@@ -16,7 +16,6 @@ from mmwicd import (
     SWEEP_ORDERS,
     AdcModel,
     SweepGeometry,
-    build_pss_structure,
     convergence_value,
     default_architectures,
     default_power_model,
@@ -237,9 +236,7 @@ def test_criterion_8_widened_sync_structure():
         base_delay = total_delay(ARCHS[name], SCENS["nCI"], GEOM, frame)
         totals = []
         for k in (1, 2, 4, 8, 16):
-            structure = build_pss_structure(frame, k)
-            worst = worst_case_structure_delay(structure, GEOM, arch=ARCHS[name],
-                                               scenario=SCENS["nCI"])
+            worst = worst_case_structure_delay(ARCHS[name], SCENS["nCI"], GEOM, frame, k=k)
             _check(failures, worst == base_delay / k,
                    f"simulated worst delay({name},k={k}) = {worst!r}, "
                    f"expected exactly {base_delay / k!r}")

@@ -3,13 +3,18 @@ import pytest
 from mmwicd import (
     ARCHITECTURE_NAMES,
     SCENARIO_KINDS,
+    AdcModel,
     SweepGeometry,
     build_architecture,
     build_scenario,
     derive_frame,
     directional_scans,
+    discovery_slot_grid,
+    energy_columns,
+    simulate,
     total_delay,
     uses_ci_budget,
+    worst_case_structure_delay,
 )
 
 from conftest import TABULATED_B_SC
@@ -46,6 +51,13 @@ class TestArchitectureRegistry:
     def test_nonpositive_counts_rejected(self):
         with pytest.raises(ValueError):
             build_architecture("HBF", n_rf_chains=0)
+
+    @pytest.mark.parametrize("params", [{"n_rf_chains": 2.5}, {"n_combiners": True},
+                                        {"n_ms_antennas": 0}])
+    def test_counts_checked_whatever_the_scheme(self, params):
+        # ABF uses none of the three parameters; they are still checked
+        with pytest.raises(ValueError):
+            build_architecture("ABF", **params)
 
 
 class TestScenarios:
@@ -101,6 +113,26 @@ class TestDirectionalScans:
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             SweepGeometry(n_bs_directions=0)
+
+
+class TestKValidation:
+    # Every function that takes k, the BS directions per dwell, rejects the same values.
+    TAKES_K = {
+        "directional_scans": lambda a, s, g, k: directional_scans(a, s, g, k),
+        "total_delay": lambda a, s, g, k: total_delay(a, s, g, derive_frame(15e3), k),
+        "discovery_slot_grid": lambda a, s, g, k: discovery_slot_grid(a, s, g, k=k),
+        "simulate": lambda a, s, g, k: simulate(a, s, g, derive_frame(15e3), (0, 0), k=k),
+        "worst_case_structure_delay":
+            lambda a, s, g, k: worst_case_structure_delay(a, s, g, derive_frame(15e3), k=k),
+        "energy_columns":
+            lambda a, s, g, k: energy_columns(a, s, AdcModel("HPADC"), [15e3], k=k, geom=g),
+    }
+
+    @pytest.mark.parametrize("bad", [0, -1, True, 2.0, 2.5])
+    @pytest.mark.parametrize("fn", TAKES_K)
+    def test_rejects_bad_k(self, archs, scens, geom, fn, bad):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            self.TAKES_K[fn](archs["ABF"], scens["nCI"], geom, bad)
 
 
 class TestCiBudget:

@@ -215,6 +215,16 @@ class TestPss:
         assert len(rows) == 4 * len(raw.get("k", DEFAULT_CONFIG["k"]))
         assert all(r["sim_worst_delay_s"] == r["analytic_delay_s"] for r in rows)
 
+    def test_rows_name_what_was_evaluated(self, tmp_path):
+        # pss evaluates nCI (when listed), the first ADC class and the first bits
+        assert run_with_config("pss", tmp_path, {
+            "scenarios": ["CID", "nCI"], "adc_classes": ["LPADC", "HPADC"],
+        }) == 0
+        rows = read_csv(tmp_path / "out" / "pss.csv")
+        assert len(rows) == 4 * 5
+        assert {(r["scenario"], r["adc_class"], r["bits"]) for r in rows} == {("nCI", "LPADC", "6")}
+        assert list(rows[0])[-3:] == ["scenario", "adc_class", "bits"]
+
 
 class TestConfigHandling:
     def test_empty_grid_is_config_error(self, tmp_path, capsys):
@@ -281,8 +291,11 @@ class TestConfigHandling:
          "architecture_params"),
         ({"architecture_params": {"n_ms_antennas": 16, "n_rf_chains": 4, "n_combiners": True}},
          "architecture_params"),
+        ({"architectures": ["ABF"],
+          "architecture_params": {"n_ms_antennas": 16, "n_rf_chains": 2.5, "n_combiners": True}},
+         "architecture_params"),
     ], ids=["fractional-direction", "boolean-direction", "fractional-chains",
-            "boolean-combiners"])
+            "boolean-combiners", "unused-by-listed-schemes"])
     def test_non_integer_count_is_config_error(self, tmp_path, capsys, raw, key):
         assert run_with_config("sweep", tmp_path, raw) == 2
         err = capsys.readouterr().err

@@ -12,7 +12,6 @@ from mmwicd import (
     AdcModel,
     PowerTableError,
     SweepGeometry,
-    build_pss_structure,
     convergence_value,
     default_power_model,
     derive_frame,
@@ -250,11 +249,3 @@ class TestProposedStructure:
     def test_rejects_bad_k(self, archs, scens, bad):
         with pytest.raises(ValueError):
             proposed_structure_energy(archs["ABF"], scens["nCI"], AdcModel("HPADC"), 250e3, bad)
-
-    def test_consistent_with_slot_structure(self, archs, scens):
-        # the comparison's bandwidths agree with the slot-layout builder
-        structure = build_pss_structure(derive_frame(250e3), 8)
-        comparison = proposed_structure_energy(
-            archs["ABF"], scens["nCI"], AdcModel("HPADC"), 250e3, 8
-        )
-        assert comparison.baseline_b_sc == structure.b_sc_pss

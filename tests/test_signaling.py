@@ -3,13 +3,7 @@ import math
 import pytest
 
 from mmwicd import signaling
-from mmwicd.signaling import (
-    DEFAULT_CP_FRACTION,
-    SYNC_TIME_BANDWIDTH,
-    build_pss_structure,
-    derive_frame,
-    slot_symbol_offsets,
-)
+from mmwicd.signaling import SYNC_TIME_BANDWIDTH, derive_frame
 
 from conftest import TABULATED_B_SC, rel_err
 
@@ -64,39 +58,6 @@ class TestDeriveFrame:
     def test_rejects_non_finite_or_boolean_bandwidth(self, bad):
         with pytest.raises(ValueError):
             derive_frame(bad)
-
-
-class TestPssStructure:
-    def test_degenerate_k1(self):
-        frame = derive_frame(250e3)
-        structure = build_pss_structure(frame, 1)
-        assert structure.b_sc_pss == frame.b_sc
-        assert structure.t_sc_pss == structure.t_sc
-        assert structure.pss_per_slot == 1
-
-    def test_k8_widens_and_shortens(self):
-        frame = derive_frame(250e3)
-        structure = build_pss_structure(frame, 8)
-        assert structure.b_sc_pss == 2e6
-        assert structure.t_sc_pss == structure.t_sc / 8
-        assert structure.cp == DEFAULT_CP_FRACTION * structure.t_sc_pss
-
-    @pytest.mark.parametrize("bad", [0, -1, True, 2.0])
-    def test_rejects_bad_k(self, bad):
-        with pytest.raises(ValueError):
-            build_pss_structure(derive_frame(250e3), bad)
-
-    @pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
-    def test_symbol_offsets_layout(self, k):
-        structure = build_pss_structure(derive_frame(250e3), k)
-        offsets = slot_symbol_offsets(structure)
-        assert len(offsets) == k
-        assert offsets[0] == structure.cp
-        spacing = structure.cp + structure.t_sc_pss
-        for j in range(1, k):
-            assert offsets[j] == pytest.approx(offsets[j - 1] + spacing, rel=1e-12)
-        # all k symbols (and their prefixes) fit well inside one base slot
-        assert offsets[-1] + structure.t_sc_pss < structure.frame.t_pss
 
 
 def test_module_constants():

@@ -12,21 +12,16 @@ from mmwicd import (
     NoDiscoveryError,
     SweepGeometry,
     build_architecture,
-    build_pss_structure,
     build_scenario,
     ci_cost,
     derive_frame,
     directional_scans,
     discovery_slot_grid,
-    dump_trace,
     simulate,
-    simulate_pss_structure,
     total_delay,
     verify_against_analytic,
     worst_case_structure_delay,
 )
-from mmwicd.sweepsim import ALIGNED, PSS_TX, _walk
-
 from conftest import TABULATED_B_SC
 
 
@@ -128,95 +123,49 @@ class TestSingleTargetSim:
         with pytest.raises(ValueError):
             simulate(archs["ABF"], scens["CID"], geom, frame15, (0, 0), ci_direction=16)
 
-
-class TestEventLog:
-    def test_log_shape_and_kinds(self, archs, scens, geom, frame15):
-        result = simulate(archs["HBF"], scens["nCI"], geom, frame15, (2, 9),
-                          record_events=True)
-        events = result.events
-        assert len(events) == result.events_consumed + 1
-        assert all(ev.kind == PSS_TX for ev in events[:-1])
-        assert events[-1].kind == ALIGNED
-        assert all(len(ev.ms_beam_set) == 4 for ev in events)
-        times = [ev.time for ev in events]
-        assert times == sorted(times)
-
-    def test_ci_shifts_event_times(self, archs, scens, geom, frame15):
-        result = simulate(archs["ABF"], scens["CID"], geom, frame15, (0, 0),
-                          record_events=True)
-        assert result.events[0].time == 1.5
-
     def test_determinism(self, archs, scens, geom, frame15):
         runs = [
             simulate(archs["PSN"], scens["nCI"], geom, frame15, (17, 6),
-                     SEQUENTIAL_MS_OUTER, record_events=True)
+                     SEQUENTIAL_MS_OUTER, k=3)
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
 
-    def test_trace_dump(self, archs, scens, geom, frame15, tmp_path):
-        result = simulate(archs["HBF"], scens["nCI"], geom, frame15, (1, 2),
-                          record_events=True)
-        path = tmp_path / "trace.csv"
-        with open(path, "w", newline="") as fh:
-            dump_trace(result.events, fh)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "time_s,bs_dir,ms_beams,kind"
-        assert len(lines) == len(result.events) + 1
-        assert lines[1].endswith(PSS_TX)
-        assert "0|1|2|3" in lines[1]
-
 
 class TestPssStructureSim:
     def test_k1_degenerates_to_plain_sim(self, archs, scens, geom):
-        structure = build_pss_structure(derive_frame(250e3), 1)
         frame = derive_frame(250e3)
         for target in [(0, 0), (17, 3), (63, 15)]:
-            a = simulate_pss_structure(structure, geom, target,
-                                       arch=archs["ABF"], scenario=scens["nCI"])
+            a = simulate(archs["ABF"], scens["nCI"], geom, frame, target, k=1)
             b = simulate(archs["ABF"], scens["nCI"], geom, frame, target)
             assert a == b
+            assert a.discovery_time == discovery_slot_grid(
+                archs["ABF"], scens["nCI"], geom)[target] * frame.t_pss
 
     @pytest.mark.parametrize("k", [2, 4, 8, 16])
     def test_worst_case_scales_inversely(self, archs, scens, geom, k):
         frame = derive_frame(250e3)
-        structure = build_pss_structure(frame, k)
         for name in ARCHITECTURE_NAMES:
-            worst = worst_case_structure_delay(structure, geom, arch=archs[name],
-                                               scenario=scens["nCI"])
+            worst = worst_case_structure_delay(archs[name], scens["nCI"], geom, frame, k=k)
             assert worst == total_delay(archs[name], scens["nCI"], geom, frame) / k
 
-    def test_k8_single_target(self, geom):
-        structure = build_pss_structure(derive_frame(250e3), 8)
-        result = simulate_pss_structure(structure, geom, (63, 15))
+    def test_k8_single_target(self, archs, scens, geom):
+        frame = derive_frame(250e3)
+        result = simulate(archs["ABF"], scens["nCI"], geom, frame, (63, 15), k=8)
         # (1/8) of the 1024-slot single-beam worst case
-        assert result.discovery_time == 1024 * derive_frame(250e3).t_pss / 8
+        assert result.discovery_time == 1024 * frame.t_pss / 8
         assert result.events_consumed == 1024
 
     def test_bs_cycle_in_eight_slots(self, archs, scens, geom):
         # 16 simultaneous beams leave only the BS sweep: 64 directions, 8 per slot
-        structure = build_pss_structure(derive_frame(250e3), 8)
-        result = simulate_pss_structure(structure, geom, (63, 0),
-                                        arch=archs["DBF"], scenario=scens["nCI"])
-        assert result.discovery_time == 8 * structure.frame.t_pss
-
-    def test_symbol_times_follow_slot_layout(self, archs, scens, geom):
-        structure = build_pss_structure(derive_frame(250e3), 4)
-        result = simulate_pss_structure(structure, geom, (3, 0), record_events=True)
-        pss_events = [ev for ev in result.events if ev.kind == PSS_TX]
-        assert [ev.bs_direction for ev in pss_events] == [0, 1, 2, 3]
-        assert pss_events[0].time == structure.cp
-        spacing = structure.cp + structure.t_sc_pss
-        deltas = [b.time - a.time for a, b in zip(pss_events, pss_events[1:])]
-        assert deltas == pytest.approx([spacing] * 3, rel=1e-12)
-        # detection is still decided at slot end
-        assert result.events[-1].time == structure.frame.t_pss
+        frame = derive_frame(250e3)
+        result = simulate(archs["DBF"], scens["nCI"], geom, frame, (63, 0), k=8)
+        assert result.discovery_time == 8 * frame.t_pss
 
     def test_pinned_structure_sweep(self, archs, scens, geom):
-        structure = build_pss_structure(derive_frame(250e3), 8)
-        result = simulate_pss_structure(structure, geom, (63, 9),
-                                        arch=archs["HBF"], scenario=scens["CInD"])
-        assert result.discovery_time == 8 * structure.frame.t_pss
+        frame = derive_frame(250e3)
+        result = simulate(archs["HBF"], scens["CInD"], geom, frame, (63, 9), k=8)
+        assert result.discovery_time == 8 * frame.t_pss
 
 
 def _beams_arch(beams):
@@ -226,16 +175,15 @@ def _beams_arch(beams):
 
 def _assert_grid_matches_walk(arch, scenario, geom, order, k):
     """Every target's grid slot, in seconds, equals the slot-by-slot walk."""
-    t_pss = derive_frame(15e3).t_pss
+    frame = derive_frame(15e3)
     t_ci, _ = ci_cost(arch, scenario, geom)
     grid = discovery_slot_grid(arch, scenario, geom, sweep_order=order, k=k)
     assert grid.shape == (geom.n_bs_directions, geom.n_ms_directions)
     assert grid.dtype == np.int64
     for tb in range(geom.n_bs_directions):
         for tm in range(geom.n_ms_directions):
-            walked = _walk(arch, scenario, geom, (tb, tm), order, None, False,
-                           t_pss, k, [0.0] * k, t_ci)
-            assert grid[tb, tm] * t_pss + t_ci == walked.discovery_time, (tb, tm)
+            walked = simulate(arch, scenario, geom, frame, (tb, tm), order, k=k)
+            assert grid[tb, tm] * frame.t_pss + t_ci == walked.discovery_time, (tb, tm)
 
 
 class TestDiscoveryGrid:
@@ -312,10 +260,10 @@ class TestDiscoveryGrid:
         # The closed forms equal the walk's worst case exactly, whatever divides.
         grid = discovery_slot_grid(arch, scenario, geom, sweep_order=order, k=k)
         assert grid.max() == directional_scans(arch, scenario, geom, k)
-        structure = build_pss_structure(derive_frame(15e3), k)
+        frame = derive_frame(15e3)
         assert worst_case_structure_delay(
-            structure, geom, arch=arch, scenario=scenario, sweep_order=order
-        ) == total_delay(arch, scenario, geom, structure.frame, k)
+            arch, scenario, geom, frame, sweep_order=order, k=k
+        ) == total_delay(arch, scenario, geom, frame, k)
 
 
 class TestScaledGeometry:
