@@ -3,6 +3,9 @@
 Verbs: tables | sweep | convergence | verify | pss.  Outputs are deterministic
 CSV (or JSON) files; every file embeds the tool version and a hash of the
 scientific configuration so results can be traced back to their inputs.
+Each table is handed over as columns and rendered column by column: each
+distinct float once, in the bytes csv.writer would write.  A non-finite float
+is refused (exit 2), naming the file and column.
 
 Exit codes: 0 ok, 1 runtime failure, 2 config error, 3 verification mismatch.
 """
@@ -10,13 +13,15 @@ Exit codes: 0 ok, 1 runtime failure, 2 config error, 3 verification mismatch.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .architectures import (
@@ -34,6 +39,7 @@ from .architectures import (
 from .energy import (
     CSV_COLUMNS,
     POWER_MODES,
+    EnergyColumns,
     convergence_value,
     energy,  # noqa: F401 - unused here; perfbench's tracer test looks it up in this namespace
     energy_columns,
@@ -54,6 +60,14 @@ from .sweepsim import (
 )
 
 OUTPUT_FORMATS = ("csv", "json")
+
+# Largest n_bs_directions * n_ms_directions accepted: verify and pss hold one
+# int64 and one float64 value per (BS, MS) direction pair, 256 MiB at the cap
+# before temporaries.
+MAX_TARGETS = 2**24
+
+# Characters that make csv.writer quote a cell; _emit refuses such a cell.
+_QUOTED_CHARS = frozenset(',"\r\n')
 
 # Scientific defaults; "out" and "format" are presentation-only and excluded
 # from the config fingerprint.
@@ -199,6 +213,10 @@ def resolve_config(raw: dict) -> RunConfig:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad geometry: {exc}") from exc
+    n_targets = geom.n_bs_directions * geom.n_ms_directions
+    _require(n_targets <= MAX_TARGETS,
+             f"geometry has {n_targets} (BS, MS) direction pairs, more than the "
+             f"{MAX_TARGETS} (2**24) that verify and pss enumerate")
 
     orders = merged["sweep_orders"]
     _require(isinstance(orders, list) and orders, "sweep_orders must be a non-empty list")
@@ -269,34 +287,71 @@ def _header_lines(cfg: RunConfig) -> list[str]:
     return [f"# tool: mmwicd {__version__}", f"# config: sha256:{cfg.fingerprint}"]
 
 
-def _write_csv(cfg: RunConfig, name: str, columns: tuple[str, ...], rows: list[tuple]) -> Path:
-    path = cfg.out_dir / f"{name}.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in _header_lines(cfg):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
-    return path
+def _refuse_non_finite(path: Path, title: str, floats) -> None:
+    if not all(map(math.isfinite, floats)):
+        bad = next(v for v in floats if not math.isfinite(v))
+        raise ConfigError(f"refusing to write {path.name}: column {title} holds {bad}; "
+                          "the config drives it out of float range")
 
 
-def _write_json(cfg: RunConfig, name: str, columns: tuple[str, ...], rows: list[tuple]) -> Path:
-    path = cfg.out_dir / f"{name}.json"
-    payload = {
-        "tool": f"mmwicd {__version__}",
-        "config_sha256": cfg.fingerprint,
-        "rows": [dict(zip(columns, row)) for row in rows],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return path
+def _cells(column) -> list:
+    """A column as plain Python values (json cannot encode numpy numbers)."""
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
 
 
-def _emit(cfg: RunConfig, name: str, columns: tuple[str, ...], rows: list[tuple]) -> Path:
+def _csv_cells(path: Path, title: str, column) -> list[str]:
+    """One column as CSV text, spelled as csv.writer spells it: a column of
+    floats renders each distinct value once with repr, any other uses str."""
+    cells = _cells(column)
+    distinct = set(cells)
+    if set(map(type, cells)) == {float}:  # floats only: 1 == 1.0 == True as set members
+        _refuse_non_finite(path, title, distinct)
+        text = {v: repr(v) for v in distinct}
+        # 0.0 and -0.0 are one set member, so zeros are rendered one by one
+        return [text[v] if v else repr(v) for v in cells]
+    _refuse_non_finite(path, title, [v for v in distinct if isinstance(v, float)])
+    text = list(map(str, cells))
+    if not _QUOTED_CHARS.isdisjoint("".join(text)):
+        raise ValueError(f"{path.name}: column {title} holds a cell that needs CSV quoting")
+    return text
+
+
+def _emit(cfg: RunConfig, name: str, header: tuple[str, ...], columns: list) -> Path:
+    """Write one table, given as one list or numpy array per header column.
+
+    CSV lines are joined column by column (csv.writer's bytes, CRLF line ends,
+    no quoting; every table has two or more columns, so no line is one empty
+    cell that csv.writer would quote); JSON zips the columns back into one
+    object per row.  Either format refuses a non-finite float before the file
+    is opened.
+    """
+    path = cfg.out_dir / f"{name}.{cfg.fmt}"
+    if len(columns) != len(header) or len(set(map(len, columns))) > 1:
+        raise ValueError(f"{path.name}: {len(header)} titles for columns of lengths "
+                         f"{[len(col) for col in columns]}")
+    if cfg.fmt == "csv":
+        titles = _csv_cells(path, "titles", header)
+        text = [_csv_cells(path, title, col) for title, col in zip(header, columns)]
+    else:
+        columns = [_cells(col) for col in columns]
+        for title, col in zip(header, columns):
+            _refuse_non_finite(path, title, [v for v in set(col) if isinstance(v, float)])
+        payload = {
+            "tool": f"mmwicd {__version__}",
+            "config_sha256": cfg.fingerprint,
+            "rows": [dict(zip(header, row)) for row in zip(*columns)],
+        }
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    writer = _write_csv if cfg.fmt == "csv" else _write_json
-    path = writer(cfg, name, columns, rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if cfg.fmt == "csv":
+            fh.writelines(f"{line}\n" for line in _header_lines(cfg))
+            # One write per 4096 lines, never the whole file in memory.
+            lines = map(",".join, chain([titles], zip(*text)))
+            while block := list(islice(lines, 4096)):
+                fh.write("\r\n".join(block) + "\r\n")
+        else:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
     print(f"wrote {path}")
     return path
 
@@ -315,14 +370,14 @@ def cmd_tables(cfg: RunConfig) -> int:
     for b_sc in cfg.b_sc:
         frame = derive_frame(b_sc)
         rows_i.append((b_sc, frame.t_pss, frame.b_tot, f"{frame.b_tot / 1e6:.1f}"))
-    _emit(cfg, "tables-i", ("b_sc_hz", "t_pss_s", "b_tot_hz", "b_tot_mhz"), rows_i)
+    _emit(cfg, "tables-i", ("b_sc_hz", "t_pss_s", "b_tot_hz", "b_tot_mhz"), list(zip(*rows_i)))
 
     rows_ii = []
     for arch in cfg.architectures:
         for scenario in cfg.scenarios:
             rows_ii.append((arch.name, scenario.kind, directional_scans(arch, scenario, cfg.geom),
                             ci_cost(arch, scenario, cfg.geom)[0]))
-    _emit(cfg, "tables-ii", ("architecture", "scenario", "n_scans", "t_ci_s"), rows_ii)
+    _emit(cfg, "tables-ii", ("architecture", "scenario", "n_scans", "t_ci_s"), list(zip(*rows_ii)))
 
     table = default_power_table()
     for file_name, cls in (("tables-iii", "HPADC"), ("tables-iv", "LPADC")):
@@ -342,35 +397,37 @@ def cmd_tables(cfg: RunConfig) -> int:
                 modeled = parametric_power(model, arch, AdcModel(cls), s.b_sc)
                 rows.append((s.architecture, s.adc_class, s.b_sc, s.power,
                              modeled, (modeled - s.power) / s.power))
-        _emit(cfg, file_name, columns, rows)
+        _emit(cfg, file_name, columns, list(zip(*rows)))
     return 0
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
     """Energy over the b_sc grid: one file per (scenario, ADC class, bits)."""
     arch_names = tuple(a.name for a in cfg.architectures)
-    report_rows = []
+    labels = []  # (scenario, ADC class, bits) of each grid
+    fields = [[] for _ in EnergyColumns._fields]  # each grid's report values, per field
     for scenario in cfg.scenarios:
         for cls in cfg.adc_classes:
             model = _model(cfg, cls) if cfg.power_mode == "parametric" else None
             for bits in cfg.bits:
                 adc = AdcModel(cls, bits=bits)
-                # One column set per architecture, as plain Python numbers: json
-                # cannot encode numpy integers.
-                per_arch = []
-                for arch in cfg.architectures:
-                    cols = energy_columns(arch, scenario, adc, cfg.b_sc, cfg.power_mode,
-                                          geom=cfg.geom, model=model)
-                    per_arch.append(list(zip(*(col.tolist() for col in cols))))
-                # Rows in b_sc-major, architecture-minor order; values[-1] is e_total.
-                grid_rows = []
-                for b_sc, point in zip(cfg.b_sc, zip(*per_arch)):
-                    report_rows.extend((name, scenario.kind, cls, bits, b_sc, *values)
-                                       for name, values in zip(arch_names, point))
-                    grid_rows.append((b_sc, *(values[-1] for values in point)))
-                _emit(cfg, f"sweep-{scenario.kind}-{cls}-{bits}b",
-                      ("b_sc_hz", *arch_names), grid_rows)
-    _emit(cfg, "sweep-report", CSV_COLUMNS, report_rows)
+                per_arch = [energy_columns(arch, scenario, adc, cfg.b_sc, cfg.power_mode,
+                                           geom=cfg.geom, model=model)
+                            for arch in cfg.architectures]
+                _emit(cfg, f"sweep-{scenario.kind}-{cls}-{bits}b", ("b_sc_hz", *arch_names),
+                      [cfg.b_sc, *(cols.e_total for cols in per_arch)])
+                labels.append((scenario.kind, cls, bits))
+                # Report rows run b_sc-major, architecture-minor.
+                for acc, per_field in zip(fields, zip(*per_arch)):
+                    acc.append(np.column_stack(per_field).ravel())
+    rows_per_grid = len(cfg.b_sc) * len(arch_names)
+    label_columns = [[v for v in column for _ in range(rows_per_grid)] for column in zip(*labels)]
+    _emit(cfg, "sweep-report", CSV_COLUMNS, [
+        arch_names * (len(cfg.b_sc) * len(labels)),
+        *label_columns,
+        [b_sc for b_sc in cfg.b_sc for _ in arch_names] * len(labels),
+        *map(np.concatenate, fields),
+    ])
     return 0
 
 
@@ -386,7 +443,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
                 for arch in cfg.architectures
             ]
             rows.append((bits, *values))
-        _emit(cfg, f"convergence-{cls}", ("bits", *arch_names), rows)
+        _emit(cfg, f"convergence-{cls}", ("bits", *arch_names), list(zip(*rows)))
     return 0
 
 
@@ -415,7 +472,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                                  report.passed, mismatch))
             combos_total += 1
             combos_passed += combo_ok
-    _emit(cfg, "verify", columns, rows)
+    _emit(cfg, "verify", columns, list(zip(*rows)))
     print(f"{combos_passed}/{combos_total} combinations pass")
     return 0 if combos_passed == combos_total else 3
 
@@ -446,7 +503,7 @@ def cmd_pss(cfg: RunConfig) -> int:
                          total_delay(arch, scenario, cfg.geom, frame, k),
                          comparison.proposed.e_total, comparison.baseline.e_total,
                          comparison.energy_ratio, scenario.kind, cls, bits))
-    _emit(cfg, "pss", columns, rows)
+    _emit(cfg, "pss", columns, list(zip(*rows)))
     return 0
 
 

@@ -27,7 +27,7 @@ from .architectures import (
     ci_cost,
     total_delay,
 )
-from .signaling import FrameConfig, derive_frame
+from .signaling import FrameConfig
 
 SEQUENTIAL_BS_OUTER = "SequentialBsOuter"
 SEQUENTIAL_MS_OUTER = "SequentialMsOuter"
@@ -198,8 +198,8 @@ class VerificationReport:
 def verify_against_analytic(
     arch: Architecture,
     scenario: Scenario,
-    geom: SweepGeometry | None = None,
-    frame: FrameConfig | None = None,
+    geom: SweepGeometry,
+    frame: FrameConfig,
     *,
     sweep_order: str = SEQUENTIAL_BS_OUTER,
 ) -> VerificationReport:
@@ -208,10 +208,6 @@ def verify_against_analytic(
     Passes only on exact equality (both sides are integer multiples of the
     transmission period plus the same lead time).
     """
-    if geom is None:
-        geom = SweepGeometry()
-    if frame is None:
-        frame = derive_frame(15e3)
     grid = discovery_slot_grid(arch, scenario, geom, sweep_order=sweep_order)
     analytic = total_delay(arch, scenario, geom, frame)
     times = grid * frame.t_pss + ci_cost(arch, scenario, geom)[0]

@@ -1,7 +1,14 @@
+import csv
+import hashlib
+import io
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mmwicd import AdcModel, SweepGeometry, cli
 from mmwicd.cli import DEFAULT_CONFIG, config_fingerprint, main
@@ -302,6 +309,24 @@ class TestConfigHandling:
         assert "config error" in err and key in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("n_bs,n_ms", [(10**6, 10**6), (4097, 4096), (2**24 + 1, 1)])
+    def test_geometry_over_target_cap_is_config_error(self, n_bs, n_ms):
+        with pytest.raises(cli.ConfigError, match="geometry"):
+            cli.resolve_config({"geometry": {"n_bs_directions": n_bs, "n_ms_directions": n_ms}})
+
+    def test_geometry_at_target_cap_is_accepted(self):
+        cfg = cli.resolve_config({"geometry": {"n_bs_directions": 4096, "n_ms_directions": 4096}})
+        assert cfg.geom.n_bs_directions * cfg.geom.n_ms_directions == cli.MAX_TARGETS == 2**24
+
+    @pytest.mark.parametrize("verb", ["verify", "pss"])
+    def test_oversized_geometry_exits_two(self, tmp_path, capsys, verb):
+        # Rejected before any array is allocated: numpy would ask for 7.28 TiB
+        raw = {"geometry": {"n_bs_directions": 10**6, "n_ms_directions": 10**6}}
+        assert run_with_config(verb, tmp_path, raw) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "geometry" in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_overrides_grid(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"b_sc_hz": [15e3]}))
@@ -324,3 +349,138 @@ class TestJsonFormat:
         first = payload["rows"][0]
         assert first["b_sc_hz"] == 15e3
         assert first["ABF"] == 5.12
+
+
+# Every file each verb writes, in both formats, on two configs: the defaults
+# and a 60x14 parametric grid, where 3 and 5 beams do not divide the 14 MS
+# directions and k = 7 does not divide the 60 BS directions.
+GOLDEN_CONFIGS = {
+    "defaults": {},
+    "60x14": {
+        "power_mode": "parametric",
+        "geometry": {"n_bs_directions": 60, "n_ms_directions": 14},
+        "architecture_params": {"n_ms_antennas": 16, "n_rf_chains": 3, "n_combiners": 5},
+        "bits": [3, 6, 9],
+        "k": [1, 3, 5, 7],
+    },
+}
+
+
+def output_digests(tmp_path, raw, fmt):
+    """{verb: {file name: sha256}} of what each verb writes into a fresh directory."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    digests = {}
+    for verb in cli.COMMANDS:
+        out = tmp_path / fmt / verb
+        assert main([verb, "--config", str(config), "--out", str(out), "--format", fmt]) == 0
+        digests[verb] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                         for p in sorted(out.iterdir())}
+    return digests
+
+
+class TestGoldenOutputs:
+    """Byte-level outputs, spelling of floats and line terminators included,
+    as recorded in tests/data/golden_sha256.json from the csv.writer-based
+    writer; perfbench's digests parse values and cannot see either."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_outputs_match_recorded_bytes(self, tmp_path, name, fmt):
+        golden = json.loads((GOLDEN_DIR / "golden_sha256.json").read_text())
+        assert output_digests(tmp_path, GOLDEN_CONFIGS[name], fmt) == golden[name][fmt]
+
+
+class TestNonFiniteOutput:
+    # Finite inputs whose CI energy (and verify's mean delay) overflow to inf
+    OVERFLOWING_CI = {"scenario_params": {"t_ci_s": 1e308, "p_ci_w": 10}}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # verify's mean
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("verb,name,column", [
+        ("sweep", "sweep-CID-HPADC-6b", "ABF"),
+        ("verify", "verify", "mean_s"),
+    ])
+    def test_refused_with_exit_two(self, tmp_path, capsys, verb, name, column, fmt):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.OVERFLOWING_CI))
+        assert run([verb], tmp_path, ("--config", str(config), "--format", fmt)) == 2
+        out, err = capsys.readouterr()
+        assert f"config error: refusing to write {name}.{fmt}: column {column} holds inf" in err
+        assert "combinations pass" not in out
+        assert not (tmp_path / "out" / f"{name}.{fmt}").exists()
+
+
+# Floats at the edges of repr: signed zeros, subnormals, and both sides of the
+# switches to exponent notation at 1e16 and 1e-4.
+REPR_SWITCHES = (1e16, 1e-4, -1e16, -1e-4)
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               *REPR_SWITCHES,
+               *(math.nextafter(x, to) for x in REPR_SWITCHES for to in (0.0, math.inf))]
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+plain_text = st.text(alphabet="abcXYZ019_|.+- ", max_size=4)
+
+
+@st.composite
+def tables(draw):
+    """(header, columns): float columns that repeat a few values (some as numpy
+    arrays), and columns of ints, bools, short strings and floats mixed."""
+    n_rows = draw(st.integers(0, 10))
+    header = tuple(draw(st.lists(plain_text, min_size=2, max_size=5)))
+    columns = []
+    for _ in header:
+        if draw(st.booleans()):
+            pool = draw(st.lists(floats, min_size=1, max_size=4))
+            column = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+            columns.append(np.array(column) if draw(st.booleans()) else column)
+        else:
+            cell = st.one_of(st.integers(), st.booleans(), plain_text, floats)
+            columns.append(draw(st.lists(cell, min_size=n_rows, max_size=n_rows)))
+    return header, columns
+
+
+class TestColumnWriter:
+    """_emit writes what csv.writer (and json.dump) wrote for the same rows."""
+
+    @pytest.fixture(scope="class")
+    def configs(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("emit")
+        return {fmt: cli.resolve_config({"out": str(out), "format": fmt}) for fmt in ("csv", "json")}
+
+    @staticmethod
+    def expected(cfg, header, columns):
+        rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+        buf = io.StringIO(newline="")
+        if cfg.fmt == "csv":
+            buf.write(f"# tool: mmwicd 0.1.0\n# config: sha256:{cfg.fingerprint}\n")
+            writer = csv.writer(buf)
+            writer.writerow(header)
+            writer.writerows(rows)
+        else:
+            json.dump({"tool": "mmwicd 0.1.0", "config_sha256": cfg.fingerprint,
+                       "rows": [dict(zip(header, row)) for row in rows]}, buf, indent=2)
+            buf.write("\n")
+        return buf.getvalue().encode()
+
+    @example(table=(("a", "b"), [[1.5, 0.0, -0.0, 1.5], [7, True, "x", ""]]))
+    @given(table=tables())
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_match_csv_writer_and_json_dump(self, configs, table):
+        header, columns = table
+        for cfg in configs.values():
+            path = cli._emit(cfg, "table", header, columns)
+            assert path.read_bytes() == self.expected(cfg, header, columns)
+
+    @pytest.mark.parametrize("cell", [",", '"', "\r", "\n", "a,b", 'say "x"'])
+    def test_cell_needing_quotes_raises(self, configs, cell):
+        with pytest.raises(ValueError, match="quot"):
+            cli._emit(configs["csv"], "quoted", ("a", "b"), [[1.0, 2.0], ["x", cell]])
+        with pytest.raises(ValueError, match="quot"):
+            cli._emit(configs["csv"], "quoted", ("a", cell), [[1.0], ["x"]])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_raises(self, configs, fmt, bad):
+        with pytest.raises(cli.ConfigError, match=f"refusing to write refused.{fmt}: column b"):
+            cli._emit(configs[fmt], "refused", ("a", "b"), [[1, 2], np.array([0.5, bad])])
+        assert not (configs[fmt].out_dir / f"refused.{fmt}").exists()
