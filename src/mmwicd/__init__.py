@@ -41,7 +41,6 @@ from .power import (
     calibrate,
     default_power_model,
     default_power_table,
-    load_power_table,
     lookup_power,
     parametric_power,
     resolution_factor,
@@ -56,7 +55,6 @@ from .sweepsim import (
     SEQUENTIAL_BS_OUTER,
     SEQUENTIAL_MS_OUTER,
     SWEEP_ORDERS,
-    NoDiscoveryError,
     SimResult,
     VerificationReport,
     discovery_slot_grid,
@@ -81,7 +79,6 @@ __all__ = [
     "EnergyColumns",
     "EnergyReport",
     "FrameConfig",
-    "NoDiscoveryError",
     "PowerModel",
     "PowerSample",
     "PowerTableError",
@@ -106,7 +103,6 @@ __all__ = [
     "energy",
     "energy_columns",
     "frame_scaling",
-    "load_power_table",
     "lookup_power",
     "parametric_power",
     "proposed_structure_energy",

@@ -147,10 +147,6 @@ class SweepGeometry:
     def __post_init__(self):
         _check_counts(self, ("n_bs_directions", "n_ms_directions"))
 
-    @property
-    def search_space(self) -> int:
-        return self.n_bs_directions * self.n_ms_directions
-
 
 def directional_scans(
     arch: Architecture, scenario: Scenario, geom: SweepGeometry, k: int = 1

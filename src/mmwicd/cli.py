@@ -432,14 +432,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_convergence(cfg: RunConfig) -> int:
-    """Large-bandwidth energy limit per architecture over the bit range."""
+    """Large-bandwidth energy limit per architecture over the bit range.
+
+    The limit is that of the full nCI search under the calibrated parametric
+    model, whatever the configured scenarios and power_mode.
+    """
     arch_names = tuple(a.name for a in cfg.architectures)
+    nci = build_scenario("nCI")
     for cls in cfg.adc_classes:
         model = _model(cfg, cls)
         rows = []
         for bits in cfg.convergence_bits:
             values = [
-                convergence_value(arch, AdcModel(cls, bits=bits), cfg.geom, model=model)
+                convergence_value(arch, nci, AdcModel(cls, bits=bits), cfg.geom, model)
                 for arch in cfg.architectures
             ]
             rows.append((bits, *values))
@@ -465,8 +470,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                     combo_ok = combo_ok and report.passed
                     mismatch = ("" if report.first_mismatch is None
                                 else f"{report.first_mismatch[0]}|{report.first_mismatch[1]}")
-                    rows.append((report.arch, report.scenario, report.sweep_order,
-                                 report.b_sc, report.n_targets,
+                    rows.append((arch.name, scenario.kind, order, b_sc, report.n_targets,
                                  report.min_time, report.mean_time,
                                  report.max_time, report.analytic_delay,
                                  report.passed, mismatch))
@@ -555,7 +559,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return COMMANDS[args.command](cfg)
+        # A finite config can still overflow numpy arithmetic; _emit refuses
+        # the non-finite result, so numpy's own warning would only be noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -158,10 +158,10 @@ def energy(
 
 def convergence_value(
     arch: Architecture,
+    scenario: Scenario,
     adc: AdcModel,
-    geom: SweepGeometry | None = None,
-    scenario: Scenario | None = None,
-    model: PowerModel | None = None,
+    geom: SweepGeometry,
+    model: PowerModel,
 ) -> float:
     """Large-bandwidth limit of the scan energy (J).
 
@@ -169,27 +169,19 @@ def convergence_value(
     using the analytically constant time-bandwidth product, so the value is
     independent of b_sc by construction.
     """
-    if geom is None:
-        geom = SweepGeometry()
-    if scenario is None:
-        scenario = Scenario(kind="nCI")
-    if model is None:
-        model = default_power_model(adc.cls)
     if model.adc_class != adc.cls:
         raise ValueError(f"model calibrated for {model.adc_class}, got {adc.cls}")
-    c = model.c if adc.c is None else adc.c
     n_d = directional_scans(arch, scenario, geom)
-    return n_d * arch.n_adc * c * resolution_factor(adc.bits, model.resolution_law) * SYNC_TIME_BANDWIDTH
+    return n_d * arch.n_adc * model.c * resolution_factor(adc.bits, model.resolution_law) * SYNC_TIME_BANDWIDTH
 
 
 def ec_crossover(
     arch_a: Architecture,
     arch_b: Architecture,
+    scenario: Scenario,
     adc: AdcModel,
-    *,
-    scenario: Scenario | None = None,
-    geom: SweepGeometry | None = None,
-    model: PowerModel | None = None,
+    geom: SweepGeometry,
+    model: PowerModel,
 ) -> float | None:
     """b_sc (Hz) where the two architectures' scan energies are equal.
 
@@ -197,19 +189,12 @@ def ec_crossover(
     A from the base powers and C from the converter terms; the root -A / C is
     returned, or None when the curves do not cross at a positive bandwidth.
     """
-    if geom is None:
-        geom = SweepGeometry()
-    if scenario is None:
-        scenario = Scenario(kind="nCI")
-    if model is None:
-        model = default_power_model(adc.cls)
-    c = model.c if adc.c is None else adc.c
     r = resolution_factor(adc.bits, model.resolution_law)
     n_a = directional_scans(arch_a, scenario, geom)
     n_b = directional_scans(arch_b, scenario, geom)
     scale = derive_frame(1.0).t_pss  # t_pss * b_sc, the inverse-proportionality constant
     a_term = scale * (n_a * model.base_power[arch_a.name] - n_b * model.base_power[arch_b.name])
-    c_term = SYNC_TIME_BANDWIDTH * c * r * (n_a * arch_a.n_adc - n_b * arch_b.n_adc)
+    c_term = SYNC_TIME_BANDWIDTH * model.c * r * (n_a * arch_a.n_adc - n_b * arch_b.n_adc)
     if c_term == 0:
         return None
     root = -a_term / c_term
@@ -233,8 +218,6 @@ class StructureComparison:
     k: int
     proposed: EnergyReport
     baseline: EnergyReport
-    data_plane_b_sc: float  # Hz, sub-carrier the proposed layout keeps for data
-    baseline_b_sc: float  # Hz, sub-carrier the baseline imposes everywhere
     energy_ratio: float  # proposed e_total / baseline e_total
 
 
@@ -257,13 +240,10 @@ def proposed_structure_energy(
     paid, is not accelerated by k.
     """
     proposed = _report(arch, scenario, adc, base_b_sc, power_mode, k, geom, model)
-    wide_b_sc = k * base_b_sc
-    baseline = energy(arch, scenario, adc, wide_b_sc, power_mode, geom=geom, model=model)
+    baseline = energy(arch, scenario, adc, k * base_b_sc, power_mode, geom=geom, model=model)
     return StructureComparison(
         k=k,
         proposed=proposed,
         baseline=baseline,
-        data_plane_b_sc=float(base_b_sc),
-        baseline_b_sc=float(wide_b_sc),
         energy_ratio=proposed.e_total / baseline.e_total,
     )

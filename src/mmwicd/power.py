@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -41,23 +40,16 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class AdcModel:
-    """Converter class, resolution, and (after calibration) its energy constant."""
+    """Converter class and resolution; the class's energy constant is PowerModel.c."""
 
     cls: str
     bits: int = TABLE_BITS
-    c: float | None = None  # J per conversion step per Hz of sampling
 
     def __post_init__(self):
         if self.cls not in ADC_CLASSES:
             raise ValueError(f"unknown ADC class {self.cls!r}; expected one of {ADC_CLASSES}")
         if not isinstance(self.bits, (int, np.integer)) or isinstance(self.bits, bool) or self.bits < 1:
             raise ValueError(f"bits must be an integer >= 1, got {self.bits!r}")
-        if self.c is not None and (
-            isinstance(self.c, bool) or not math.isfinite(self.c) or self.c <= 0
-        ):
-            raise ValueError(
-                f"energy-per-conversion constant must be a finite number > 0, got {self.c!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -77,40 +69,29 @@ def resolution_factor(bits: int, law: str = "exponential") -> float:
     raise ValueError(f"unknown resolution law {law!r}; expected one of {RESOLUTION_LAWS}")
 
 
-def load_power_table(path=None) -> list[PowerSample]:
-    """Load (architecture, adc_class, b_sc_hz, power_w) rows; '#' lines are comments."""
-    if path is None:
-        ref = importlib.resources.files("mmwicd").joinpath("data/power_tables.csv")
-        with ref.open("r", encoding="utf-8") as fh:
-            return _parse_table(fh)
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_table(fh)
-
-
-def _parse_table(fh) -> list[PowerSample]:
-    rows = (line for line in fh if not line.lstrip().startswith("#"))
-    samples = []
-    for rec in csv.DictReader(rows):
-        samples.append(
-            PowerSample(
-                architecture=rec["architecture"],
-                adc_class=rec["adc_class"],
-                b_sc=float(rec["b_sc_hz"]),
-                power=float(rec["power_w"]),
-            )
-        )
-    if not samples:
-        raise PowerTableError("power table is empty")
-    return samples
-
-
 _DEFAULT_TABLE: list[PowerSample] | None = None
 
 
 def default_power_table() -> list[PowerSample]:
+    """The bundled (architecture, adc_class, b_sc_hz, power_w) rows, read once;
+    '#' lines are comments."""
     global _DEFAULT_TABLE
     if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = load_power_table()
+        ref = importlib.resources.files("mmwicd").joinpath("data/power_tables.csv")
+        with ref.open("r", encoding="utf-8") as fh:
+            rows = (line for line in fh if not line.lstrip().startswith("#"))
+            samples = [
+                PowerSample(
+                    architecture=rec["architecture"],
+                    adc_class=rec["adc_class"],
+                    b_sc=float(rec["b_sc_hz"]),
+                    power=float(rec["power_w"]),
+                )
+                for rec in csv.DictReader(rows)
+            ]
+        if not samples:
+            raise PowerTableError("power table is empty")
+        _DEFAULT_TABLE = samples
     return _DEFAULT_TABLE
 
 
@@ -143,27 +124,17 @@ class PowerModel:
     """Calibrated affine power model for one ADC class.
 
     base_power holds the bandwidth-independent watts per architecture; c is the
-    shared energy-per-conversion constant recovered from the fit.  adc_slope()
-    reconstructs the per-architecture W/Hz term at any resolution.
+    shared energy-per-conversion constant recovered from the fit, in J per
+    conversion step per Hz of sampling.
     """
 
     adc_class: str
     c: float
     resolution_law: str
-    bits_ref: int
     base_power: dict[str, float]
-    n_adc: dict[str, int]
-    max_rel_residual: float
-    residuals: dict[tuple[str, float], float] = field(default_factory=dict)
 
-    def adc_slope(self, arch_name: str, bits: int | None = None) -> float:
-        """ADC power per Hz of total bandwidth for one architecture."""
-        bits = self.bits_ref if bits is None else bits
-        return self.n_adc[arch_name] * self.c * resolution_factor(bits, self.resolution_law)
-
-    def evaluate(self, arch: Architecture, bits: int, b_tot: float, c: float | None = None) -> float:
-        c = self.c if c is None else c
-        slope = arch.n_adc * c * resolution_factor(bits, self.resolution_law)
+    def evaluate(self, arch: Architecture, bits: int, b_tot: float) -> float:
+        slope = arch.n_adc * self.c * resolution_factor(bits, self.resolution_law)
         return self.base_power[arch.name] + slope * b_tot
 
 
@@ -212,19 +183,11 @@ def calibrate(
             "singular calibration: table does not span multiple total bandwidths"
         )
     solution, *_ = np.linalg.lstsq(design, observed, rcond=None)
-    predicted = design @ solution
-    rel = (predicted - observed) / observed
-    residuals = {(s.architecture, s.b_sc): float(e) for s, e in zip(rows, rel)}
-
     return PowerModel(
         adc_class=adc_class,
         c=float(solution[m]),
         resolution_law=resolution_law,
-        bits_ref=TABLE_BITS,
         base_power={a: float(solution[index[a]]) for a in arch_names},
-        n_adc={a: architectures[a].n_adc for a in arch_names},
-        max_rel_residual=float(np.abs(rel).max()),
-        residuals=residuals,
     )
 
 
@@ -237,7 +200,7 @@ def parametric_power(model: PowerModel, arch: Architecture, adc: AdcModel, b_sc)
         raise ValueError(f"model calibrated for {model.adc_class}, got {adc.cls}")
     if arch.name not in model.base_power:
         raise CalibrationError(f"model was not calibrated for architecture {arch.name}")
-    return model.evaluate(arch, adc.bits, frame_scaling(b_sc)[1], c=adc.c)
+    return model.evaluate(arch, adc.bits, frame_scaling(b_sc)[1])
 
 
 _MODEL_CACHE: dict[tuple[str, str], PowerModel] = {}
@@ -251,26 +214,3 @@ def default_power_model(adc_class: str, resolution_law: str = "exponential") -> 
             default_power_table(), adc_class, resolution_law=resolution_law
         )
     return _MODEL_CACHE[key]
-
-
-def calibration_report(model: PowerModel) -> dict:
-    """JSON-ready summary: per-architecture base/slope, residuals, recovered c."""
-    return {
-        "adc_class": model.adc_class,
-        "resolution_law": model.resolution_law,
-        "bits_ref": model.bits_ref,
-        "c_j_per_step_hz": model.c,
-        "max_rel_residual": model.max_rel_residual,
-        "architectures": {
-            name: {
-                "base_power_w": model.base_power[name],
-                "n_adc": model.n_adc[name],
-                "adc_slope_w_per_hz": model.adc_slope(name),
-            }
-            for name in sorted(model.base_power)
-        },
-        "residuals": [
-            {"architecture": a, "b_sc_hz": b, "rel_residual": e}
-            for (a, b), e in sorted(model.residuals.items())
-        ],
-    }

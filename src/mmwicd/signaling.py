@@ -43,16 +43,6 @@ class FrameConfig:
     t_pss: float  # s, sync transmission period (per-direction dwell)
     b_tot: float  # Hz, total system bandwidth (ADC sampling rate driver)
 
-    @property
-    def t_sc(self) -> float:
-        """Base OFDM symbol period (s), excluding cyclic prefix."""
-        return 1.0 / self.b_sc
-
-    @property
-    def time_bandwidth(self) -> float:
-        """b_tot * t_pss (s*Hz); SYNC_TIME_BANDWIDTH for every b_sc, up to rounding."""
-        return self.b_tot * self.t_pss
-
 
 def _check_b_sc(b_sc) -> None:
     if isinstance(b_sc, np.ndarray):

@@ -43,21 +43,6 @@ class SimResult:
     target: tuple[int, int]  # (bs_direction, ms_direction)
 
 
-class NoDiscoveryError(RuntimeError):
-    """A full sweep completed without aligning with the target.
-
-    Happens only when context information pins the beam set away from the
-    target's true direction.
-    """
-
-    def __init__(self, target: tuple[int, int], slots_walked: int):
-        super().__init__(
-            f"target {target} not discovered within a full sweep of {slots_walked} slots"
-        )
-        self.target = target
-        self.slots_walked = slots_walked
-
-
 def _order_code(sweep_order: str) -> int:
     try:
         return _ORDER_CODES[sweep_order]
@@ -74,23 +59,6 @@ def _check_target(target: tuple[int, int], geom: SweepGeometry) -> tuple[int, in
     return tb, tm
 
 
-def _pinned_set(
-    scenario: Scenario,
-    ci_direction: int | None,
-    target_ms: int,
-    beams: int,
-    n_ms: int,
-) -> int:
-    """Beam-set index locked by context information, or -1 for a free sweep."""
-    if scenario.kind == "nCI":
-        return -1
-    if ci_direction is None:
-        ci_direction = target_ms
-    if not 0 <= ci_direction < n_ms:
-        raise ValueError(f"ci_direction {ci_direction} outside [0, {n_ms})")
-    return ci_direction // beams
-
-
 def simulate(
     arch: Architecture,
     scenario: Scenario,
@@ -100,7 +68,6 @@ def simulate(
     sweep_order: str = SEQUENTIAL_BS_OUTER,
     *,
     k: int = 1,
-    ci_direction: int | None = None,
 ) -> SimResult:
     """Walk the sweep slot by slot until the target aligns.
 
@@ -108,8 +75,7 @@ def simulate(
     widened-sync layout) with one MS beam set.  SequentialBsOuter advances
     the BS group every slot and the beam set once per full BS cycle;
     SequentialMsOuter is the transpose.  CInD/CID pin the beam set to the one
-    containing ci_direction (the target's true MS direction when not given);
-    a wrong pin raises NoDiscoveryError after one full sweep.
+    containing the target's MS direction, so only the BS groups are swept.
     """
     tb, tm = _check_target(target, geom)
     order = _order_code(sweep_order)
@@ -118,7 +84,7 @@ def simulate(
     beams = arch.simultaneous_beams
     n_groups = -(-n_bs // k)
     n_sets = -(-n_ms // beams)
-    pinned = _pinned_set(scenario, ci_direction, tm, beams, n_ms)
+    pinned = -1 if scenario.kind == "nCI" else tm // beams
     eff_sets = 1 if pinned >= 0 else n_sets
     slots_total = n_groups * eff_sets
     t_ci = ci_cost(arch, scenario, geom)[0]
@@ -142,7 +108,7 @@ def simulate(
                     events_consumed=consumed,
                     target=(tb, tm),
                 )
-    raise NoDiscoveryError((tb, tm), slots_total)
+    raise AssertionError(f"a full sweep of {slots_total} slots missed target {target}")
 
 
 def discovery_slot_grid(
@@ -182,10 +148,6 @@ def discovery_slot_grid(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    arch: str
-    scenario: str
-    sweep_order: str
-    b_sc: float  # Hz
     n_targets: int
     min_time: float  # s
     mean_time: float  # s
@@ -214,10 +176,6 @@ def verify_against_analytic(
     max_time = float(times.max())
     passed = max_time == analytic
     return VerificationReport(
-        arch=arch.name,
-        scenario=scenario.kind,
-        sweep_order=sweep_order,
-        b_sc=frame.b_sc,
         n_targets=grid.size,
         min_time=float(times.min()),
         mean_time=float(times.mean()),

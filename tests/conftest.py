@@ -65,5 +65,5 @@ def scalar_energy(arch, scenario, adc, b_sc, power_mode, geom, k=1):
         p_rx = lookup_power(arch, adc, k * b_sc)
     else:
         model = default_power_model(adc.cls)
-        p_rx = model.evaluate(arch, adc.bits, derive_frame(k * b_sc).b_tot, c=adc.c)
+        p_rx = model.evaluate(arch, adc.bits, derive_frame(k * b_sc).b_tot)
     return n_d, scan_time + t_ci, p_rx, e_ci, p_rx * scan_time + e_ci

@@ -167,8 +167,10 @@ def test_criterion_5_energy_curve_shapes():
                   for name in ("DBF", "HBF", "ABF")}
             _check(failures, ec["DBF"] < ec["HBF"] < ec["ABF"],
                    f"10-bit nCI ordering broken at {cls}, b_sc={b:.3g}")
-        b6 = ec_crossover(ARCHS["DBF"], ARCHS["PSN"], AdcModel(cls, bits=6))
-        b10 = ec_crossover(ARCHS["DBF"], ARCHS["PSN"], AdcModel(cls, bits=10))
+        b6 = ec_crossover(ARCHS["DBF"], ARCHS["PSN"], SCENS["nCI"], AdcModel(cls, bits=6),
+                          GEOM, model)
+        b10 = ec_crossover(ARCHS["DBF"], ARCHS["PSN"], SCENS["nCI"], AdcModel(cls, bits=10),
+                           GEOM, model)
         _check(failures, b10 < b6,
                f"{cls} DBF/PSN crossover did not move down with resolution "
                f"({b10:.3g} !< {b6:.3g})")
@@ -181,7 +183,8 @@ def test_criterion_6_convergence_limits():
     failures = []
     for cls in ADC_CLASSES:
         for bits in range(1, 13):
-            values = {name: convergence_value(ARCHS[name], AdcModel(cls, bits=bits), GEOM)
+            values = {name: convergence_value(ARCHS[name], SCENS["nCI"], AdcModel(cls, bits=bits),
+                                              GEOM, default_power_model(cls))
                       for name in ARCHITECTURE_NAMES}
             common = values["ABF"]
             for name in ("DBF", "HBF"):
@@ -193,7 +196,8 @@ def test_criterion_6_convergence_limits():
                    f"convergence(PSN,{cls},{bits}b) is not a quarter (rel {rel:.2e})")
     # at 10 GHz the high-power converter term dominates everything else
     for name in ARCHITECTURE_NAMES:
-        limit = convergence_value(ARCHS[name], AdcModel("HPADC"), GEOM)
+        limit = convergence_value(ARCHS[name], SCENS["nCI"], AdcModel("HPADC"), GEOM,
+                                  default_power_model("HPADC"))
         report = energy(ARCHS[name], SCENS["nCI"], AdcModel("HPADC"), 10e9, "parametric")
         rel = abs(report.e_total - limit) / limit
         _check(failures, rel <= 0.01,

@@ -107,9 +107,6 @@ class TestDirectionalScans:
         # the BS holds one direction per dwell: 10 directions x ceil(10 / 4) beam sets
         assert directional_scans(archs["HBF"], scens["nCI"], geom) == 30
 
-    def test_search_space(self, geom):
-        assert geom.search_space == 1024
-
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             SweepGeometry(n_bs_directions=0)

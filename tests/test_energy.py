@@ -134,18 +134,20 @@ class TestEnergyColumns:
 class TestConvergence:
     @pytest.mark.parametrize("cls", ADC_CLASSES)
     @pytest.mark.parametrize("bits", range(1, 13))
-    def test_single_beam_architectures_share_limit(self, archs, cls, bits):
+    def test_single_beam_architectures_share_limit(self, archs, scens, geom, cls, bits):
         values = {
-            name: convergence_value(archs[name], AdcModel(cls, bits=bits))
+            name: convergence_value(archs[name], scens["nCI"], AdcModel(cls, bits=bits), geom,
+                                    default_power_model(cls))
             for name in ARCHITECTURE_NAMES
         }
         assert rel_err(values["DBF"], values["ABF"]) < 1e-9
         assert rel_err(values["HBF"], values["ABF"]) < 1e-9
         assert rel_err(values["PSN"], values["ABF"] / 4) < 1e-9
 
-    def test_limit_magnitude(self, archs):
+    def test_limit_magnitude(self, archs, scens, geom):
         # frozen from an independent evaluation of scans x converters x c x 2^6 x 7000
-        value = convergence_value(archs["ABF"], AdcModel("HPADC"))
+        value = convergence_value(archs["ABF"], scens["nCI"], AdcModel("HPADC"), geom,
+                                  default_power_model("HPADC"))
         assert rel_err(value, 1.145128e-2) < 5e-2
 
     def test_closed_form(self, archs, geom, scens):
@@ -155,32 +157,38 @@ class TestConvergence:
             arch = archs[name]
             expected = (directional_scans(arch, scens["nCI"], geom)
                         * arch.n_adc * model.c * 2.0**9 * SYNC_TIME_BANDWIDTH)
-            assert convergence_value(arch, adc, geom) == pytest.approx(expected, rel=1e-12)
+            assert convergence_value(arch, scens["nCI"], adc, geom, model) == pytest.approx(
+                expected, rel=1e-12)
 
-    def test_parametric_energy_approaches_limit(self, archs, scens):
+    def test_parametric_energy_approaches_limit(self, archs, scens, geom):
         # high-power class: the converter term dominates from ~10 GHz up
         for name in ARCHITECTURE_NAMES:
-            limit = convergence_value(archs[name], AdcModel("HPADC"))
+            limit = convergence_value(archs[name], scens["nCI"], AdcModel("HPADC"), geom,
+                                      default_power_model("HPADC"))
             report = energy(archs[name], scens["nCI"], AdcModel("HPADC"), 10e9, "parametric")
             assert rel_err(report.e_total, limit) < 0.01
 
-    def test_low_power_class_converges_further_out(self, archs, scens):
+    def test_low_power_class_converges_further_out(self, archs, scens, geom):
         # smaller converter constant: base power stays visible until ~1 THz
         for name in ARCHITECTURE_NAMES:
-            limit = convergence_value(archs[name], AdcModel("LPADC"))
+            limit = convergence_value(archs[name], scens["nCI"], AdcModel("LPADC"), geom,
+                                      default_power_model("LPADC"))
             report = energy(archs[name], scens["nCI"], AdcModel("LPADC"), 1e12, "parametric")
             assert rel_err(report.e_total, limit) < 0.01
 
-    def test_class_mismatch_raises(self, archs):
+    def test_class_mismatch_raises(self, archs, scens, geom):
         with pytest.raises(ValueError):
-            convergence_value(archs["ABF"], AdcModel("LPADC"),
-                              model=default_power_model("HPADC"))
+            convergence_value(archs["ABF"], scens["nCI"], AdcModel("LPADC"), geom,
+                              default_power_model("HPADC"))
 
 
 class TestCrossover:
-    def test_dbf_psn_crossover_positions(self, archs):
-        b6 = ec_crossover(archs["DBF"], archs["PSN"], AdcModel("HPADC", bits=6))
-        b10 = ec_crossover(archs["DBF"], archs["PSN"], AdcModel("HPADC", bits=10))
+    def test_dbf_psn_crossover_positions(self, archs, scens, geom):
+        model = default_power_model("HPADC")
+        b6 = ec_crossover(archs["DBF"], archs["PSN"], scens["nCI"], AdcModel("HPADC", bits=6),
+                          geom, model)
+        b10 = ec_crossover(archs["DBF"], archs["PSN"], scens["nCI"], AdcModel("HPADC", bits=10),
+                           geom, model)
         # frozen from an independent root solve of the energy difference
         assert rel_err(b6, 4.8267e6) < 1e-3
         assert rel_err(b10, 0.30167e6) < 1e-3
@@ -188,15 +196,17 @@ class TestCrossover:
 
     @pytest.mark.parametrize("cls", ADC_CLASSES)
     @pytest.mark.parametrize("bits", [6, 10])
-    def test_energies_equal_at_crossover(self, archs, scens, cls, bits):
+    def test_energies_equal_at_crossover(self, archs, scens, geom, cls, bits):
         adc = AdcModel(cls, bits=bits)
-        b_star = ec_crossover(archs["DBF"], archs["PSN"], adc)
+        b_star = ec_crossover(archs["DBF"], archs["PSN"], scens["nCI"], adc, geom,
+                              default_power_model(cls))
         e_dbf = energy(archs["DBF"], scens["nCI"], adc, b_star, "parametric")
         e_psn = energy(archs["PSN"], scens["nCI"], adc, b_star, "parametric")
         assert rel_err(e_dbf.e_total, e_psn.e_total) < 1e-9
 
-    def test_same_architecture_has_no_crossover(self, archs):
-        assert ec_crossover(archs["DBF"], archs["DBF"], AdcModel("HPADC")) is None
+    def test_same_architecture_has_no_crossover(self, archs, scens, geom):
+        assert ec_crossover(archs["DBF"], archs["DBF"], scens["nCI"], AdcModel("HPADC"), geom,
+                            default_power_model("HPADC")) is None
 
 
 class TestProposedStructure:
@@ -211,8 +221,8 @@ class TestProposedStructure:
             # the last of ceil(64 / k) BS groups is partly filled but takes a whole dwell
             ratio = comparison.proposed.e_total / comparison.baseline.e_total
             assert ratio == pytest.approx(math.ceil(64 / k) * k / 64, abs=1e-9)
-        assert comparison.data_plane_b_sc == 250e3
-        assert comparison.baseline_b_sc == k * 250e3
+        assert comparison.proposed.b_sc == 250e3
+        assert comparison.baseline.b_sc == k * 250e3
 
     @pytest.mark.parametrize("k", [2, 4, 8, 16])
     def test_delay_shrinks_by_k(self, archs, scens, k):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -15,12 +13,10 @@ from mmwicd import (
     default_power_model,
     default_power_table,
     derive_frame,
-    load_power_table,
     lookup_power,
     parametric_power,
     resolution_factor,
 )
-from mmwicd.power import calibration_report
 
 from conftest import TABULATED_B_SC, rel_err
 
@@ -40,14 +36,6 @@ class TestPowerTable:
         assert table[("DBF", "HPADC", 10e6)] == 25.1616
         assert table[("ABF", "LPADC", 15e3)] == 0.996
         assert table[("PSN", "HPADC", 10e6)] == 3.978
-
-    def test_load_from_explicit_path(self, tmp_path):
-        path = tmp_path / "table.csv"
-        path.write_text(
-            "# comment\narchitecture,adc_class,b_sc_hz,power_w\nABF,HPADC,15000,1.0\n"
-        )
-        table = load_power_table(path)
-        assert table == [PowerSample("ABF", "HPADC", 15e3, 1.0)]
 
 
 class TestLookup:
@@ -74,14 +62,13 @@ class TestResolutionFactor:
             resolution_factor(6, "cubic")
 
 
-class TestCalibration:
-    @pytest.mark.parametrize("cls", ADC_CLASSES)
-    def test_residuals_within_five_percent(self, cls):
-        model = default_power_model(cls)
-        assert model.max_rel_residual <= 0.05
-        for rel in model.residuals.values():
-            assert abs(rel) <= 0.05
+def converter_slope(model, arch):
+    """Converter power per Hz of total bandwidth at the table's 6 bits (W/Hz),
+    read off PowerModel.evaluate at 1 THz, where the converter term dominates."""
+    return (model.evaluate(arch, 6, 1e12) - model.base_power[arch.name]) / 1e12
 
+
+class TestCalibration:
     @pytest.mark.parametrize("cls", ADC_CLASSES)
     def test_parametric_reproduces_table(self, cls, archs):
         model = default_power_model(cls)
@@ -100,23 +87,23 @@ class TestCalibration:
         assert hp.base_power["DBF"] == pytest.approx(1.302799, rel=1e-5)
         assert lp.base_power["ABF"] == pytest.approx(0.996723, rel=1e-5)
 
-    def test_slope_against_two_point_estimate(self):
+    def test_slope_against_two_point_estimate(self, archs):
         # independent slope estimate from the DBF end points of the table
         table = {(s.architecture, s.b_sc): s.power for s in default_power_table()
                  if s.adc_class == "HPADC"}
         d_power = table[("DBF", 10e6)] - table[("DBF", 15e3)]
         d_b_tot = derive_frame(10e6).b_tot - derive_frame(15e3).b_tot
         model = default_power_model("HPADC")
-        assert rel_err(model.adc_slope("DBF"), d_power / d_b_tot) <= 0.05
+        assert rel_err(converter_slope(model, archs["DBF"]), d_power / d_b_tot) <= 0.05
 
-    def test_slope_ratios_track_converter_counts(self):
+    def test_slope_ratios_track_converter_counts(self, archs):
         # shared energy constant makes slopes exactly proportional to n_adc
         for cls in ADC_CLASSES:
             model = default_power_model(cls)
-            abf = model.adc_slope("ABF")
-            assert model.adc_slope("DBF") == pytest.approx(16 * abf, rel=1e-12)
-            assert model.adc_slope("HBF") == pytest.approx(4 * abf, rel=1e-12)
-            assert model.adc_slope("PSN") == pytest.approx(abf, rel=1e-12)
+            abf = converter_slope(model, archs["ABF"])
+            assert converter_slope(model, archs["DBF"]) == pytest.approx(16 * abf, rel=1e-12)
+            assert converter_slope(model, archs["HBF"]) == pytest.approx(4 * abf, rel=1e-12)
+            assert converter_slope(model, archs["PSN"]) == pytest.approx(abf, rel=1e-12)
 
     def test_resolution_extrapolation(self, archs):
         model = default_power_model("HPADC")
@@ -126,13 +113,6 @@ class TestCalibration:
         slope_part6 = p6 - model.base_power["ABF"]
         slope_part10 = p10 - model.base_power["ABF"]
         assert slope_part10 == pytest.approx(16 * slope_part6, rel=1e-9)
-
-    def test_constant_override(self, archs):
-        model = default_power_model("HPADC")
-        doubled = parametric_power(model, archs["ABF"], AdcModel("HPADC", c=2 * model.c), 15e3)
-        base = model.base_power["ABF"]
-        plain = parametric_power(model, archs["ABF"], AdcModel("HPADC"), 15e3)
-        assert doubled - base == pytest.approx(2 * (plain - base), rel=1e-9)
 
     def test_array_bandwidths_match_scalar_calls(self, archs):
         model = default_power_model("LPADC")
@@ -151,14 +131,6 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate(rows, "HPADC")
 
-    def test_report_is_json_ready(self):
-        import json
-
-        report = calibration_report(default_power_model("HPADC"))
-        encoded = json.loads(json.dumps(report))
-        assert encoded["adc_class"] == "HPADC"
-        assert set(encoded["architectures"]) == set(ARCHITECTURE_NAMES)
-
 
 class TestAdcModelValidation:
     def test_rejects_unknown_class(self):
@@ -169,16 +141,7 @@ class TestAdcModelValidation:
         with pytest.raises(ValueError):
             AdcModel("HPADC", bits=0)
 
-    def test_rejects_nonpositive_constant(self):
-        with pytest.raises(ValueError):
-            AdcModel("HPADC", c=0.0)
-
     @pytest.mark.parametrize("bad", [True, 6.5], ids=["bool", "fraction"])
     def test_rejects_non_integer_bits(self, bad):
         with pytest.raises(ValueError):
             AdcModel("HPADC", bits=bad)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, True], ids=["nan", "inf", "bool"])
-    def test_rejects_non_finite_or_boolean_constant(self, bad):
-        with pytest.raises(ValueError):
-            AdcModel("HPADC", c=bad)

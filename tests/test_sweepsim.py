@@ -9,7 +9,6 @@ from mmwicd import (
     SEQUENTIAL_BS_OUTER,
     SEQUENTIAL_MS_OUTER,
     SWEEP_ORDERS,
-    NoDiscoveryError,
     SweepGeometry,
     build_architecture,
     build_scenario,
@@ -96,12 +95,6 @@ class TestSingleTargetSim:
         assert result.discovery_time == 6 * frame15.t_pss
         assert result.events_consumed == 6
 
-    def test_wrong_context_never_discovers(self, archs, scens, geom, frame15):
-        with pytest.raises(NoDiscoveryError) as err:
-            simulate(archs["HBF"], scens["CInD"], geom, frame15, (5, 9), ci_direction=0)
-        assert err.value.target == (5, 9)
-        assert err.value.slots_walked == 64
-
     def test_acquisition_lead_time(self, archs, scens, geom, frame15):
         result = simulate(archs["ABF"], scens["CID"], geom, frame15, (63, 15))
         assert result.discovery_time == total_delay(archs["ABF"], scens["CID"], geom, frame15)
@@ -118,10 +111,6 @@ class TestSingleTargetSim:
     def test_unknown_order_rejected(self, archs, scens, geom, frame15):
         with pytest.raises(ValueError):
             simulate(archs["ABF"], scens["nCI"], geom, frame15, (0, 0), "Spiral")
-
-    def test_bad_ci_direction_rejected(self, archs, scens, geom, frame15):
-        with pytest.raises(ValueError):
-            simulate(archs["ABF"], scens["CID"], geom, frame15, (0, 0), ci_direction=16)
 
     def test_determinism(self, archs, scens, geom, frame15):
         runs = [
