@@ -38,7 +38,6 @@ from .architectures import (
 )
 from .energy import (
     CSV_COLUMNS,
-    POWER_MODES,
     EnergyColumns,
     convergence_value,
     energy,  # noqa: F401 - unused here; perfbench's tracer test looks it up in this namespace
@@ -60,6 +59,8 @@ from .sweepsim import (
 )
 
 OUTPUT_FORMATS = ("csv", "json")
+# "lookup" reads the bundled table (model=None), "parametric" the calibrated fit.
+POWER_MODES = ("lookup", "parametric")
 
 # Largest n_bs_directions * n_ms_directions accepted: verify and pss hold one
 # int64 and one float64 value per (BS, MS) direction pair, 256 MiB at the cap
@@ -97,8 +98,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    raw: dict
-    fingerprint: str  # sha256 of the scientific part of raw
+    fingerprint: str  # sha256 of the scientific part of the merged config
     b_sc: tuple[float, ...]
     architectures: tuple[Architecture, ...]
     scenarios: tuple[Scenario, ...]
@@ -227,7 +227,6 @@ def resolve_config(raw: dict) -> RunConfig:
     _require(_is_positive_number(pss_base), "pss_base_b_sc_hz must be a finite number > 0")
 
     return RunConfig(
-        raw=merged,
         fingerprint=config_fingerprint(merged),
         b_sc=b_sc,
         architectures=architectures,
@@ -356,10 +355,6 @@ def _emit(cfg: RunConfig, name: str, header: tuple[str, ...], columns: list) -> 
     return path
 
 
-def _model(cfg: RunConfig, cls: str):
-    return default_power_model(cls, cfg.resolution_law)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -388,7 +383,7 @@ def cmd_tables(cfg: RunConfig) -> int:
             columns = ("architecture", "adc_class", "b_sc_hz", "power_w")
             rows = [(s.architecture, s.adc_class, s.b_sc, s.power) for s in samples]
         else:
-            model = _model(cfg, cls)
+            model = default_power_model(cls, cfg.resolution_law)
             columns = ("architecture", "adc_class", "b_sc_hz", "power_w",
                        "model_power_w", "rel_residual")
             rows = []
@@ -408,10 +403,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
     fields = [[] for _ in EnergyColumns._fields]  # each grid's report values, per field
     for scenario in cfg.scenarios:
         for cls in cfg.adc_classes:
-            model = _model(cfg, cls) if cfg.power_mode == "parametric" else None
+            model = (default_power_model(cls, cfg.resolution_law)
+                     if cfg.power_mode == "parametric" else None)
             for bits in cfg.bits:
                 adc = AdcModel(cls, bits=bits)
-                per_arch = [energy_columns(arch, scenario, adc, cfg.b_sc, cfg.power_mode,
+                per_arch = [energy_columns(arch, scenario, adc, cfg.b_sc,
                                            geom=cfg.geom, model=model)
                             for arch in cfg.architectures]
                 _emit(cfg, f"sweep-{scenario.kind}-{cls}-{bits}b", ("b_sc_hz", *arch_names),
@@ -440,7 +436,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
     arch_names = tuple(a.name for a in cfg.architectures)
     nci = build_scenario("nCI")
     for cls in cfg.adc_classes:
-        model = _model(cfg, cls)
+        model = default_power_model(cls, cfg.resolution_law)
         rows = []
         for bits in cfg.convergence_bits:
             values = [
@@ -493,7 +489,7 @@ def cmd_pss(cfg: RunConfig) -> int:
                "scenario", "adc_class", "bits")
     scenario = next((s for s in cfg.scenarios if s.kind == "nCI"), cfg.scenarios[0])
     cls, bits = cfg.adc_classes[0], cfg.bits[0]
-    adc, model = AdcModel(cls, bits=bits), _model(cfg, cls)
+    adc, model = AdcModel(cls, bits=bits), default_power_model(cls, cfg.resolution_law)
     frame = derive_frame(cfg.pss_base_b_sc)
     rows = []
     for arch in cfg.architectures:

@@ -5,7 +5,10 @@ p_rx over the scan time plus the separate acquisition budget p_ci * t_ci.
 
 energy_columns() evaluates a whole b_sc column of one (architecture,
 scenario, ADC) combination in one numpy pass; energy() is its one-point case
-and returns the same numbers as an EnergyReport.
+and returns the same numbers as an EnergyReport.  Both take the sweep
+geometry and the power source explicitly: model=None reads the bundled 6-bit
+table (lookup_power), a PowerModel evaluates its calibrated fit
+(parametric_power).
 """
 
 from __future__ import annotations
@@ -25,14 +28,12 @@ from .architectures import (
 from .power import (
     AdcModel,
     PowerModel,
-    default_power_model,
+    _check_class,
     lookup_power,
     parametric_power,
     resolution_factor,
 )
 from .signaling import SYNC_TIME_BANDWIDTH, derive_frame, frame_scaling
-
-POWER_MODES = ("lookup", "parametric")
 
 # Fixed export schema for energy grids.
 CSV_COLUMNS = (
@@ -80,37 +81,21 @@ class EnergyColumns(NamedTuple):
     e_total: np.ndarray  # J
 
 
-def _receive_power(
-    arch: Architecture,
-    adc: AdcModel,
-    b_sc: np.ndarray,
-    power_mode: str,
-    model: PowerModel | None,
-) -> np.ndarray:
-    if power_mode == "lookup":
-        return np.array([lookup_power(arch, adc, b) for b in b_sc.tolist()])
-    if power_mode == "parametric":
-        if model is None:
-            model = default_power_model(adc.cls)
-        return parametric_power(model, arch, adc, b_sc)
-    raise ValueError(f"unknown power mode {power_mode!r}; expected one of {POWER_MODES}")
-
-
 def energy_columns(
     arch: Architecture,
     scenario: Scenario,
     adc: AdcModel,
     b_sc: Sequence[float],
-    power_mode: str = "lookup",
     *,
     k: int = 1,
-    geom: SweepGeometry | None = None,
-    model: PowerModel | None = None,
+    geom: SweepGeometry,
+    model: PowerModel | None,
 ) -> EnergyColumns:
     """Delay, power and energy at every b_sc of one configuration, in one pass.
 
-    Each value equals the scalar evaluation bit for bit: scan time
-    directional_scans(..., k) * t_pss, receive power at b_tot,
+    Receive power comes from the bundled 6-bit table when model is None, else
+    from the calibrated model.  Each value equals the scalar evaluation bit for
+    bit: scan time directional_scans(..., k) * t_pss, receive power at b_tot,
     e_total = p_rx * scan time + e_ci.  k > 1 is the widened-sync layout of
     proposed_structure_energy: k BS directions share a dwell and power is
     drawn at k * b_sc; directional_scans checks k.  n_d is the plain (k = 1)
@@ -118,14 +103,15 @@ def energy_columns(
     """
     if not {bool, np.bool_}.isdisjoint(map(type, b_sc)):
         raise ValueError(f"sub-carrier bandwidths must be numbers, got {b_sc!r}")
-    if geom is None:
-        geom = SweepGeometry()
     b_sc = np.asarray(b_sc, dtype=np.float64)
     t_pss, _ = frame_scaling(b_sc)
     n_d = directional_scans(arch, scenario, geom)
     scan_time = directional_scans(arch, scenario, geom, k) * t_pss
     t_ci, e_ci = ci_cost(arch, scenario, geom)
-    p_rx = _receive_power(arch, adc, k * b_sc, power_mode, model)
+    if model is None:
+        p_rx = np.array([lookup_power(arch, adc, b) for b in (k * b_sc).tolist()])
+    else:
+        p_rx = parametric_power(model, arch, adc, k * b_sc)
     return EnergyColumns(
         n_d=np.full(b_sc.shape, n_d, dtype=np.int64),
         t_del=scan_time + t_ci,
@@ -135,25 +121,20 @@ def energy_columns(
     )
 
 
-def _report(arch, scenario, adc, b_sc, power_mode, k, geom, model) -> EnergyReport:
-    columns = energy_columns(arch, scenario, adc, [b_sc], power_mode,
-                             k=k, geom=geom, model=model)
-    return EnergyReport(arch.name, scenario.kind, adc.cls, adc.bits, float(b_sc),
-                        *(column[0].item() for column in columns))
-
-
 def energy(
     arch: Architecture,
     scenario: Scenario,
     adc: AdcModel,
     b_sc: float,
-    power_mode: str = "lookup",
     *,
-    geom: SweepGeometry | None = None,
-    model: PowerModel | None = None,
+    k: int = 1,
+    geom: SweepGeometry,
+    model: PowerModel | None,
 ) -> EnergyReport:
     """Full energy report for one configuration point (energy_columns at one b_sc)."""
-    return _report(arch, scenario, adc, b_sc, power_mode, 1, geom, model)
+    columns = energy_columns(arch, scenario, adc, [b_sc], k=k, geom=geom, model=model)
+    return EnergyReport(arch.name, scenario.kind, adc.cls, adc.bits, float(b_sc),
+                        *(column[0].item() for column in columns))
 
 
 def convergence_value(
@@ -169,8 +150,7 @@ def convergence_value(
     using the analytically constant time-bandwidth product, so the value is
     independent of b_sc by construction.
     """
-    if model.adc_class != adc.cls:
-        raise ValueError(f"model calibrated for {model.adc_class}, got {adc.cls}")
+    _check_class(model, adc)
     n_d = directional_scans(arch, scenario, geom)
     return n_d * arch.n_adc * model.c * resolution_factor(adc.bits, model.resolution_law) * SYNC_TIME_BANDWIDTH
 
@@ -189,6 +169,7 @@ def ec_crossover(
     A from the base powers and C from the converter terms; the root -A / C is
     returned, or None when the curves do not cross at a positive bandwidth.
     """
+    _check_class(model, adc)
     r = resolution_factor(adc.bits, model.resolution_law)
     n_a = directional_scans(arch_a, scenario, geom)
     n_b = directional_scans(arch_b, scenario, geom)
@@ -215,7 +196,6 @@ class StructureComparison:
     ceil(n_bs / k) * k / n_bs times the baseline's.
     """
 
-    k: int
     proposed: EnergyReport
     baseline: EnergyReport
     energy_ratio: float  # proposed e_total / baseline e_total
@@ -227,10 +207,9 @@ def proposed_structure_energy(
     adc: AdcModel,
     base_b_sc: float,
     k: int,
-    power_mode: str = "parametric",
     *,
-    geom: SweepGeometry | None = None,
-    model: PowerModel | None = None,
+    geom: SweepGeometry,
+    model: PowerModel | None,
 ) -> StructureComparison:
     """Energy of discovery under the k-fold wide-band sync layout.
 
@@ -239,10 +218,9 @@ def proposed_structure_energy(
     directional_scans(..., k) dwells of t_pss.  Context acquisition, when
     paid, is not accelerated by k.
     """
-    proposed = _report(arch, scenario, adc, base_b_sc, power_mode, k, geom, model)
-    baseline = energy(arch, scenario, adc, k * base_b_sc, power_mode, geom=geom, model=model)
+    proposed = energy(arch, scenario, adc, base_b_sc, k=k, geom=geom, model=model)
+    baseline = energy(arch, scenario, adc, k * base_b_sc, geom=geom, model=model)
     return StructureComparison(
-        k=k,
         proposed=proposed,
         baseline=baseline,
         energy_ratio=proposed.e_total / baseline.e_total,

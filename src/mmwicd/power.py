@@ -191,13 +191,18 @@ def calibrate(
     )
 
 
+def _check_class(model: PowerModel, adc: AdcModel) -> None:
+    """Refuse a model calibrated for another ADC class than the converter's."""
+    if model.adc_class != adc.cls:
+        raise ValueError(f"model calibrated for {model.adc_class}, got {adc.cls}")
+
+
 def parametric_power(model: PowerModel, arch: Architecture, adc: AdcModel, b_sc):
     """Model power (W) at any b_sc and resolution for a calibrated class.
 
     b_sc may be a numpy array, giving the power at each point.
     """
-    if model.adc_class != adc.cls:
-        raise ValueError(f"model calibrated for {model.adc_class}, got {adc.cls}")
+    _check_class(model, adc)
     if arch.name not in model.base_power:
         raise CalibrationError(f"model was not calibrated for architecture {arch.name}")
     return model.evaluate(arch, adc.bits, frame_scaling(b_sc)[1])

@@ -122,7 +122,7 @@ def test_criterion_4_energy_spot_values():
         ("ABF", "CID", 1.0 * 64 * t_pss + 0.1 * 1.5),  # 0.47 J
     ]
     for name, kind, expected in spots:
-        report = energy(ARCHS[name], SCENS[kind], AdcModel("HPADC"), 15e3)
+        report = energy(ARCHS[name], SCENS[kind], AdcModel("HPADC"), 15e3, geom=GEOM, model=None)
         rel = abs(report.e_total - expected) / expected
         _check(failures, rel <= 1e-9,
                f"EC({name},{kind}) = {report.e_total!r}, expected {expected!r} (rel {rel:.2e})")
@@ -141,7 +141,7 @@ def test_criterion_5_energy_curve_shapes():
         for kind in SCENARIO_KINDS:
             for name in ARCHITECTURE_NAMES:
                 curves[(cls, kind, name)] = [
-                    energy(ARCHS[name], SCENS[kind], adc, b, "parametric", model=model).e_total
+                    energy(ARCHS[name], SCENS[kind], adc, b, geom=GEOM, model=model).e_total
                     for b in grid
                 ]
     for key, curve in curves.items():
@@ -162,7 +162,7 @@ def test_criterion_5_energy_curve_shapes():
         model = default_power_model(cls)
         adc10 = AdcModel(cls, bits=10)
         for b in grid:
-            ec = {name: energy(ARCHS[name], SCENS["nCI"], adc10, b, "parametric",
+            ec = {name: energy(ARCHS[name], SCENS["nCI"], adc10, b, geom=GEOM,
                                model=model).e_total
                   for name in ("DBF", "HBF", "ABF")}
             _check(failures, ec["DBF"] < ec["HBF"] < ec["ABF"],
@@ -198,7 +198,8 @@ def test_criterion_6_convergence_limits():
     for name in ARCHITECTURE_NAMES:
         limit = convergence_value(ARCHS[name], SCENS["nCI"], AdcModel("HPADC"), GEOM,
                                   default_power_model("HPADC"))
-        report = energy(ARCHS[name], SCENS["nCI"], AdcModel("HPADC"), 10e9, "parametric")
+        report = energy(ARCHS[name], SCENS["nCI"], AdcModel("HPADC"), 10e9, geom=GEOM,
+                        model=default_power_model("HPADC"))
         rel = abs(report.e_total - limit) / limit
         _check(failures, rel <= 0.01,
                f"parametric EC({name},HPADC,10 GHz) is {rel:.2%} from its limit")
@@ -244,7 +245,8 @@ def test_criterion_8_widened_sync_structure():
             _check(failures, worst == base_delay / k,
                    f"simulated worst delay({name},k={k}) = {worst!r}, "
                    f"expected exactly {base_delay / k!r}")
-            comparison = proposed_structure_energy(ARCHS[name], SCENS["nCI"], adc, 250e3, k)
+            comparison = proposed_structure_energy(ARCHS[name], SCENS["nCI"], adc, 250e3, k,
+                                                   geom=GEOM, model=default_power_model("HPADC"))
             rel = abs(comparison.proposed.e_total - comparison.baseline.e_total) \
                 / comparison.baseline.e_total
             _check(failures, rel <= 1e-9,

@@ -122,7 +122,8 @@ class TestKValidation:
         "worst_case_structure_delay":
             lambda a, s, g, k: worst_case_structure_delay(a, s, g, derive_frame(15e3), k=k),
         "energy_columns":
-            lambda a, s, g, k: energy_columns(a, s, AdcModel("HPADC"), [15e3], k=k, geom=g),
+            lambda a, s, g, k: energy_columns(a, s, AdcModel("HPADC"), [15e3], k=k, geom=g,
+                                              model=None),
     }
 
     @pytest.mark.parametrize("bad", [0, -1, True, 2.0, 2.5])

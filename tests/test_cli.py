@@ -258,6 +258,11 @@ class TestConfigHandling:
         config.write_text(json.dumps({"architectures": ["ABF", "QBF"]}))
         assert run(["tables"], tmp_path, ("--config", str(config))) == 2
 
+    def test_unknown_power_mode_is_config_error(self, tmp_path, capsys):
+        assert run_with_config("sweep", tmp_path, {"power_mode": "psychic"}) == 2
+        assert "power_mode" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text,key", [
         ('{"b_sc_hz": [Infinity]}', "b_sc_hz"),
         ('{"scenario_params": {"t_ci_s": NaN, "p_ci_w": 0.1}}', "t_ci_s"),

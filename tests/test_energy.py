@@ -27,43 +27,39 @@ from conftest import TABULATED_B_SC, rel_err, scalar_energy
 
 
 class TestEnergySpotValues:
-    def test_abf_no_context(self, archs, scens):
-        report = energy(archs["ABF"], scens["nCI"], AdcModel("HPADC"), 15e3)
+    def test_abf_no_context(self, archs, scens, geom):
+        report = energy(archs["ABF"], scens["nCI"], AdcModel("HPADC"), 15e3, geom=geom, model=None)
         # 1.0 W over 1024 scans of 5 ms
         assert rel_err(report.e_total, 5.12) < 1e-9
         assert report.n_d == 1024
         assert report.e_ci == 0.0
 
-    def test_dbf_no_context(self, archs, scens):
-        report = energy(archs["DBF"], scens["nCI"], AdcModel("HPADC"), 15e3)
+    def test_dbf_no_context(self, archs, scens, geom):
+        report = energy(archs["DBF"], scens["nCI"], AdcModel("HPADC"), 15e3, geom=geom, model=None)
         assert rel_err(report.e_total, 1.31 * 64 * (75 / 15e3)) < 1e-9
         assert rel_err(report.e_total, 0.4192) < 1e-9
 
-    def test_abf_with_acquisition(self, archs, scens):
-        report = energy(archs["ABF"], scens["CID"], AdcModel("HPADC"), 15e3)
+    def test_abf_with_acquisition(self, archs, scens, geom):
+        report = energy(archs["ABF"], scens["CID"], AdcModel("HPADC"), 15e3, geom=geom, model=None)
         # 1.0 W x 0.32 s of scanning plus 0.1 W x 1.5 s of positioning
         assert rel_err(report.e_total, 0.47) < 1e-9
         assert report.e_ci == pytest.approx(0.15, rel=1e-12)
         assert report.t_del == pytest.approx(1.82, rel=1e-12)
 
-    def test_dbf_pays_no_acquisition(self, archs, scens):
-        report = energy(archs["DBF"], scens["CID"], AdcModel("HPADC"), 15e3)
+    def test_dbf_pays_no_acquisition(self, archs, scens, geom):
+        report = energy(archs["DBF"], scens["CID"], AdcModel("HPADC"), 15e3, geom=geom, model=None)
         assert report.e_ci == 0.0
         assert report.t_del == pytest.approx(0.32, rel=1e-12)
 
-    def test_scan_energy_excludes_acquisition_time(self, archs, scens):
+    def test_scan_energy_excludes_acquisition_time(self, archs, scens, geom):
         # receive power is not drawn while positioning is acquired
-        report = energy(archs["HBF"], scens["CID"], AdcModel("LPADC"), 15e3)
+        report = energy(archs["HBF"], scens["CID"], AdcModel("LPADC"), 15e3, geom=geom, model=None)
         scan_time = report.t_del - 1.5
         assert report.e_total == pytest.approx(report.p_rx * scan_time + report.e_ci, rel=1e-12)
 
-    def test_lookup_missing_point_raises(self, archs, scens):
+    def test_lookup_missing_point_raises(self, archs, scens, geom):
         with pytest.raises(PowerTableError):
-            energy(archs["ABF"], scens["nCI"], AdcModel("HPADC"), 123e3)
-
-    def test_unknown_power_mode_rejected(self, archs, scens):
-        with pytest.raises(ValueError):
-            energy(archs["ABF"], scens["nCI"], AdcModel("HPADC"), 15e3, "psychic")
+            energy(archs["ABF"], scens["nCI"], AdcModel("HPADC"), 123e3, geom=geom, model=None)
 
 
 def _columns_as_points(columns):
@@ -86,7 +82,8 @@ class TestEnergyColumns:
         # Non-power-of-two scan counts, so that a reordered product rounds differently.
         arch, scenario, adc = archs[name], scens[kind], AdcModel(cls, bits=bits)
         geom = SweepGeometry(n_bs, n_ms)
-        columns = energy_columns(arch, scenario, adc, b_sc, "parametric", geom=geom)
+        columns = energy_columns(arch, scenario, adc, b_sc, geom=geom,
+                                 model=default_power_model(cls))
         assert _columns_as_points(columns) == [
             scalar_energy(arch, scenario, adc, b, "parametric", geom) for b in b_sc
         ]
@@ -96,16 +93,17 @@ class TestEnergyColumns:
     @pytest.mark.parametrize("name", ARCHITECTURE_NAMES)
     def test_lookup_equals_scalar_arithmetic(self, archs, scens, geom, name, kind, cls):
         arch, scenario, adc = archs[name], scens[kind], AdcModel(cls)
-        columns = energy_columns(arch, scenario, adc, TABULATED_B_SC)
+        columns = energy_columns(arch, scenario, adc, TABULATED_B_SC, geom=geom, model=None)
         assert _columns_as_points(columns) == [
             scalar_energy(arch, scenario, adc, b, "lookup", geom) for b in TABULATED_B_SC
         ]
 
-    def test_energy_is_the_one_point_case(self, archs, scens):
-        adc = AdcModel("LPADC", bits=9)
-        columns = energy_columns(archs["HBF"], scens["CID"], adc, [33e3, 2e6], "parametric")
+    def test_energy_is_the_one_point_case(self, archs, scens, geom):
+        adc, model = AdcModel("LPADC", bits=9), default_power_model("LPADC")
+        columns = energy_columns(archs["HBF"], scens["CID"], adc, [33e3, 2e6], geom=geom,
+                                 model=model)
         for i, b_sc in enumerate((33e3, 2e6)):
-            report = energy(archs["HBF"], scens["CID"], adc, b_sc, "parametric")
+            report = energy(archs["HBF"], scens["CID"], adc, b_sc, geom=geom, model=model)
             assert report.csv_row()[5:] == [column[i] for column in columns]
             assert type(report.n_d) is int and type(report.e_total) is float
 
@@ -117,7 +115,8 @@ class TestEnergyColumns:
         for name in ARCHITECTURE_NAMES:
             arch, scenario = archs[name], scens[kind]
             for base in (250e3, 33e3, 7e5):
-                proposed = proposed_structure_energy(arch, scenario, adc, base, k, geom=geom).proposed
+                proposed = proposed_structure_energy(arch, scenario, adc, base, k, geom=geom,
+                                                     model=default_power_model("HPADC")).proposed
                 assert tuple(proposed.csv_row()[5:]) == scalar_energy(
                     arch, scenario, adc, base, "parametric", geom, k=k
                 )
@@ -126,9 +125,10 @@ class TestEnergyColumns:
         "bad", [[math.nan], [15e3, math.inf], [True], [15e3, np.bool_(True)]],
         ids=["nan", "inf", "bool", "numpy-bool"],
     )
-    def test_rejects_bad_bandwidth(self, archs, scens, bad):
+    def test_rejects_bad_bandwidth(self, archs, scens, geom, bad):
         with pytest.raises(ValueError):
-            energy_columns(archs["ABF"], scens["nCI"], AdcModel("HPADC"), bad, "parametric")
+            energy_columns(archs["ABF"], scens["nCI"], AdcModel("HPADC"), bad, geom=geom,
+                           model=default_power_model("HPADC"))
 
 
 class TestConvergence:
@@ -165,7 +165,8 @@ class TestConvergence:
         for name in ARCHITECTURE_NAMES:
             limit = convergence_value(archs[name], scens["nCI"], AdcModel("HPADC"), geom,
                                       default_power_model("HPADC"))
-            report = energy(archs[name], scens["nCI"], AdcModel("HPADC"), 10e9, "parametric")
+            report = energy(archs[name], scens["nCI"], AdcModel("HPADC"), 10e9, geom=geom,
+                            model=default_power_model("HPADC"))
             assert rel_err(report.e_total, limit) < 0.01
 
     def test_low_power_class_converges_further_out(self, archs, scens, geom):
@@ -173,7 +174,8 @@ class TestConvergence:
         for name in ARCHITECTURE_NAMES:
             limit = convergence_value(archs[name], scens["nCI"], AdcModel("LPADC"), geom,
                                       default_power_model("LPADC"))
-            report = energy(archs[name], scens["nCI"], AdcModel("LPADC"), 1e12, "parametric")
+            report = energy(archs[name], scens["nCI"], AdcModel("LPADC"), 1e12, geom=geom,
+                            model=default_power_model("LPADC"))
             assert rel_err(report.e_total, limit) < 0.01
 
     def test_class_mismatch_raises(self, archs, scens, geom):
@@ -198,11 +200,17 @@ class TestCrossover:
     @pytest.mark.parametrize("bits", [6, 10])
     def test_energies_equal_at_crossover(self, archs, scens, geom, cls, bits):
         adc = AdcModel(cls, bits=bits)
-        b_star = ec_crossover(archs["DBF"], archs["PSN"], scens["nCI"], adc, geom,
-                              default_power_model(cls))
-        e_dbf = energy(archs["DBF"], scens["nCI"], adc, b_star, "parametric")
-        e_psn = energy(archs["PSN"], scens["nCI"], adc, b_star, "parametric")
+        model = default_power_model(cls)
+        b_star = ec_crossover(archs["DBF"], archs["PSN"], scens["nCI"], adc, geom, model)
+        e_dbf = energy(archs["DBF"], scens["nCI"], adc, b_star, geom=geom, model=model)
+        e_psn = energy(archs["PSN"], scens["nCI"], adc, b_star, geom=geom, model=model)
         assert rel_err(e_dbf.e_total, e_psn.e_total) < 1e-9
+
+    def test_class_mismatch_raises(self, archs, scens, geom):
+        # An HPADC fit would give the HPADC crossover (4.83 MHz), not the LPADC one.
+        with pytest.raises(ValueError):
+            ec_crossover(archs["DBF"], archs["PSN"], scens["nCI"], AdcModel("LPADC"), geom,
+                         default_power_model("HPADC"))
 
     def test_same_architecture_has_no_crossover(self, archs, scens, geom):
         assert ec_crossover(archs["DBF"], archs["DBF"], scens["nCI"], AdcModel("HPADC"), geom,
@@ -211,9 +219,10 @@ class TestCrossover:
 
 class TestProposedStructure:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 16])
-    def test_energy_matches_widened_baseline(self, archs, scens, k):
+    def test_energy_matches_widened_baseline(self, archs, scens, geom, k):
         comparison = proposed_structure_energy(
-            archs["ABF"], scens["nCI"], AdcModel("HPADC"), 250e3, k
+            archs["ABF"], scens["nCI"], AdcModel("HPADC"), 250e3, k,
+            geom=geom, model=default_power_model("HPADC"),
         )
         if 64 % k == 0:
             assert rel_err(comparison.proposed.e_total, comparison.baseline.e_total) < 1e-9
@@ -225,37 +234,42 @@ class TestProposedStructure:
         assert comparison.baseline.b_sc == k * 250e3
 
     @pytest.mark.parametrize("k", [2, 4, 8, 16])
-    def test_delay_shrinks_by_k(self, archs, scens, k):
-        base = proposed_structure_energy(archs["ABF"], scens["nCI"], AdcModel("HPADC"), 250e3, 1)
-        comparison = proposed_structure_energy(archs["ABF"], scens["nCI"], AdcModel("HPADC"), 250e3, k)
+    def test_delay_shrinks_by_k(self, archs, scens, geom, k):
+        args = (archs["ABF"], scens["nCI"], AdcModel("HPADC"), 250e3)
+        kwargs = dict(geom=geom, model=default_power_model("HPADC"))
+        base = proposed_structure_energy(*args, 1, **kwargs)
+        comparison = proposed_structure_energy(*args, k, **kwargs)
         assert comparison.proposed.t_del == pytest.approx(base.proposed.t_del / k, rel=1e-12)
 
-    def test_acquisition_time_not_accelerated(self, archs, scens):
+    def test_acquisition_time_not_accelerated(self, archs, scens, geom):
         comparison = proposed_structure_energy(
-            archs["ABF"], scens["CID"], AdcModel("HPADC"), 250e3, 8
+            archs["ABF"], scens["CID"], AdcModel("HPADC"), 250e3, 8,
+            geom=geom, model=default_power_model("HPADC"),
         )
         scan = 64 * derive_frame(250e3).t_pss / 8
         assert comparison.proposed.t_del == pytest.approx(scan + 1.5, rel=1e-12)
         assert comparison.proposed.e_ci == pytest.approx(0.15, rel=1e-12)
 
-    def test_energy_strictly_decreasing_in_k(self, archs, scens):
+    def test_energy_strictly_decreasing_in_k(self, archs, scens, geom):
         for name in ARCHITECTURE_NAMES:
             totals = [
                 proposed_structure_energy(
-                    archs[name], scens["nCI"], AdcModel("HPADC"), 250e3, k
+                    archs[name], scens["nCI"], AdcModel("HPADC"), 250e3, k,
+                    geom=geom, model=default_power_model("HPADC"),
                 ).proposed.e_total
                 for k in (1, 2, 4, 8, 16)
             ]
             assert all(a > b for a, b in zip(totals, totals[1:]))
 
-    def test_power_sampled_at_widened_bandwidth(self, archs, scens):
+    def test_power_sampled_at_widened_bandwidth(self, archs, scens, geom):
         comparison = proposed_structure_energy(
-            archs["DBF"], scens["nCI"], AdcModel("LPADC"), 250e3, 4, "lookup"
+            archs["DBF"], scens["nCI"], AdcModel("LPADC"), 250e3, 4, geom=geom, model=None
         )
         # 4 x 250 kHz lands on the 1 MHz table entry
         assert comparison.proposed.p_rx == 1.37
 
     @pytest.mark.parametrize("bad", [0, -2, 1.5, True])
-    def test_rejects_bad_k(self, archs, scens, bad):
+    def test_rejects_bad_k(self, archs, scens, geom, bad):
         with pytest.raises(ValueError):
-            proposed_structure_energy(archs["ABF"], scens["nCI"], AdcModel("HPADC"), 250e3, bad)
+            proposed_structure_energy(archs["ABF"], scens["nCI"], AdcModel("HPADC"), 250e3, bad,
+                                      geom=geom, model=default_power_model("HPADC"))
