@@ -54,7 +54,7 @@ from .power import (
 from .signaling import derive_frame
 from .sweepsim import (
     SWEEP_ORDERS,
-    verify_against_analytic,
+    verify_columns,
     worst_case_structure_delay,
 )
 
@@ -62,9 +62,9 @@ OUTPUT_FORMATS = ("csv", "json")
 # "lookup" reads the bundled table (model=None), "parametric" the calibrated fit.
 POWER_MODES = ("lookup", "parametric")
 
-# Largest n_bs_directions * n_ms_directions accepted: verify and pss hold one
-# int64 and one float64 value per (BS, MS) direction pair, 256 MiB at the cap
-# before temporaries.
+# Largest n_bs_directions * n_ms_directions accepted: verify holds at most one
+# int64 and one float64 value per (BS, MS) direction pair, 256 MiB at the cap,
+# and pss the int64 alone.
 MAX_TARGETS = 2**24
 
 # Characters that make csv.writer quote a cell; _emit refuses such a cell.
@@ -449,30 +449,36 @@ def cmd_convergence(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    """Exhaustive simulation vs. the closed-form delay for every combination."""
-    columns = ("architecture", "scenario", "sweep_order", "b_sc_hz", "n_targets",
-               "min_s", "mean_s", "max_s", "analytic_s", "passed", "first_mismatch")
-    rows = []
+    """Exhaustive simulation vs. the closed-form delay for every combination.
+
+    One verify_columns call per (architecture, scenario, order) covers the
+    whole b_sc list; a combination passes when every order and b_sc does.
+    """
+    header = ("architecture", "scenario", "sweep_order", "b_sc_hz", "n_targets",
+              "min_s", "mean_s", "max_s", "analytic_s", "passed", "first_mismatch")
+    labels = []  # (architecture, scenario, order) of each call
+    results = []
     combos_total = 0
     combos_passed = 0
     for arch in cfg.architectures:
         for scenario in cfg.scenarios:
-            combo_ok = True
-            for order in cfg.sweep_orders:
-                for b_sc in cfg.b_sc:
-                    report = verify_against_analytic(
-                        arch, scenario, cfg.geom, derive_frame(b_sc), sweep_order=order
-                    )
-                    combo_ok = combo_ok and report.passed
-                    mismatch = ("" if report.first_mismatch is None
-                                else f"{report.first_mismatch[0]}|{report.first_mismatch[1]}")
-                    rows.append((arch.name, scenario.kind, order, b_sc, report.n_targets,
-                                 report.min_time, report.mean_time,
-                                 report.max_time, report.analytic_delay,
-                                 report.passed, mismatch))
+            combo = [verify_columns(arch, scenario, cfg.geom, cfg.b_sc, sweep_order=order)
+                     for order in cfg.sweep_orders]
+            labels += [(arch.name, scenario.kind, order) for order in cfg.sweep_orders]
+            results += combo
             combos_total += 1
-            combos_passed += combo_ok
-    _emit(cfg, "verify", columns, list(zip(*rows)))
+            combos_passed += all(cols.passed.all() for cols in combo)
+    n_b_sc = len(cfg.b_sc)
+    # Rows run call-major, b_sc-minor.
+    _emit(cfg, "verify", header, [
+        *([v for v in column for _ in range(n_b_sc)] for column in zip(*labels)),
+        cfg.b_sc * len(results),
+        [cols.n_targets for cols in results for _ in range(n_b_sc)],
+        *(np.concatenate([getattr(cols, field) for cols in results])
+          for field in ("min_time", "mean_time", "max_time", "analytic_delay", "passed")),
+        ["" if ok else "{}|{}".format(*cols.first_mismatch)
+         for cols in results for ok in cols.passed.tolist()],
+    ])
     print(f"{combos_passed}/{combos_total} combinations pass")
     return 0 if combos_passed == combos_total else 3
 

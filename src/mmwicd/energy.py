@@ -33,7 +33,7 @@ from .power import (
     parametric_power,
     resolution_factor,
 )
-from .signaling import SYNC_TIME_BANDWIDTH, derive_frame, frame_scaling
+from .signaling import SYNC_TIME_BANDWIDTH, _b_sc_array, derive_frame, frame_scaling
 
 # Fixed export schema for energy grids.
 CSV_COLUMNS = (
@@ -101,9 +101,7 @@ def energy_columns(
     drawn at k * b_sc; directional_scans checks k.  n_d is the plain (k = 1)
     scan count.
     """
-    if not {bool, np.bool_}.isdisjoint(map(type, b_sc)):
-        raise ValueError(f"sub-carrier bandwidths must be numbers, got {b_sc!r}")
-    b_sc = np.asarray(b_sc, dtype=np.float64)
+    b_sc = _b_sc_array(b_sc)
     t_pss, _ = frame_scaling(b_sc)
     n_d = directional_scans(arch, scenario, geom)
     scan_time = directional_scans(arch, scenario, geom, k) * t_pss

@@ -53,6 +53,17 @@ def _check_b_sc(b_sc) -> None:
         raise ValueError(f"sub-carrier bandwidth must be a finite number > 0, got {b_sc!r}")
 
 
+def _b_sc_array(b_sc) -> np.ndarray:
+    """A sequence of sub-carrier bandwidths as a float64 array.
+
+    Booleans are refused rather than read as 1.0 and 0.0; frame_scaling
+    checks the values themselves.
+    """
+    if not {bool, np.bool_}.isdisjoint(map(type, b_sc)):
+        raise ValueError(f"sub-carrier bandwidths must be numbers, got {b_sc!r}")
+    return np.asarray(b_sc, dtype=np.float64)
+
+
 def frame_scaling(b_sc):
     """(t_pss, b_tot) for one sub-carrier bandwidth, or elementwise for a numpy array.
 

@@ -11,11 +11,16 @@ inverts the walk's slot -> (BS group, beam set) schedule: every pair is visited
 exactly once per sweep, so a target's first-alignment slot follows from its own
 group and set.  The slot-by-slot walk (simulate) is the reference the grid is
 tested against.
+
+The grid does not depend on b_sc, so verify_columns checks a whole b_sc
+column of one (architecture, scenario, order) against the closed form in one
+pass over one grid; verify_against_analytic is its one-point case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,15 +30,19 @@ from .architectures import (
     SweepGeometry,
     _check_count,
     ci_cost,
-    total_delay,
+    directional_scans,
 )
-from .signaling import FrameConfig
+from .signaling import FrameConfig, _b_sc_array, frame_scaling
 
 SEQUENTIAL_BS_OUTER = "SequentialBsOuter"
 SEQUENTIAL_MS_OUTER = "SequentialMsOuter"
 SWEEP_ORDERS = (SEQUENTIAL_BS_OUTER, SEQUENTIAL_MS_OUTER)
 
 _ORDER_CODES = {SEQUENTIAL_BS_OUTER: 0, SEQUENTIAL_MS_OUTER: 1}
+
+# Most float64 discovery times verify_columns holds at once: a block is as
+# many b_sc rows of the grid as fit, and one row when a grid is bigger.
+_BLOCK_VALUES = 2**20
 
 
 @dataclass(frozen=True)
@@ -157,6 +166,65 @@ class VerificationReport:
     first_mismatch: tuple[int, int] | None  # worst target when the check fails
 
 
+class VerificationColumns(NamedTuple):
+    """VerificationReport's fields over a b_sc sequence; the timings as numpy arrays."""
+
+    n_targets: int  # the same at every b_sc
+    first_mismatch: tuple[int, int] | None  # worst target when some b_sc fails
+    min_time: np.ndarray  # s
+    mean_time: np.ndarray  # s
+    max_time: np.ndarray  # s
+    analytic_delay: np.ndarray  # s
+    passed: np.ndarray  # bool
+
+
+def verify_columns(
+    arch: Architecture,
+    scenario: Scenario,
+    geom: SweepGeometry,
+    b_sc: Sequence[float],
+    *,
+    sweep_order: str = SEQUENTIAL_BS_OUTER,
+) -> VerificationColumns:
+    """Enumerate every target once and compare the worst walk to the closed
+    form at every b_sc.
+
+    Each value equals, bit for bit, the reduction of times = grid * t_pss +
+    t_ci at that b_sc.  min and max come from the integer grid's min and max,
+    since x * t_pss + t_ci rounds monotonically in x for t_pss > 0.  The mean
+    takes one float row per b_sc, in blocks of whole rows (numpy sums each
+    row in the pairwise order of the 1-D array), at most _BLOCK_VALUES values
+    or one row when a row is bigger.  A b_sc passes only on exact equality
+    with total_delay (both sides are integer multiples of t_pss plus the
+    same lead time).
+    """
+    t_pss, _ = frame_scaling(_b_sc_array(b_sc))
+    grid = discovery_slot_grid(arch, scenario, geom, sweep_order=sweep_order)
+    t_ci = ci_cost(arch, scenario, geom)[0]
+    flat = grid.reshape(1, -1)
+    mean_time = np.empty_like(t_pss)
+    step = max(1, _BLOCK_VALUES // grid.size)
+    for start in range(0, len(t_pss), step):
+        rows = slice(start, start + step)
+        block = flat * t_pss[rows, None]
+        block += t_ci
+        mean_time[rows] = block.mean(axis=1)
+        del block  # freed before the next block is allocated
+    max_time = grid.max() * t_pss + t_ci
+    analytic = directional_scans(arch, scenario, geom) * t_pss + t_ci
+    passed = max_time == analytic
+    return VerificationColumns(
+        n_targets=grid.size,
+        first_mismatch=(None if passed.all()
+                        else divmod(int(np.argmax(grid)), geom.n_ms_directions)),
+        min_time=grid.min() * t_pss + t_ci,
+        mean_time=mean_time,
+        max_time=max_time,
+        analytic_delay=analytic,
+        passed=passed,
+    )
+
+
 def verify_against_analytic(
     arch: Architecture,
     scenario: Scenario,
@@ -165,24 +233,17 @@ def verify_against_analytic(
     *,
     sweep_order: str = SEQUENTIAL_BS_OUTER,
 ) -> VerificationReport:
-    """Enumerate every target and compare the worst walk to the closed form.
-
-    Passes only on exact equality (both sides are integer multiples of the
-    transmission period plus the same lead time).
-    """
-    grid = discovery_slot_grid(arch, scenario, geom, sweep_order=sweep_order)
-    analytic = total_delay(arch, scenario, geom, frame)
-    times = grid * frame.t_pss + ci_cost(arch, scenario, geom)[0]
-    max_time = float(times.max())
-    passed = max_time == analytic
+    """Enumerate every target and compare the worst walk to the closed form
+    (verify_columns at frame.b_sc)."""
+    columns = verify_columns(arch, scenario, geom, [frame.b_sc], sweep_order=sweep_order)
     return VerificationReport(
-        n_targets=grid.size,
-        min_time=float(times.min()),
-        mean_time=float(times.mean()),
-        max_time=max_time,
-        analytic_delay=analytic,
-        passed=passed,
-        first_mismatch=None if passed else divmod(int(np.argmax(grid)), geom.n_ms_directions),
+        n_targets=columns.n_targets,
+        min_time=columns.min_time[0].item(),
+        mean_time=columns.mean_time[0].item(),
+        max_time=columns.max_time[0].item(),
+        analytic_delay=columns.analytic_delay[0].item(),
+        passed=bool(columns.passed[0]),
+        first_mismatch=columns.first_mismatch,
     )
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from mmwicd import AdcModel, SweepGeometry, cli
 from mmwicd.cli import DEFAULT_CONFIG, config_fingerprint, main
-from mmwicd.sweepsim import VerificationReport
 
 from conftest import read_csv, scalar_energy
 
@@ -177,19 +176,24 @@ class TestVerify:
         assert all(r["max_s"] == r["analytic_s"] for r in rows)
 
     def test_mismatch_exits_three(self, tmp_path, capsys, monkeypatch):
-        real = cli.verify_against_analytic
+        real = cli.verify_columns
 
-        def broken(arch, scenario, geom, frame, *, sweep_order):
-            report = real(arch, scenario, geom, frame, sweep_order=sweep_order)
+        def broken(arch, scenario, geom, b_sc, *, sweep_order):
+            columns = real(arch, scenario, geom, b_sc, sweep_order=sweep_order)
             if arch.name == "HBF" and scenario.kind == "nCI":
-                return VerificationReport(
-                    **{**report.__dict__, "passed": False, "first_mismatch": (1, 2)}
-                )
-            return report
+                return columns._replace(passed=np.zeros_like(columns.passed),
+                                        first_mismatch=(1, 2))
+            return columns
 
-        monkeypatch.setattr(cli, "verify_against_analytic", broken)
+        monkeypatch.setattr(cli, "verify_columns", broken)
         assert run(["verify"], tmp_path) == 3
         assert "11/12 combinations pass" in capsys.readouterr().out
+        rows = read_csv(tmp_path / "out" / "verify.csv")
+        failed = [r for r in rows if r["passed"] == "False"]
+        assert len(failed) == 2 * 5
+        assert {(r["architecture"], r["scenario"], r["first_mismatch"]) for r in failed} == {
+            ("HBF", "nCI", "1|2")}
+        assert all(r["first_mismatch"] == "" for r in rows if r["passed"] == "True")
 
     def test_beams_that_do_not_divide_pass(self, tmp_path, capsys):
         # 3 and 5 beams divide neither 14 MS nor 60 BS directions

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,10 @@ from mmwicd import (
     simulate,
     total_delay,
     verify_against_analytic,
+    verify_columns,
     worst_case_structure_delay,
 )
+from mmwicd import sweepsim
 from conftest import TABULATED_B_SC
 
 
@@ -266,3 +270,73 @@ class TestScaledGeometry:
                 report = verify_against_analytic(archs[name], scens[kind], geom, frame,
                                                  sweep_order=order)
                 assert report.passed, report
+
+
+class TestVerifyColumns:
+    @pytest.mark.parametrize("block_values", [None, 16], ids=["default-block", "16-value-block"])
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_bs=st.integers(1, 40),  # up to 400 targets: past numpy's 128-value pairwise block
+        n_ms=st.integers(1, 10),
+        beams=st.integers(1, 12),
+        kind=st.sampled_from(SCENARIO_KINDS),
+        t_ci=st.floats(0.0, 10.0),
+        order=st.sampled_from(SWEEP_ORDERS),
+        b_sc=st.lists(st.floats(1e3, 1e9), min_size=1, max_size=40),
+    )
+    def test_rows_equal_per_b_sc_arithmetic(self, block_values, n_bs, n_ms, beams, kind,
+                                            t_ci, order, b_sc):
+        # 16 values split a column mid-way: several b_sc rows per block when the
+        # grid is small, one row per block when it holds more than 8 targets
+        arch = _beams_arch(beams)
+        scenario = build_scenario(kind, t_ci=t_ci) if kind == "CID" else build_scenario(kind)
+        geom = SweepGeometry(n_bs_directions=n_bs, n_ms_directions=n_ms)
+        with pytest.MonkeyPatch.context() as mp:
+            if block_values is not None:
+                mp.setattr(sweepsim, "_BLOCK_VALUES", block_values)
+            columns = verify_columns(arch, scenario, geom, b_sc, sweep_order=order)
+        grid = discovery_slot_grid(arch, scenario, geom, sweep_order=order)
+        t_ci_paid = ci_cost(arch, scenario, geom)[0]
+        assert columns.n_targets == n_bs * n_ms
+        assert columns.first_mismatch is None
+        for i, b in enumerate(b_sc):
+            frame = derive_frame(b)
+            times = grid * frame.t_pss + t_ci_paid
+            row = (columns.min_time[i], columns.mean_time[i], columns.max_time[i],
+                   columns.analytic_delay[i])
+            assert row == (times.min(), times.mean(), times.max(),
+                           total_delay(arch, scenario, geom, frame)), (i, b)
+            assert columns.passed[i]
+            report = verify_against_analytic(arch, scenario, geom, frame, sweep_order=order)
+            assert (report.min_time, report.mean_time, report.max_time,
+                    report.analytic_delay, report.n_targets) == (*row, n_bs * n_ms)
+
+    def test_mismatch_names_the_worst_target(self, archs, scens, geom, monkeypatch):
+        # a closed form one slot too long: every b_sc fails, at the target seen last
+        real = sweepsim.directional_scans
+        monkeypatch.setattr(sweepsim, "directional_scans", lambda *args: real(*args) + 1)
+        columns = verify_columns(archs["ABF"], scens["nCI"], geom, [15e3, 1e6])
+        assert columns.passed.tolist() == [False, False]
+        assert columns.first_mismatch == (63, 15)
+        report = verify_against_analytic(archs["ABF"], scens["nCI"], geom, derive_frame(15e3))
+        assert (report.passed, report.first_mismatch) == (False, (63, 15))
+
+    def test_boolean_b_sc_rejected(self, archs, scens, geom):
+        with pytest.raises(ValueError, match="must be numbers"):
+            verify_columns(archs["ABF"], scens["nCI"], geom, [15e3, True])
+
+    def test_peak_memory_is_grid_plus_one_block(self, archs, scens):
+        # 2**20 targets: the int64 grid and a one-row float64 block, 8 MiB each
+        geom = SweepGeometry(n_bs_directions=1024, n_ms_directions=1024)
+        b_sc = [15e3, 250e3, 10e6]
+        tracemalloc.start()
+        try:
+            columns = verify_columns(archs["ABF"], scens["nCI"], geom, b_sc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        grid_bytes = block_bytes = 8 * 2**20
+        # slack for numpy's 64 KiB int -> float cast buffer and small objects
+        assert peak <= grid_bytes + block_bytes + 2**18
+        grid = discovery_slot_grid(archs["ABF"], scens["nCI"], geom)
+        assert columns.mean_time.tolist() == [(grid * derive_frame(b).t_pss).mean() for b in b_sc]
