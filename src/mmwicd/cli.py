@@ -3,9 +3,10 @@
 Verbs: tables | sweep | convergence | verify | pss.  Outputs are deterministic
 CSV (or JSON) files; every file embeds the tool version and a hash of the
 scientific configuration so results can be traced back to their inputs.
-Each table is handed over as columns and rendered column by column: each
-distinct float once, in the bytes csv.writer would write.  A non-finite float
-is refused (exit 2), naming the file and column.
+Each verb returns its tables as columns; main checks every table, then writes
+them column by column: each distinct float once, in the bytes csv.writer would
+write.  A non-finite float is refused (exit 2), naming the file and column,
+before any file is written, so a verb that fails writes no file.
 
 Exit codes: 0 ok, 1 runtime failure, 2 config error, 3 verification mismatch.
 """
@@ -50,6 +51,7 @@ from .power import (
     default_power_model,
     default_power_table,
     parametric_power,
+    resolution_factor,
 )
 from .signaling import derive_frame
 from .sweepsim import (
@@ -67,7 +69,7 @@ POWER_MODES = ("lookup", "parametric")
 # and pss the int64 alone.
 MAX_TARGETS = 2**24
 
-# Characters that make csv.writer quote a cell; _emit refuses such a cell.
+# Characters that make csv.writer quote a cell; _check refuses such a cell.
 _QUOTED_CHARS = frozenset(',"\r\n')
 
 # Scientific defaults; "out" and "format" are presentation-only and excluded
@@ -203,6 +205,12 @@ def resolve_config(raw: dict) -> RunConfig:
              f"power_mode must be one of {POWER_MODES}")
     _require(merged["resolution_law"] in ("exponential", "linear"),
              "resolution_law must be 'exponential' or 'linear'")
+    for key, values in (("bits", bits), ("convergence_bits", convergence_bits)):
+        try:  # the factor grows with bits, so the largest entry is the one to test
+            resolution_factor(max(values), merged["resolution_law"])
+        except OverflowError as exc:
+            raise ConfigError(f"{key} entry {max(values)} puts the {merged['resolution_law']} "
+                              "resolution factor past float range") from exc
     _require(merged["format"] in OUTPUT_FORMATS, f"format must be one of {OUTPUT_FORMATS}")
 
     geometry = merged["geometry"]
@@ -225,6 +233,8 @@ def resolve_config(raw: dict) -> RunConfig:
 
     pss_base = merged["pss_base_b_sc_hz"]
     _require(_is_positive_number(pss_base), "pss_base_b_sc_hz must be a finite number > 0")
+    widest = pss_base * max(k_values) if max(k_values) <= sys.float_info.max else math.inf
+    _require(math.isfinite(widest), f"pss_base_b_sc_hz * max(k) must be finite, got {widest}")
 
     return RunConfig(
         fingerprint=config_fingerprint(merged),
@@ -282,97 +292,91 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 # Output helpers
 
 
-def _header_lines(cfg: RunConfig) -> list[str]:
-    return [f"# tool: mmwicd {__version__}", f"# config: sha256:{cfg.fingerprint}"]
-
-
-def _refuse_non_finite(path: Path, title: str, floats) -> None:
-    if not all(map(math.isfinite, floats)):
-        bad = next(v for v in floats if not math.isfinite(v))
-        raise ConfigError(f"refusing to write {path.name}: column {title} holds {bad}; "
-                          "the config drives it out of float range")
-
-
 def _cells(column) -> list:
     """A column as plain Python values (json cannot encode numpy numbers)."""
     return column.tolist() if isinstance(column, np.ndarray) else list(column)
 
 
-def _csv_cells(path: Path, title: str, column) -> list[str]:
+def _check(fmt: str, name: str, header: tuple[str, ...], columns: list) -> None:
+    """Refuse a table that cannot be written: columns of unequal length, a
+    non-finite float, or (CSV only) a title or cell that needs quoting."""
+    file = f"{name}.{fmt}"
+    if len(columns) != len(header) or len(set(map(len, columns))) > 1:
+        raise ValueError(f"{file}: {len(header)} titles for columns of lengths "
+                         f"{[len(col) for col in columns]}")
+    for title, column in zip(("titles", *header), (header, *columns)):
+        if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+            bad, text = column[~np.isfinite(column)][:1].tolist(), ""
+        else:
+            distinct = set(column)
+            bad = [v for v in distinct if isinstance(v, float) and not math.isfinite(v)]
+            text = "".join(v for v in distinct if isinstance(v, str))
+        if bad:
+            raise ConfigError(f"refusing to write {file}: column {title} holds {bad[0]}; "
+                              "the config drives it out of float range")
+        if fmt == "csv" and not _QUOTED_CHARS.isdisjoint(text):
+            raise ValueError(f"{file}: column {title} holds a cell that needs CSV quoting")
+
+
+def _csv_cells(column) -> list[str]:
     """One column as CSV text, spelled as csv.writer spells it: a column of
     floats renders each distinct value once with repr, any other uses str."""
     cells = _cells(column)
-    distinct = set(cells)
     if set(map(type, cells)) == {float}:  # floats only: 1 == 1.0 == True as set members
-        _refuse_non_finite(path, title, distinct)
-        text = {v: repr(v) for v in distinct}
+        text = {v: repr(v) for v in set(cells)}
         # 0.0 and -0.0 are one set member, so zeros are rendered one by one
         return [text[v] if v else repr(v) for v in cells]
-    _refuse_non_finite(path, title, [v for v in distinct if isinstance(v, float)])
-    text = list(map(str, cells))
-    if not _QUOTED_CHARS.isdisjoint("".join(text)):
-        raise ValueError(f"{path.name}: column {title} holds a cell that needs CSV quoting")
-    return text
+    return list(map(str, cells))
 
 
-def _emit(cfg: RunConfig, name: str, header: tuple[str, ...], columns: list) -> Path:
-    """Write one table, given as one list or numpy array per header column.
+def _emit(cfg: RunConfig, tables: list) -> None:
+    """Check every table, each given as (name, header, one list or numpy array
+    per header column), then write them all.
 
     CSV lines are joined column by column (csv.writer's bytes, CRLF line ends,
     no quoting; every table has two or more columns, so no line is one empty
     cell that csv.writer would quote); JSON zips the columns back into one
-    object per row.  Either format refuses a non-finite float before the file
-    is opened.
+    object per row.  A table refused by _check leaves every file unwritten.
     """
-    path = cfg.out_dir / f"{name}.{cfg.fmt}"
-    if len(columns) != len(header) or len(set(map(len, columns))) > 1:
-        raise ValueError(f"{path.name}: {len(header)} titles for columns of lengths "
-                         f"{[len(col) for col in columns]}")
-    if cfg.fmt == "csv":
-        titles = _csv_cells(path, "titles", header)
-        text = [_csv_cells(path, title, col) for title, col in zip(header, columns)]
-    else:
-        columns = [_cells(col) for col in columns]
-        for title, col in zip(header, columns):
-            _refuse_non_finite(path, title, [v for v in set(col) if isinstance(v, float)])
-        payload = {
-            "tool": f"mmwicd {__version__}",
-            "config_sha256": cfg.fingerprint,
-            "rows": [dict(zip(header, row)) for row in zip(*columns)],
-        }
+    for table in tables:
+        _check(cfg.fmt, *table)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if cfg.fmt == "csv":
-            fh.writelines(f"{line}\n" for line in _header_lines(cfg))
-            # One write per 4096 lines, never the whole file in memory.
-            lines = map(",".join, chain([titles], zip(*text)))
-            while block := list(islice(lines, 4096)):
-                fh.write("\r\n".join(block) + "\r\n")
-        else:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    print(f"wrote {path}")
-    return path
+    for name, header, columns in tables:
+        path = cfg.out_dir / f"{name}.{cfg.fmt}"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            if cfg.fmt == "csv":
+                fh.write(f"# tool: mmwicd {__version__}\n# config: sha256:{cfg.fingerprint}\n")
+                # One write per 4096 lines, never the whole file in memory.
+                lines = map(",".join, chain([header], zip(*map(_csv_cells, columns))))
+                while block := list(islice(lines, 4096)):
+                    fh.write("\r\n".join(block) + "\r\n")
+            else:
+                rows = zip(*map(_cells, columns))
+                json.dump({"tool": f"mmwicd {__version__}", "config_sha256": cfg.fingerprint,
+                           "rows": [dict(zip(header, row)) for row in rows]}, fh, indent=2)
+                fh.write("\n")
+        print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def cmd_tables(cfg: RunConfig) -> int:
+def cmd_tables(cfg: RunConfig) -> tuple[list, int, None]:
     """Frame timing, scan counts, and the measured/modeled power tables."""
     rows_i = []
     for b_sc in cfg.b_sc:
         frame = derive_frame(b_sc)
         rows_i.append((b_sc, frame.t_pss, frame.b_tot, f"{frame.b_tot / 1e6:.1f}"))
-    _emit(cfg, "tables-i", ("b_sc_hz", "t_pss_s", "b_tot_hz", "b_tot_mhz"), list(zip(*rows_i)))
+    tables = [("tables-i", ("b_sc_hz", "t_pss_s", "b_tot_hz", "b_tot_mhz"), list(zip(*rows_i)))]
 
     rows_ii = []
     for arch in cfg.architectures:
         for scenario in cfg.scenarios:
             rows_ii.append((arch.name, scenario.kind, directional_scans(arch, scenario, cfg.geom),
                             ci_cost(arch, scenario, cfg.geom)[0]))
-    _emit(cfg, "tables-ii", ("architecture", "scenario", "n_scans", "t_ci_s"), list(zip(*rows_ii)))
+    tables.append(("tables-ii", ("architecture", "scenario", "n_scans", "t_ci_s"),
+                   list(zip(*rows_ii))))
 
     table = default_power_table()
     for file_name, cls in (("tables-iii", "HPADC"), ("tables-iv", "LPADC")):
@@ -392,13 +396,14 @@ def cmd_tables(cfg: RunConfig) -> int:
                 modeled = parametric_power(model, arch, AdcModel(cls), s.b_sc)
                 rows.append((s.architecture, s.adc_class, s.b_sc, s.power,
                              modeled, (modeled - s.power) / s.power))
-        _emit(cfg, file_name, columns, list(zip(*rows)))
-    return 0
+        tables.append((file_name, columns, list(zip(*rows))))
+    return tables, 0, None
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: RunConfig) -> tuple[list, int, None]:
     """Energy over the b_sc grid: one file per (scenario, ADC class, bits)."""
     arch_names = tuple(a.name for a in cfg.architectures)
+    tables = []
     labels = []  # (scenario, ADC class, bits) of each grid
     fields = [[] for _ in EnergyColumns._fields]  # each grid's report values, per field
     for scenario in cfg.scenarios:
@@ -410,24 +415,24 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 per_arch = [energy_columns(arch, scenario, adc, cfg.b_sc,
                                            geom=cfg.geom, model=model)
                             for arch in cfg.architectures]
-                _emit(cfg, f"sweep-{scenario.kind}-{cls}-{bits}b", ("b_sc_hz", *arch_names),
-                      [cfg.b_sc, *(cols.e_total for cols in per_arch)])
+                tables.append((f"sweep-{scenario.kind}-{cls}-{bits}b", ("b_sc_hz", *arch_names),
+                               [cfg.b_sc, *(cols.e_total for cols in per_arch)]))
                 labels.append((scenario.kind, cls, bits))
                 # Report rows run b_sc-major, architecture-minor.
                 for acc, per_field in zip(fields, zip(*per_arch)):
                     acc.append(np.column_stack(per_field).ravel())
     rows_per_grid = len(cfg.b_sc) * len(arch_names)
     label_columns = [[v for v in column for _ in range(rows_per_grid)] for column in zip(*labels)]
-    _emit(cfg, "sweep-report", CSV_COLUMNS, [
+    tables.append(("sweep-report", CSV_COLUMNS, [
         arch_names * (len(cfg.b_sc) * len(labels)),
         *label_columns,
         [b_sc for b_sc in cfg.b_sc for _ in arch_names] * len(labels),
         *map(np.concatenate, fields),
-    ])
-    return 0
+    ]))
+    return tables, 0, None
 
 
-def cmd_convergence(cfg: RunConfig) -> int:
+def cmd_convergence(cfg: RunConfig) -> tuple[list, int, None]:
     """Large-bandwidth energy limit per architecture over the bit range.
 
     The limit is that of the full nCI search under the calibrated parametric
@@ -435,6 +440,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
     """
     arch_names = tuple(a.name for a in cfg.architectures)
     nci = build_scenario("nCI")
+    tables = []
     for cls in cfg.adc_classes:
         model = default_power_model(cls, cfg.resolution_law)
         rows = []
@@ -444,11 +450,11 @@ def cmd_convergence(cfg: RunConfig) -> int:
                 for arch in cfg.architectures
             ]
             rows.append((bits, *values))
-        _emit(cfg, f"convergence-{cls}", ("bits", *arch_names), list(zip(*rows)))
-    return 0
+        tables.append((f"convergence-{cls}", ("bits", *arch_names), list(zip(*rows))))
+    return tables, 0, None
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig) -> tuple[list, int, str]:
     """Exhaustive simulation vs. the closed-form delay for every combination.
 
     One verify_columns call per (architecture, scenario, order) covers the
@@ -470,7 +476,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             combos_passed += all(cols.passed.all() for cols in combo)
     n_b_sc = len(cfg.b_sc)
     # Rows run call-major, b_sc-minor.
-    _emit(cfg, "verify", header, [
+    columns = [
         *([v for v in column for _ in range(n_b_sc)] for column in zip(*labels)),
         cfg.b_sc * len(results),
         [cols.n_targets for cols in results for _ in range(n_b_sc)],
@@ -478,12 +484,12 @@ def cmd_verify(cfg: RunConfig) -> int:
           for field in ("min_time", "mean_time", "max_time", "analytic_delay", "passed")),
         ["" if ok else "{}|{}".format(*cols.first_mismatch)
          for cols in results for ok in cols.passed.tolist()],
-    ])
-    print(f"{combos_passed}/{combos_total} combinations pass")
-    return 0 if combos_passed == combos_total else 3
+    ]
+    return ([("verify", header, columns)], 0 if combos_passed == combos_total else 3,
+            f"{combos_passed}/{combos_total} combinations pass")
 
 
-def cmd_pss(cfg: RunConfig) -> int:
+def cmd_pss(cfg: RunConfig) -> tuple[list, int, None]:
     """Widened-sync slot layout: delay and energy vs. k (parametric power).
 
     Evaluated for nCI (else the first listed scenario), the first ADC class and
@@ -509,8 +515,7 @@ def cmd_pss(cfg: RunConfig) -> int:
                          total_delay(arch, scenario, cfg.geom, frame, k),
                          comparison.proposed.e_total, comparison.baseline.e_total,
                          comparison.energy_ratio, scenario.kind, cls, bits))
-    _emit(cfg, "pss", columns, list(zip(*rows)))
-    return 0
+    return [("pss", columns, list(zip(*rows)))], 0, None
 
 
 COMMANDS = {
@@ -557,20 +562,20 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        # A finite config can still overflow numpy arithmetic; _emit refuses
+        # A finite config can still overflow numpy arithmetic; _check refuses
         # the non-finite result, so numpy's own warning would only be noise.
         with np.errstate(over="ignore", invalid="ignore"):
-            return COMMANDS[args.command](cfg)
+            tables, status, summary = COMMANDS[args.command](cfg)
+        _emit(cfg, tables)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary maps failures to exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if summary is not None:
+        print(summary)
+    return status
 
 
 if __name__ == "__main__":

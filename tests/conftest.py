@@ -1,7 +1,16 @@
 import csv
 import io
+import warnings
 
 import pytest
+
+# Hypothesis reports a falsifying example through this module, and importing it
+# warns (mypy_extensions.TypedDict is deprecated).  Under filterwarnings = error
+# that warning, raised mid-report, would turn every hypothesis failure into an
+# INTERNALERROR that hides the example and stops the run; import it once here.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from mmwicd import (
     SweepGeometry,

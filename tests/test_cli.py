@@ -1,8 +1,11 @@
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import math
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +339,23 @@ class TestConfigHandling:
         assert "config error" in err and "geometry" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["bits", "convergence_bits"])
+    def test_overflowing_bits_are_config_error(self, tmp_path, capsys, key):
+        # 2.0 ** 1024 overflows a float; the verb would stop with exit 1 mid-way
+        assert run_with_config("sweep", tmp_path, {key: [6, 2000], "power_mode": "parametric"}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} entry 2000") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        assert getattr(cli.resolve_config({key: [1023]}), key) == (1023,)
+
+    @pytest.mark.parametrize("raw", [{"pss_base_b_sc_hz": 1e308}, {"k": [10**400]}],
+                             ids=["base", "k-past-float-range"])
+    def test_overflowing_pss_bandwidth_is_config_error(self, tmp_path, capsys, raw):
+        assert run_with_config("pss", tmp_path, raw) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "pss_base_b_sc_hz" in err and "max(k)" in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_overrides_grid(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"b_sc_hz": [15e3]}))
@@ -418,8 +438,9 @@ class TestNonFiniteOutput:
         assert err.startswith(f"config error: refusing to write {name}.{fmt}: column {column} "
                               "holds inf")
         assert err.count("\n") == 1 and err.endswith("\n")
-        assert "combinations pass" not in out
-        assert not (tmp_path / "out" / f"{name}.{fmt}").exists()
+        assert "combinations pass" not in out and "wrote" not in out
+        # nothing at all is written, not even the files checked before the refused one
+        assert list((tmp_path / "out").glob("*")) == []
 
 
 # Floats at the edges of repr: signed zeros, subnormals, and both sides of the
@@ -479,19 +500,101 @@ class TestColumnWriter:
     def test_bytes_match_csv_writer_and_json_dump(self, configs, table):
         header, columns = table
         for cfg in configs.values():
-            path = cli._emit(cfg, "table", header, columns)
+            cli._emit(cfg, [("table", header, columns)])
+            path = cfg.out_dir / f"table.{cfg.fmt}"
             assert path.read_bytes() == self.expected(cfg, header, columns)
 
     @pytest.mark.parametrize("cell", [",", '"', "\r", "\n", "a,b", 'say "x"'])
     def test_cell_needing_quotes_raises(self, configs, cell):
         with pytest.raises(ValueError, match="quot"):
-            cli._emit(configs["csv"], "quoted", ("a", "b"), [[1.0, 2.0], ["x", cell]])
+            cli._emit(configs["csv"], [("quoted", ("a", "b"), [[1.0, 2.0], ["x", cell]])])
         with pytest.raises(ValueError, match="quot"):
-            cli._emit(configs["csv"], "quoted", ("a", cell), [[1.0], ["x"]])
+            cli._emit(configs["csv"], [("quoted", ("a", cell), [[1.0], ["x"]])])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_float_raises(self, configs, fmt, bad):
         with pytest.raises(cli.ConfigError, match=f"refusing to write refused.{fmt}: column b"):
-            cli._emit(configs[fmt], "refused", ("a", "b"), [[1, 2], np.array([0.5, bad])])
+            cli._emit(configs[fmt], [("refused", ("a", "b"), [[1, 2], np.array([0.5, bad])])])
         assert not (configs[fmt].out_dir / f"refused.{fmt}").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_refused_table_leaves_every_table_unwritten(self, tmp_path, fmt):
+        cfg = cli.resolve_config({"out": str(tmp_path / "out"), "format": fmt})
+        with pytest.raises(cli.ConfigError, match=f"refusing to write second.{fmt}: column b"):
+            cli._emit(cfg, [("first", ("a", "b"), [[1.0], [2.0]]),
+                            ("second", ("a", "b"), [[1.0], [math.inf]])])
+        assert not (tmp_path / "out").exists()
+
+
+# Any positive float up to the largest, and any float a CI budget may hold;
+# half of the draws come from the paper's range, where most configs run clean.
+positive_floats = st.one_of(st.floats(1e3, 1e7),
+                            st.floats(min_value=0.0, max_value=sys.float_info.max,
+                                      exclude_min=True))
+budget_floats = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, sys.float_info.max))
+
+
+@st.composite
+def cli_runs(draw):
+    """(verb, format, config): a small geometry and any finite, in-range values."""
+    def small_ints(hi):
+        return st.lists(st.one_of(st.integers(1, 12), st.integers(1, hi)), min_size=1, max_size=3)
+
+    raw = {
+        "power_mode": "parametric",
+        "geometry": {"n_bs_directions": draw(st.integers(1, 40)),
+                     "n_ms_directions": draw(st.integers(1, 10))},
+        "architecture_params": {"n_ms_antennas": draw(st.integers(1, 16)),
+                                "n_rf_chains": draw(st.integers(1, 16)),
+                                "n_combiners": draw(st.integers(1, 16))},
+        "b_sc_hz": draw(st.lists(positive_floats, min_size=1, max_size=3)),
+        "pss_base_b_sc_hz": draw(positive_floats),
+        "bits": draw(small_ints(1100)),
+        "convergence_bits": draw(small_ints(1100)),
+        "k": draw(small_ints(80)),
+        "scenario_params": {"t_ci_s": draw(budget_floats), "p_ci_w": draw(budget_floats)},
+    }
+    return draw(st.sampled_from(sorted(cli.COMMANDS))), draw(st.sampled_from(["csv", "json"])), raw
+
+
+def written_numbers(path):
+    """Every number in one output file (csv cells that parse as floats)."""
+    if path.suffix == ".json":
+        return [v for row in json.loads(path.read_text())["rows"] for v in row.values()
+                if isinstance(v, (int, float))]
+    numbers = []
+    for row in read_csv(path):
+        for cell in row.values():
+            with contextlib.suppress(ValueError):
+                numbers.append(float(cell))
+    return numbers
+
+
+class TestCliProperty:
+    """A random config either runs clean or is refused as a whole."""
+
+    @given(run_args=cli_runs())
+    @settings(max_examples=200, deadline=None)
+    def test_exit_zero_with_finite_outputs_or_exit_two_with_none(self, run_args):
+        verb, fmt, raw = run_args
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out_dir = Path(tmp) / "config.json", Path(tmp) / "out"
+            config.write_text(json.dumps(raw))
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([verb, "--config", str(config), "--out", str(out_dir),
+                             "--format", fmt])
+            written = sorted(out_dir.glob("*"))
+            if code == 2:
+                assert stderr.getvalue().startswith("config error: ")
+                assert stderr.getvalue().count("\n") == 1
+                assert written == []
+                return
+            assert code == 0, stderr.getvalue()
+            assert written and stderr.getvalue() == ""
+            for path in written:
+                assert all(map(math.isfinite, written_numbers(path))), path.name
+            if verb == "verify":
+                passed, total = stdout.getvalue().splitlines()[-1].split()[0].split("/")
+                assert passed == total
