@@ -4,9 +4,10 @@ Verbs: tables | sweep | convergence | verify | pss.  Outputs are deterministic
 CSV (or JSON) files; every file embeds the tool version and a hash of the
 scientific configuration so results can be traced back to their inputs.
 Each verb returns its tables as columns; main checks every table, then writes
-them column by column: each distinct float once, in the bytes csv.writer would
-write.  A non-finite float is refused (exit 2), naming the file and column,
-before any file is written, so a verb that fails writes no file.
+them column by column, in the bytes csv.writer would write.  CSV renders each
+distinct float once per verb, keyed by its bit pattern, however many columns
+and files hold it.  A non-finite float is refused (exit 2), naming the file and
+column, before any file is written, so a verb that fails writes no file.
 
 Exit codes: 0 ok, 1 runtime failure, 2 config error, 3 verification mismatch.
 """
@@ -235,6 +236,8 @@ def resolve_config(raw: dict) -> RunConfig:
     _require(_is_positive_number(pss_base), "pss_base_b_sc_hz must be a finite number > 0")
     widest = pss_base * max(k_values) if max(k_values) <= sys.float_info.max else math.inf
     _require(math.isfinite(widest), f"pss_base_b_sc_hz * max(k) must be finite, got {widest}")
+    _require(max(k_values) <= np.iinfo(np.int64).max,
+             f"k entries must fit an int64 (at most 2**63 - 1), got {max(k_values)}")
 
     return RunConfig(
         fingerprint=config_fingerprint(merged),
@@ -273,8 +276,12 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                 raw = json.load(fh, object_pairs_hook=_reject_non_finite)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
+        except ConfigError:
+            raise  # _reject_non_finite names the key
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # e.g. an integer literal past 4,300 digits
+            raise ConfigError(f"cannot parse config file: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
     if args.out is not None:
@@ -318,15 +325,34 @@ def _check(fmt: str, name: str, header: tuple[str, ...], columns: list) -> None:
             raise ValueError(f"{file}: column {title} holds a cell that needs CSV quoting")
 
 
-def _csv_cells(column) -> list[str]:
-    """One column as CSV text, spelled as csv.writer spells it: a column of
-    floats renders each distinct value once with repr, any other uses str."""
-    cells = _cells(column)
-    if set(map(type, cells)) == {float}:  # floats only: 1 == 1.0 == True as set members
-        text = {v: repr(v) for v in set(cells)}
-        # 0.0 and -0.0 are one set member, so zeros are rendered one by one
-        return [text[v] if v else repr(v) for v in cells]
-    return list(map(str, cells))
+def _csv_columns(tables: list) -> list:
+    """Each table's columns for CSV, as csv.writer spells them: a column of
+    floats in repr (a numpy object array of str), any other column as a list
+    of values that str renders.
+
+    The float columns of every table are keyed by bit pattern, so 0.0 and
+    -0.0 stay apart, and each distinct float is rendered once.  Every float
+    column is a view of one object array of references to those shared
+    strings, so a column's cells are only listed when its file is written.
+    """
+    floats, staged, start = [], [], 0
+    for _, _, columns in tables:
+        table = []
+        for column in columns:
+            if not (isinstance(column, np.ndarray) and column.dtype == np.float64):
+                column = _cells(column)
+                if set(map(type, column)) == {float}:  # floats only: 1 == 1.0 == True as set members
+                    column = np.array(column, dtype=np.float64)
+            if isinstance(column, np.ndarray):
+                floats.append(column)
+                column = slice(start, start + len(column))
+                start = column.stop
+            table.append(column)
+        staged.append(table)
+    keys, inverse = np.unique(np.concatenate([np.empty(0), *floats]).view(np.int64),
+                              return_inverse=True)
+    text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)[inverse]
+    return [[text[c] if isinstance(c, slice) else c for c in table] for table in staged]
 
 
 def _emit(cfg: RunConfig, tables: list) -> None:
@@ -340,14 +366,17 @@ def _emit(cfg: RunConfig, tables: list) -> None:
     """
     for table in tables:
         _check(cfg.fmt, *table)
+    csv_columns = _csv_columns(tables) if cfg.fmt == "csv" else None
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    for name, header, columns in tables:
+    for i, (name, header, columns) in enumerate(tables):
         path = cfg.out_dir / f"{name}.{cfg.fmt}"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             if cfg.fmt == "csv":
                 fh.write(f"# tool: mmwicd {__version__}\n# config: sha256:{cfg.fingerprint}\n")
+                cells = [c.tolist() if isinstance(c, np.ndarray) else map(str, c)
+                         for c in csv_columns[i]]
                 # One write per 4096 lines, never the whole file in memory.
-                lines = map(",".join, chain([header], zip(*map(_csv_cells, columns))))
+                lines = map(",".join, chain([header], zip(*cells)))
                 while block := list(islice(lines, 4096)):
                     fh.write("\r\n".join(block) + "\r\n")
             else:

@@ -356,6 +356,34 @@ class TestConfigHandling:
         assert "config error" in err and "pss_base_b_sc_hz" in err and "max(k)" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("k", [2**63, 10**19, 10**300], ids=["int64-max+1", "1e19", "1e300"])
+    def test_k_past_int64_is_config_error(self, tmp_path, capsys, k):
+        assert run_with_config("pss", tmp_path, {"k": [1, k]}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: k entries") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("k", [100000, 2**63 - 1], ids=["1e5", "int64-max"])
+    def test_k_within_int64_runs(self, tmp_path, capsys, k):
+        assert run_with_config("pss", tmp_path, {"k": [1, k]}) == 0
+        assert capsys.readouterr().err == ""
+        assert [row["k"] for row in read_csv(tmp_path / "out" / "pss.csv")][:2] == ["1", str(k)]
+
+    def test_integer_literal_past_digit_limit_is_config_error(self, tmp_path, capsys):
+        # json reads a 5,000-digit literal as an int, which Python refuses past 4,300 digits
+        config = tmp_path / "config.json"
+        config.write_text('{"k": [' + "9" * 5000 + "]}")
+        assert run(["tables"], tmp_path, ("--config", str(config))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and "4300" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_literal_message_is_not_rewrapped(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"b_sc_hz": [15e3, Infinity]}')
+        assert run(["tables"], tmp_path, ("--config", str(config))) == 2
+        assert capsys.readouterr().err == "config error: b_sc_hz must be finite, got inf\n"
+
     def test_config_overrides_grid(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"b_sc_hz": [15e3]}))
@@ -471,6 +499,38 @@ def tables(draw):
     return header, columns
 
 
+@st.composite
+def table_sets(draw):
+    """2-4 (name, header, columns) tables whose float cells come from one shared
+    pool, or (half of the draws) from EDGE_FLOATS: Python lists and float64
+    arrays, int64 and bool arrays, and columns of floats mixed with ints, bools
+    and text."""
+    pool = draw(st.lists(floats, min_size=1, max_size=6))
+    pooled = st.one_of(st.sampled_from(pool), st.sampled_from(EDGE_FLOATS))
+    result = []
+    for i in range(draw(st.integers(2, 4))):
+        n_rows = draw(st.integers(0, 8))
+        header = tuple(draw(st.lists(plain_text, min_size=2, max_size=4)))
+        columns = []
+        for _ in header:
+            kind = draw(st.sampled_from(["list", "array", "int64", "bool", "mixed"]))
+            if kind == "int64":
+                cells = st.integers(-2**63, 2**63 - 1)
+            elif kind == "bool":
+                cells = st.booleans()
+            elif kind == "mixed":
+                cells = st.one_of(pooled, st.integers(), st.booleans(), plain_text)
+            else:
+                cells = pooled
+            column = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+            if kind in ("array", "int64", "bool"):
+                column = np.array(column, dtype={"array": np.float64, "int64": np.int64,
+                                                 "bool": np.bool_}[kind])
+            columns.append(column)
+        result.append((f"table{i}", header, columns))
+    return result
+
+
 class TestColumnWriter:
     """_emit writes what csv.writer (and json.dump) wrote for the same rows."""
 
@@ -503,6 +563,17 @@ class TestColumnWriter:
             cli._emit(cfg, [("table", header, columns)])
             path = cfg.out_dir / f"table.{cfg.fmt}"
             assert path.read_bytes() == self.expected(cfg, header, columns)
+
+    @example(table_list=[("table0", ("a", "b"), [[0.0, -0.0], np.array([-0.0, 1.5])]),
+                         ("table1", ("c", "d"), [np.array([1.5, 0.0]), [True, 0.0]])])
+    @given(table_list=table_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_tables_sharing_floats_match_csv_writer(self, configs, table_list):
+        for cfg in configs.values():
+            cli._emit(cfg, table_list)
+            for name, header, columns in table_list:
+                path = cfg.out_dir / f"{name}.{cfg.fmt}"
+                assert path.read_bytes() == self.expected(cfg, header, columns), path.name
 
     @pytest.mark.parametrize("cell", [",", '"', "\r", "\n", "a,b", 'say "x"'])
     def test_cell_needing_quotes_raises(self, configs, cell):
