@@ -9,6 +9,11 @@ distinct float once per verb, keyed by its bit pattern, however many columns
 and files hold it.  A non-finite float is refused (exit 2), naming the file and
 column, before any file is written, so a verb that fails writes no file.
 
+Config file keys override DEFAULT_CONFIG, and flags override both.  A list is
+non-empty with every entry valid, a choice one of its names, a nested object
+exactly its default's keys, each a finite number (not a bool), and out a
+string; scenario_params is checked even when CID is not listed.
+
 Exit codes: 0 ok, 1 runtime failure, 2 config error, 3 verification mismatch.
 """
 
@@ -48,6 +53,7 @@ from .energy import (
 )
 from .power import (
     ADC_CLASSES,
+    RESOLUTION_LAWS,
     AdcModel,
     default_power_model,
     default_power_table,
@@ -129,26 +135,41 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _is_positive_number(v) -> bool:
+def _is_number(v) -> bool:
+    """A number a float holds: not a bool, NaN, an infinity or an int past float range."""
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v) and v > 0)
+            and abs(v) <= sys.float_info.max)
 
 
-def _positive_floats(raw: dict, key: str) -> tuple[float, ...]:
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
+def _entries(raw: dict, key: str, ok, what: str) -> tuple:
+    """raw[key] as a tuple: a non-empty list whose every entry passes ok."""
     values = raw[key]
-    _require(isinstance(values, list) and values, f"{key} must be a non-empty list")
+    _require(isinstance(values, list) and values, f"{key} must be a non-empty list of {what}")
     for v in values:
-        _require(_is_positive_number(v), f"{key} entries must be finite numbers > 0")
-    return tuple(float(v) for v in values)
-
-
-def _positive_ints(raw: dict, key: str) -> tuple[int, ...]:
-    values = raw[key]
-    _require(isinstance(values, list) and values, f"{key} must be a non-empty list")
-    for v in values:
-        _require(isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-                 f"{key} entries must be integers >= 1")
+        _require(ok(v), f"{key} entries must be {what}, got {v!r}")
     return tuple(values)
+
+
+def _params(raw: dict, key: str) -> dict:
+    """raw[key]: an object with exactly the keys of its default, each a number."""
+    params, names = raw[key], DEFAULT_CONFIG[key].keys()
+    _require(isinstance(params, dict) and params.keys() == names,
+             f"{key} must be an object with exactly the keys {list(names)}")
+    for name, v in params.items():
+        _require(_is_number(v), f"{key}.{name} must be a finite number, got {v!r}")
+    return params
+
+
+def _build(key: str, build, *args, **params):
+    """build(*args, **params), whose ValueError is a bad raw[key]."""
+    try:
+        return build(*args, **params)
+    except ValueError as exc:
+        raise ConfigError(f"bad {key}: {exc}") from exc
 
 
 def resolve_config(raw: dict) -> RunConfig:
@@ -157,83 +178,42 @@ def resolve_config(raw: dict) -> RunConfig:
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
     merged = {**DEFAULT_CONFIG, **raw}
 
-    b_sc = _positive_floats(merged, "b_sc_hz")
-    bits = _positive_ints(merged, "bits")
-    convergence_bits = _positive_ints(merged, "convergence_bits")
-    k_values = _positive_ints(merged, "k")
+    b_sc = tuple(map(float, _entries(merged, "b_sc_hz", lambda v: _is_number(v) and v > 0,
+                                     "finite numbers > 0")))
+    bits, convergence_bits, k_values = (_entries(merged, key, _is_count, "integers >= 1")
+                                        for key in ("bits", "convergence_bits", "k"))
+    arch_names, scenario_kinds, adc_classes, orders = (
+        _entries(merged, key, names.__contains__, f"one of {names}")
+        for key, names in (("architectures", ARCHITECTURE_NAMES), ("scenarios", SCENARIO_KINDS),
+                           ("adc_classes", ADC_CLASSES), ("sweep_orders", SWEEP_ORDERS)))
 
-    arch_names = merged["architectures"]
-    _require(isinstance(arch_names, list) and arch_names, "architectures must be a non-empty list")
-    for name in arch_names:
-        _require(name in ARCHITECTURE_NAMES,
-                 f"unknown architecture {name!r}; expected one of {ARCHITECTURE_NAMES}")
-    params = merged["architecture_params"]
-    try:
-        architectures = tuple(
-            build_architecture(
-                name,
-                n_ms_antennas=params["n_ms_antennas"],
-                n_rf_chains=params["n_rf_chains"],
-                n_combiners=params["n_combiners"],
-            )
-            for name in arch_names
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad architecture_params: {exc}") from exc
+    for key, choices in (("power_mode", POWER_MODES), ("resolution_law", RESOLUTION_LAWS),
+                         ("format", OUTPUT_FORMATS)):
+        _require(merged[key] in choices, f"{key} must be one of {choices}, got {merged[key]!r}")
+    _require(isinstance(merged["out"], str), f"out must be a string, got {merged['out']!r}")
 
-    scenario_kinds = merged["scenarios"]
-    _require(isinstance(scenario_kinds, list) and scenario_kinds, "scenarios must be a non-empty list")
-    for kind in scenario_kinds:
-        _require(kind in SCENARIO_KINDS,
-                 f"unknown scenario {kind!r}; expected one of {SCENARIO_KINDS}")
-    sc_params = merged["scenario_params"]
-    try:
-        scenarios = tuple(
-            build_scenario(kind, t_ci=sc_params["t_ci_s"], p_ci=sc_params["p_ci_w"])
-            if kind == "CID"
-            else build_scenario(kind)
-            for kind in scenario_kinds
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad scenario_params: {exc}") from exc
+    geom = _build("geometry", SweepGeometry, **_params(merged, "geometry"))
+    n_targets = geom.n_bs_directions * geom.n_ms_directions
+    _require(n_targets <= MAX_TARGETS,
+             f"geometry has {n_targets} (BS, MS) direction pairs, more than the "
+             f"{MAX_TARGETS} (2**24) that verify and pss enumerate")
+    arch_params = _params(merged, "architecture_params")
+    architectures = tuple(_build("architecture_params", build_architecture, name, **arch_params)
+                          for name in arch_names)
+    # The CI budget is checked whether or not CID is listed.
+    ci = _params(merged, "scenario_params")
+    cid = _build("scenario_params", build_scenario, "CID", t_ci=ci["t_ci_s"], p_ci=ci["p_ci_w"])
+    scenarios = tuple(cid if kind == "CID" else build_scenario(kind) for kind in scenario_kinds)
 
-    adc_classes = merged["adc_classes"]
-    _require(isinstance(adc_classes, list) and adc_classes, "adc_classes must be a non-empty list")
-    for cls in adc_classes:
-        _require(cls in ADC_CLASSES, f"unknown ADC class {cls!r}; expected one of {ADC_CLASSES}")
-
-    _require(merged["power_mode"] in POWER_MODES,
-             f"power_mode must be one of {POWER_MODES}")
-    _require(merged["resolution_law"] in ("exponential", "linear"),
-             "resolution_law must be 'exponential' or 'linear'")
     for key, values in (("bits", bits), ("convergence_bits", convergence_bits)):
         try:  # the factor grows with bits, so the largest entry is the one to test
             resolution_factor(max(values), merged["resolution_law"])
         except OverflowError as exc:
             raise ConfigError(f"{key} entry {max(values)} puts the {merged['resolution_law']} "
                               "resolution factor past float range") from exc
-    _require(merged["format"] in OUTPUT_FORMATS, f"format must be one of {OUTPUT_FORMATS}")
-
-    geometry = merged["geometry"]
-    try:
-        geom = SweepGeometry(
-            n_bs_directions=geometry["n_bs_directions"],
-            n_ms_directions=geometry["n_ms_directions"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad geometry: {exc}") from exc
-    n_targets = geom.n_bs_directions * geom.n_ms_directions
-    _require(n_targets <= MAX_TARGETS,
-             f"geometry has {n_targets} (BS, MS) direction pairs, more than the "
-             f"{MAX_TARGETS} (2**24) that verify and pss enumerate")
-
-    orders = merged["sweep_orders"]
-    _require(isinstance(orders, list) and orders, "sweep_orders must be a non-empty list")
-    for order in orders:
-        _require(order in SWEEP_ORDERS, f"unknown sweep order {order!r}")
 
     pss_base = merged["pss_base_b_sc_hz"]
-    _require(_is_positive_number(pss_base), "pss_base_b_sc_hz must be a finite number > 0")
+    _require(_is_number(pss_base) and pss_base > 0, "pss_base_b_sc_hz must be a finite number > 0")
     widest = pss_base * max(k_values) if max(k_values) <= sys.float_info.max else math.inf
     _require(math.isfinite(widest), f"pss_base_b_sc_hz * max(k) must be finite, got {widest}")
     _require(max(k_values) <= np.iinfo(np.int64).max,
@@ -244,7 +224,7 @@ def resolve_config(raw: dict) -> RunConfig:
         b_sc=b_sc,
         architectures=architectures,
         scenarios=scenarios,
-        adc_classes=tuple(adc_classes),
+        adc_classes=adc_classes,
         bits=bits,
         convergence_bits=convergence_bits,
         power_mode=merged["power_mode"],
@@ -252,20 +232,10 @@ def resolve_config(raw: dict) -> RunConfig:
         geom=geom,
         k_values=k_values,
         pss_base_b_sc=float(pss_base),
-        sweep_orders=tuple(orders),
+        sweep_orders=orders,
         out_dir=Path(merged["out"]),
         fmt=merged["format"],
     )
-
-
-def _reject_non_finite(pairs: list[tuple[str, object]]) -> dict:
-    """JSON object hook: fail on NaN, Infinity or an overflowing literal
-    (1e999), naming its key."""
-    for key, val in pairs:
-        for v in val if isinstance(val, list) else (val,):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ConfigError(f"{key} must be finite, got {v}")
-    return dict(pairs)
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -273,25 +243,15 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                raw = json.load(fh, object_pairs_hook=_reject_non_finite)
+                raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except ConfigError:
-            raise  # _reject_non_finite names the key
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        except ValueError as exc:  # e.g. an integer literal past 4,300 digits
+        except ValueError as exc:  # not JSON, or an integer literal past 4,300 digits
             raise ConfigError(f"cannot parse config file: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-    if args.out is not None:
-        raw["out"] = args.out
-    if args.format is not None:
-        raw["format"] = args.format
-    if args.power_mode is not None:
-        raw["power_mode"] = args.power_mode
-    if args.bits:
-        raw["bits"] = args.bits
+        _require(isinstance(raw, dict), "config root must be a JSON object")
+    for key in ("out", "format", "power_mode", "bits"):  # flags win over the file
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
     return resolve_config(raw)
 
 
@@ -522,12 +482,12 @@ def cmd_pss(cfg: RunConfig) -> tuple[list, int, None]:
     """Widened-sync slot layout: delay and energy vs. k (parametric power).
 
     Evaluated for nCI (else the first listed scenario), the first ADC class and
-    the first bits; the last three columns name them.
+    the first bits under the parametric model; the last four columns name them.
     """
     columns = ("architecture", "k", "b_sc_hz", "b_sc_pss_hz", "n_d",
                "sim_worst_delay_s", "analytic_delay_s",
                "e_proposed_j", "e_baseline_j", "energy_ratio",
-               "scenario", "adc_class", "bits")
+               "scenario", "adc_class", "bits", "power_mode")
     scenario = next((s for s in cfg.scenarios if s.kind == "nCI"), cfg.scenarios[0])
     cls, bits = cfg.adc_classes[0], cfg.bits[0]
     adc, model = AdcModel(cls, bits=bits), default_power_model(cls, cfg.resolution_law)
@@ -543,7 +503,7 @@ def cmd_pss(cfg: RunConfig) -> tuple[list, int, None]:
                          comparison.proposed.n_d, worst,
                          total_delay(arch, scenario, cfg.geom, frame, k),
                          comparison.proposed.e_total, comparison.baseline.e_total,
-                         comparison.energy_ratio, scenario.kind, cls, bits))
+                         comparison.energy_ratio, scenario.kind, cls, bits, "parametric"))
     return [("pss", columns, list(zip(*rows)))], 0, None
 
 

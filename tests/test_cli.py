@@ -237,7 +237,8 @@ class TestPss:
         rows = read_csv(tmp_path / "out" / "pss.csv")
         assert len(rows) == 4 * 5
         assert {(r["scenario"], r["adc_class"], r["bits"]) for r in rows} == {("nCI", "LPADC", "6")}
-        assert list(rows[0])[-3:] == ["scenario", "adc_class", "bits"]
+        assert list(rows[0])[-4:] == ["scenario", "adc_class", "bits", "power_mode"]
+        assert {r["power_mode"] for r in rows} == {"parametric"}
 
 
 class TestConfigHandling:
@@ -378,11 +379,36 @@ class TestConfigHandling:
         assert err.startswith("config error: ") and err.count("\n") == 1 and "4300" in err
         assert not (tmp_path / "out").exists()
 
-    def test_non_finite_literal_message_is_not_rewrapped(self, tmp_path, capsys):
+    def test_non_finite_literal_is_one_line_naming_its_key(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"b_sc_hz": [15e3, Infinity]}')
         assert run(["tables"], tmp_path, ("--config", str(config))) == 2
-        assert capsys.readouterr().err == "config error: b_sc_hz must be finite, got inf\n"
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and "b_sc_hz" in err
+
+    @pytest.mark.parametrize("raw,key", [
+        ({"geometry": {"n_bs_directions": 64, "n_ms_directions": 16, "n_rings": 2}}, "geometry"),
+        ({"architecture_params": {"n_ms_antennas": 16, "n_rf_chains": 4, "n_combiners": 4,
+                                  "n_phase_shifters": 64}}, "architecture_params"),
+        ({"scenario_params": {"t_ci_s": "1.5", "p_ci_w": 0.1}}, "t_ci_s"),
+        ({"scenario_params": {"t_ci_s": 1.5, "p_ci_w": True}}, "p_ci_w"),
+        ({"scenarios": ["nCI"], "scenario_params": {"t_ci_s": -5, "p_ci_w": 0.1}},
+         "scenario_params"),
+        ({"out": 5}, "out"),
+        ({"b_sc_hz": [10**400]}, "b_sc_hz"),
+        ({"scenario_params": {"t_ci_s": 10**400, "p_ci_w": 0.1}}, "t_ci_s"),
+    ], ids=["extra-geometry-key", "extra-architecture-key", "string-budget", "boolean-budget",
+            "negative-budget-without-CID", "numeric-out", "b_sc-past-float-range",
+            "budget-past-float-range"])
+    def test_value_the_model_cannot_take_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                         raw, key):
+        # No --out flag, so "out" comes from the config; outputs would land in tmp_path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        assert main(["sweep", "--config", "config.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and key in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_config_overrides_grid(self, tmp_path):
         config = tmp_path / "config.json"
@@ -642,30 +668,61 @@ def written_numbers(path):
     return numbers
 
 
+@st.composite
+def damaged_runs(draw):
+    """(verb, format, config, key): a cli_runs() config whose nested object key
+    gains a key, loses one, or has one value turned into a string or a bool."""
+    verb, fmt, raw = draw(cli_runs())
+    key = draw(st.sampled_from(["geometry", "architecture_params", "scenario_params"]))
+    params = raw[key]
+    name = draw(st.sampled_from(sorted(params)))
+    damage = draw(st.sampled_from(["add", "drop", "string", "bool"]))
+    if damage == "add":
+        params["n_extra"] = params[name]
+    elif damage == "drop":
+        del params[name]
+    else:
+        params[name] = str(params[name]) if damage == "string" else draw(st.booleans())
+    return verb, fmt, raw, key
+
+
+def run_in_process(verb, fmt, raw):
+    """(exit code, stdout, stderr, files written) of one cli.main run on raw."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out_dir = Path(tmp) / "config.json", Path(tmp) / "out"
+        config.write_text(json.dumps(raw))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([verb, "--config", str(config), "--out", str(out_dir), "--format", fmt])
+        written = {path.name: written_numbers(path) for path in sorted(out_dir.glob("*"))}
+    return code, stdout.getvalue(), stderr.getvalue(), written
+
+
 class TestCliProperty:
     """A random config either runs clean or is refused as a whole."""
 
     @given(run_args=cli_runs())
     @settings(max_examples=200, deadline=None)
     def test_exit_zero_with_finite_outputs_or_exit_two_with_none(self, run_args):
-        verb, fmt, raw = run_args
-        with tempfile.TemporaryDirectory() as tmp:
-            config, out_dir = Path(tmp) / "config.json", Path(tmp) / "out"
-            config.write_text(json.dumps(raw))
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main([verb, "--config", str(config), "--out", str(out_dir),
-                             "--format", fmt])
-            written = sorted(out_dir.glob("*"))
-            if code == 2:
-                assert stderr.getvalue().startswith("config error: ")
-                assert stderr.getvalue().count("\n") == 1
-                assert written == []
-                return
-            assert code == 0, stderr.getvalue()
-            assert written and stderr.getvalue() == ""
-            for path in written:
-                assert all(map(math.isfinite, written_numbers(path))), path.name
-            if verb == "verify":
-                passed, total = stdout.getvalue().splitlines()[-1].split()[0].split("/")
-                assert passed == total
+        code, stdout, stderr, written = run_in_process(*run_args)
+        if code == 2:
+            assert stderr.startswith("config error: ")
+            assert stderr.count("\n") == 1
+            assert written == {}
+            return
+        assert code == 0, stderr
+        assert written and stderr == ""
+        for name, numbers in written.items():
+            assert all(map(math.isfinite, numbers)), name
+        if run_args[0] == "verify":
+            passed, total = stdout.splitlines()[-1].split()[0].split("/")
+            assert passed == total
+
+    @given(run_args=damaged_runs())
+    @settings(max_examples=100, deadline=None)
+    def test_damaged_nested_object_is_refused_naming_it(self, run_args):
+        verb, fmt, raw, key = run_args
+        code, _, stderr, written = run_in_process(verb, fmt, raw)
+        assert code == 2
+        assert stderr.startswith("config error: ") and stderr.count("\n") == 1 and key in stderr
+        assert written == {}
