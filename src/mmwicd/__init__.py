@@ -34,7 +34,6 @@ from .energy import (
 from .power import (
     ADC_CLASSES,
     AdcModel,
-    CalibrationError,
     PowerModel,
     PowerSample,
     PowerTableError,
@@ -77,7 +76,6 @@ __all__ = [
     "SYNC_TIME_BANDWIDTH",
     "AdcModel",
     "Architecture",
-    "CalibrationError",
     "EnergyColumns",
     "EnergyReport",
     "FrameConfig",

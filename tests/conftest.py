@@ -21,6 +21,7 @@ from mmwicd import (
     directional_scans,
     discovery_slot_grid,
     lookup_power,
+    resolution_factor,
     uses_ci_budget,
 )
 
@@ -74,5 +75,6 @@ def scalar_energy(arch, scenario, adc, b_sc, power_mode, geom, k=1):
         p_rx = lookup_power(arch, adc, k * b_sc)
     else:
         model = default_power_model(adc.cls)
-        p_rx = model.evaluate(arch, adc.bits, derive_frame(k * b_sc).b_tot)
+        slope = arch.n_adc * model.c * resolution_factor(adc.bits, model.resolution_law)
+        p_rx = model.base_power[arch.name] + slope * derive_frame(k * b_sc).b_tot
     return n_d, scan_time + t_ci, p_rx, e_ci, p_rx * scan_time + e_ci

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmwicd import AdcModel, SweepGeometry, cli
+from mmwicd import AdcModel, SweepGeometry, cli, power
 from mmwicd.cli import DEFAULT_CONFIG, config_fingerprint, main
 
 from conftest import read_csv, scalar_energy
@@ -166,6 +166,46 @@ class TestConvergence:
                 assert float(r["DBF"]) == pytest.approx(common, rel=1e-9)
                 assert float(r["HBF"]) == pytest.approx(common, rel=1e-9)
                 assert float(r["PSN"]) == pytest.approx(common / 4, rel=1e-9)
+
+    def test_linear_law_scales_with_bits(self, tmp_path):
+        assert run_with_config("convergence", tmp_path, {"resolution_law": "linear"}) == 0
+        for cls in ("HPADC", "LPADC"):
+            rows = read_csv(tmp_path / "out" / f"convergence-{cls}.csv")
+            limit = {int(r["bits"]): r for r in rows}
+            for name in ARCH_ORDER:
+                one_bit = float(limit[1][name])
+                for bits in (2, 4, 8):
+                    assert float(limit[bits][name]) == bits * one_bit
+                assert float(limit[12][name]) == 2 * float(limit[6][name])
+
+
+class TestPowerModelCache:
+    """default_power_model calibrates once per (class, law) a verb uses."""
+
+    @pytest.fixture
+    def calibrations(self, monkeypatch):
+        calls = []
+        original = power.calibrate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        power.default_power_model.cache_clear()
+        monkeypatch.setattr(power, "calibrate", counting)
+        yield calls
+        power.default_power_model.cache_clear()
+
+    @pytest.mark.parametrize("args, expected", [
+        (["sweep", "--power-mode", "parametric"], 2),
+        (["tables", "--power-mode", "parametric"], 2),
+        (["convergence"], 2),
+        (["pss"], 1),
+        (["verify"], 0),
+    ], ids=["sweep", "tables", "convergence", "pss", "verify"])
+    def test_calibrations_per_verb(self, calibrations, tmp_path, args, expected):
+        assert run(args, tmp_path) == 0
+        assert len(calibrations) == expected
 
 
 class TestVerify:

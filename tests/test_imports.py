@@ -1,0 +1,49 @@
+"""Every module of the package reads every name it imports.
+
+No linter runs on this tree, so an import left behind when its last use is
+deleted would go unnoticed.  Each module under src/mmwicd except __init__.py
+(which imports to re-export) is parsed here; an imported name must be read
+somewhere in its module, or the import line must carry `# noqa: F401`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mmwicd"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" in lines[alias.lineno - 1]:
+                    continue
+                # `import a.b` binds `a`; `import a.b as c` and `from a import b` bind the alias.
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = alias.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in sorted(imported.items()) if name not in read]
+
+
+def test_package_has_modules():
+    assert len(MODULES) >= 5
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_every_import_is_read(module):
+    assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def test_a_leftover_import_is_caught():
+    source = ("from typing import Iterable\nimport os.path\nimport sys  # noqa: F401\n"
+              "from json import (\n    dumps,  # noqa: F401\n    loads,\n)\n\nos.getcwd()\n")
+    assert unused_imports(source) == ["line 1: Iterable", "line 6: loads"]

@@ -5,14 +5,12 @@ from mmwicd import (
     ADC_CLASSES,
     ARCHITECTURE_NAMES,
     AdcModel,
-    CalibrationError,
-    PowerSample,
     PowerTableError,
     build_architecture,
-    calibrate,
     default_power_model,
     default_power_table,
     derive_frame,
+    frame_scaling,
     lookup_power,
     parametric_power,
     resolution_factor,
@@ -61,11 +59,23 @@ class TestResolutionFactor:
         with pytest.raises(ValueError):
             resolution_factor(6, "cubic")
 
+    def test_numpy_integer_bits_overflow_like_python_ints(self):
+        with pytest.raises(OverflowError):
+            resolution_factor(np.int64(1100))
+
+    def test_numpy_integer_bits_give_the_same_power(self, archs):
+        model = default_power_model("HPADC")
+        numpy_bits = parametric_power(model, archs["DBF"], AdcModel("HPADC", bits=np.int64(8)), 15e3)
+        python_bits = parametric_power(model, archs["DBF"], AdcModel("HPADC", bits=8), 15e3)
+        assert numpy_bits == python_bits
+
 
 def converter_slope(model, arch):
     """Converter power per Hz of total bandwidth at the table's 6 bits (W/Hz),
-    read off PowerModel.evaluate at 1 THz, where the converter term dominates."""
-    return (model.evaluate(arch, 6, 1e12) - model.base_power[arch.name]) / 1e12
+    read off parametric_power at b_tot = 1 THz, where the converter term dominates."""
+    b_sc = 1e12 / frame_scaling(1.0)[1]
+    power = parametric_power(model, arch, AdcModel(model.adc_class), b_sc)
+    return (power - model.base_power[arch.name]) / frame_scaling(b_sc)[1]
 
 
 class TestCalibration:
@@ -125,11 +135,6 @@ class TestCalibration:
         model = default_power_model("HPADC")
         with pytest.raises(ValueError):
             parametric_power(model, archs["ABF"], AdcModel("LPADC"), 15e3)
-
-    def test_single_bandwidth_table_rejected(self):
-        rows = [PowerSample(name, "HPADC", 15e3, 1.0) for name in ARCHITECTURE_NAMES]
-        with pytest.raises(CalibrationError):
-            calibrate(rows, "HPADC")
 
 
 class TestAdcModelValidation:
