@@ -7,7 +7,7 @@ on whether positioning context removes the MS-side half of the search.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 from .signaling import FrameConfig
@@ -38,22 +38,18 @@ def _check_counts(obj, fields: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class Architecture:
-    """One receiver beamforming scheme.
+    """One receiver beamforming scheme, as the delay and energy models read it.
 
-    n_adc counts physical converters; the factor 2 everywhere is the I/Q pair.
-    simultaneous_beams is the number of angular directions examined per dwell.
+    simultaneous_beams is the number of MS directions examined per dwell;
+    n_adc counts physical converters, two per RF chain (the I/Q pair).
     """
 
     name: str
-    n_ms_antennas: int
-    n_rf_chains: int
-    n_combiners: int
     n_adc: int
     simultaneous_beams: int
 
     def __post_init__(self):
-        _check_counts(self, ("n_ms_antennas", "n_rf_chains", "n_combiners", "n_adc",
-                             "simultaneous_beams"))
+        _check_counts(self, ("n_adc", "simultaneous_beams"))
 
 
 def build_architecture(
@@ -76,24 +72,16 @@ def build_architecture(
     for param, value in (("n_ms_antennas", n_ms_antennas), ("n_rf_chains", n_rf_chains),
                          ("n_combiners", n_combiners)):
         _check_count(param, value)
-    if name == "ABF":
-        rf, comb, beams, adc = 1, 1, 1, 2
-    elif name == "DBF":
-        rf, comb, beams, adc = n_ms_antennas, 1, n_ms_antennas, 2 * n_ms_antennas
-    elif name == "HBF":
-        rf, comb, beams, adc = n_rf_chains, 1, n_rf_chains, 2 * n_rf_chains
-    elif name == "PSN":
-        rf, comb, beams, adc = 1, n_combiners, n_combiners, 2
-    else:
+    wiring = {  # (RF chains, simultaneous beams)
+        "ABF": (1, 1),
+        "DBF": (n_ms_antennas, n_ms_antennas),
+        "HBF": (n_rf_chains, n_rf_chains),
+        "PSN": (1, n_combiners),
+    }
+    if name not in wiring:
         raise ValueError(f"unknown architecture {name!r}; expected one of {ARCHITECTURE_NAMES}")
-    return Architecture(
-        name=name,
-        n_ms_antennas=n_ms_antennas,
-        n_rf_chains=rf,
-        n_combiners=comb,
-        n_adc=adc,
-        simultaneous_beams=beams,
-    )
+    rf, beams = wiring[name]
+    return Architecture(name=name, n_adc=2 * rf, simultaneous_beams=beams)
 
 
 def default_architectures() -> dict[str, Architecture]:
@@ -114,23 +102,26 @@ class Scenario:
     t_ci: float = 0.0  # s
     p_ci: float = 0.0  # W
 
+    def __post_init__(self):
+        t, p = self.t_ci, self.p_ci
+        if self.kind not in SCENARIO_KINDS:
+            raise ValueError(f"unknown scenario {self.kind!r}; expected one of {SCENARIO_KINDS}")
+        if self.kind != "CID" and (t, p) != (0.0, 0.0):
+            raise ValueError(f"{self.kind} carries no context-acquisition budget")
+        if not (0 <= t <= sys.float_info.max and 0 <= p <= sys.float_info.max):
+            raise ValueError(
+                f"CID acquisition delay and power must be finite and >= 0, got t_ci={t}, p_ci={p}"
+            )
+
 
 def build_scenario(
     kind: str, *, t_ci: float | None = None, p_ci: float | None = None
 ) -> Scenario:
-    if kind not in SCENARIO_KINDS:
-        raise ValueError(f"unknown scenario {kind!r}; expected one of {SCENARIO_KINDS}")
+    """The scenario of that kind; CID's budget defaults to DEFAULT_T_CI at DEFAULT_P_CI."""
     if kind == "CID":
-        t = DEFAULT_T_CI if t_ci is None else float(t_ci)
-        p = DEFAULT_P_CI if p_ci is None else float(p_ci)
-        if not (math.isfinite(t) and math.isfinite(p)) or t < 0 or p < 0:
-            raise ValueError(
-                f"CID acquisition delay and power must be finite and >= 0, got t_ci={t}, p_ci={p}"
-            )
-        return Scenario(kind=kind, t_ci=t, p_ci=p)
-    if t_ci not in (None, 0, 0.0) or p_ci not in (None, 0, 0.0):
-        raise ValueError(f"{kind} carries no context-acquisition budget")
-    return Scenario(kind=kind)
+        t_ci = DEFAULT_T_CI if t_ci is None else float(t_ci)
+        p_ci = DEFAULT_P_CI if p_ci is None else float(p_ci)
+    return Scenario(kind, 0.0 if t_ci is None else t_ci, 0.0 if p_ci is None else p_ci)
 
 
 def default_scenarios() -> dict[str, Scenario]:

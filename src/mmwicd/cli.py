@@ -10,9 +10,9 @@ and files hold it.  A non-finite float is refused (exit 2), naming the file and
 column, before any file is written, so a verb that fails writes no file.
 
 Config file keys override DEFAULT_CONFIG, and flags override both.  A list is
-non-empty with every entry valid, a choice one of its names, a nested object
-exactly its default's keys, each a finite number (not a bool), and out a
-string; scenario_params is checked even when CID is not listed.
+non-empty with every entry valid and distinct, a choice one of its names, a
+nested object exactly its default's keys, each a finite number (not a bool),
+and out a string; scenario_params is checked even when CID is not listed.
 
 Exit codes: 0 ok, 1 runtime failure, 2 config error, 3 verification mismatch.
 """
@@ -146,11 +146,14 @@ def _is_count(v) -> bool:
 
 
 def _entries(raw: dict, key: str, ok, what: str) -> tuple:
-    """raw[key] as a tuple: a non-empty list whose every entry passes ok."""
+    """raw[key] as a tuple: a non-empty list of distinct entries that each pass ok."""
     values = raw[key]
     _require(isinstance(values, list) and values, f"{key} must be a non-empty list of {what}")
+    seen = set()
     for v in values:
         _require(ok(v), f"{key} entries must be {what}, got {v!r}")
+        _require(v not in seen, f"{key} entries must be distinct, got {v!r} twice")
+        seen.add(v)
     return tuple(values)
 
 
@@ -177,6 +180,9 @@ def resolve_config(raw: dict) -> RunConfig:
     unknown = set(raw) - set(DEFAULT_CONFIG)
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
     merged = {**DEFAULT_CONFIG, **raw}
+    # The nested objects first, so that a damaged one is named whatever else is wrong.
+    geometry, arch_params, ci = (_params(merged, key) for key in
+                                 ("geometry", "architecture_params", "scenario_params"))
 
     b_sc = tuple(map(float, _entries(merged, "b_sc_hz", lambda v: _is_number(v) and v > 0,
                                      "finite numbers > 0")))
@@ -192,16 +198,14 @@ def resolve_config(raw: dict) -> RunConfig:
         _require(merged[key] in choices, f"{key} must be one of {choices}, got {merged[key]!r}")
     _require(isinstance(merged["out"], str), f"out must be a string, got {merged['out']!r}")
 
-    geom = _build("geometry", SweepGeometry, **_params(merged, "geometry"))
+    geom = _build("geometry", SweepGeometry, **geometry)
     n_targets = geom.n_bs_directions * geom.n_ms_directions
     _require(n_targets <= MAX_TARGETS,
              f"geometry has {n_targets} (BS, MS) direction pairs, more than the "
              f"{MAX_TARGETS} (2**24) that verify and pss enumerate")
-    arch_params = _params(merged, "architecture_params")
     architectures = tuple(_build("architecture_params", build_architecture, name, **arch_params)
                           for name in arch_names)
     # The CI budget is checked whether or not CID is listed.
-    ci = _params(merged, "scenario_params")
     cid = _build("scenario_params", build_scenario, "CID", t_ci=ci["t_ci_s"], p_ci=ci["p_ci_w"])
     scenarios = tuple(cid if kind == "CID" else build_scenario(kind) for kind in scenario_kinds)
 
@@ -216,8 +220,6 @@ def resolve_config(raw: dict) -> RunConfig:
     _require(_is_number(pss_base) and pss_base > 0, "pss_base_b_sc_hz must be a finite number > 0")
     widest = pss_base * max(k_values) if max(k_values) <= sys.float_info.max else math.inf
     _require(math.isfinite(widest), f"pss_base_b_sc_hz * max(k) must be finite, got {widest}")
-    _require(max(k_values) <= np.iinfo(np.int64).max,
-             f"k entries must fit an int64 (at most 2**63 - 1), got {max(k_values)}")
 
     return RunConfig(
         fingerprint=config_fingerprint(merged),

@@ -49,7 +49,6 @@ _BLOCK_VALUES = 2**20
 class SimResult:
     discovery_time: float  # s
     events_consumed: int  # PSS transmissions observed, aligning one included
-    target: tuple[int, int]  # (bs_direction, ms_direction)
 
 
 def _order_code(sweep_order: str) -> int:
@@ -59,13 +58,6 @@ def _order_code(sweep_order: str) -> int:
         raise ValueError(
             f"unknown sweep order {sweep_order!r}; expected one of {SWEEP_ORDERS}"
         ) from None
-
-
-def _check_target(target: tuple[int, int], geom: SweepGeometry) -> tuple[int, int]:
-    tb, tm = target
-    if not (0 <= tb < geom.n_bs_directions and 0 <= tm < geom.n_ms_directions):
-        raise ValueError(f"target {target} outside geometry {geom}")
-    return tb, tm
 
 
 def simulate(
@@ -86,7 +78,9 @@ def simulate(
     SequentialMsOuter is the transpose.  CInD/CID pin the beam set to the one
     containing the target's MS direction, so only the BS groups are swept.
     """
-    tb, tm = _check_target(target, geom)
+    tb, tm = target
+    if not (0 <= tb < geom.n_bs_directions and 0 <= tm < geom.n_ms_directions):
+        raise ValueError(f"target {target} outside geometry {geom}")
     order = _order_code(sweep_order)
     _check_count("k", k)
     n_bs, n_ms = geom.n_bs_directions, geom.n_ms_directions
@@ -115,7 +109,6 @@ def simulate(
                 return SimResult(
                     discovery_time=t_ci + (slot + 1) * frame.t_pss,
                     events_consumed=consumed,
-                    target=(tb, tm),
                 )
     raise AssertionError(f"a full sweep of {slots_total} slots missed target {target}")
 
@@ -141,7 +134,8 @@ def discovery_slot_grid(
     order = _order_code(sweep_order)
     _check_count("k", k)
     n_bs, n_ms = geom.n_bs_directions, geom.n_ms_directions
-    beams = arch.simultaneous_beams
+    # A group or set wider than its side already holds all of it: no slot moves.
+    k, beams = min(k, n_bs), min(arch.simultaneous_beams, n_ms)
     n_groups = -(-n_bs // k)
     group = np.arange(n_bs, dtype=np.int64)[:, None] // k
     if scenario.kind == "nCI":

@@ -4,6 +4,7 @@ from mmwicd import (
     ARCHITECTURE_NAMES,
     SCENARIO_KINDS,
     AdcModel,
+    Scenario,
     SweepGeometry,
     build_architecture,
     build_scenario,
@@ -25,10 +26,10 @@ EXPECTED_SCANS_NCI = {"ABF": 1024, "DBF": 64, "HBF": 256, "PSN": 256}
 
 class TestArchitectureRegistry:
     def test_hardware_wiring(self, archs):
-        assert archs["ABF"].n_rf_chains == 1 and archs["ABF"].simultaneous_beams == 1
-        assert archs["DBF"].n_rf_chains == 16 and archs["DBF"].simultaneous_beams == 16
-        assert archs["HBF"].n_rf_chains == 4 and archs["HBF"].simultaneous_beams == 4
-        assert archs["PSN"].n_rf_chains == 1 and archs["PSN"].simultaneous_beams == 4
+        # (RF chains, simultaneous beams) at 16 antennas, 4 RF chains and 4 combiners
+        wiring = {"ABF": (1, 1), "DBF": (16, 16), "HBF": (4, 4), "PSN": (1, 4)}
+        for name, (rf, beams) in wiring.items():
+            assert (archs[name].n_adc, archs[name].simultaneous_beams) == (2 * rf, beams)
 
     def test_adc_counts_are_iq_pairs(self, archs):
         # one I/Q converter pair per RF chain
@@ -84,6 +85,16 @@ class TestScenarios:
     def test_cid_rejects_non_finite_budget(self, budget):
         with pytest.raises(ValueError, match="finite"):
             build_scenario("CID", **budget)
+
+
+class TestScenarioRecord:
+    @pytest.mark.parametrize("fields", [("bogus",), ("nCI", 1.5, 0.1), ("CID", -1.0, 0.1),
+                                        ("CID", 10**400, 0.1)],
+                             ids=["unknown-kind", "budget-without-CID", "negative-budget",
+                                  "budget-past-float-range"])
+    def test_direct_construction_is_checked(self, fields):
+        with pytest.raises(ValueError):
+            Scenario(*fields)
 
 
 class TestDirectionalScans:

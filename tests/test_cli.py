@@ -1,6 +1,8 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmwicd import AdcModel, SweepGeometry, cli, power
+from mmwicd import AdcModel, SweepGeometry, build_architecture, build_scenario, cli, power
 from mmwicd.cli import DEFAULT_CONFIG, config_fingerprint, main
 
 from conftest import read_csv, scalar_energy
@@ -397,18 +399,41 @@ class TestConfigHandling:
         assert "config error" in err and "pss_base_b_sc_hz" in err and "max(k)" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("k", [2**63, 10**19, 10**300], ids=["int64-max+1", "1e19", "1e300"])
-    def test_k_past_int64_is_config_error(self, tmp_path, capsys, k):
-        assert run_with_config("pss", tmp_path, {"k": [1, k]}) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: k entries") and err.count("\n") == 1
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("k", [100000, 2**63 - 1], ids=["1e5", "int64-max"])
-    def test_k_within_int64_runs(self, tmp_path, capsys, k):
+    @pytest.mark.parametrize("k", [100000, 2**63 - 1, 2**63, 10**19, 10**300],
+                             ids=["1e5", "int64-max", "int64-max+1", "1e19", "1e300"])
+    def test_any_k_runs(self, tmp_path, capsys, k):
+        # a BS group wider than the BS side is the whole side, past int64 too
         assert run_with_config("pss", tmp_path, {"k": [1, k]}) == 0
         assert capsys.readouterr().err == ""
         assert [row["k"] for row in read_csv(tmp_path / "out" / "pss.csv")][:2] == ["1", str(k)]
+
+    @pytest.mark.parametrize("verb", ["verify", "pss"])
+    @pytest.mark.parametrize("param", sorted(DEFAULT_CONFIG["architecture_params"]))
+    def test_architecture_params_past_int64_run(self, tmp_path, capsys, param, verb):
+        raw = {"architecture_params": {**DEFAULT_CONFIG["architecture_params"], param: 2**70}}
+        assert run_with_config(verb, tmp_path, raw) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        if verb == "verify":
+            assert out.splitlines()[-1] == "12/12 combinations pass"
+
+    @pytest.mark.parametrize("key,values", [
+        ("b_sc_hz", [15e3, 250e3, 15000]),
+        ("bits", [6, 6]),
+        ("convergence_bits", [1, 2, 1]),
+        ("k", [1, 4, 4]),
+        ("architectures", ["ABF", "ABF"]),
+        ("scenarios", ["nCI", "CID", "nCI"]),
+        ("adc_classes", ["LPADC", "LPADC"]),
+        ("sweep_orders", ["SequentialMsOuter", "SequentialMsOuter"]),
+    ])
+    def test_repeated_list_entry_is_config_error(self, tmp_path, capsys, key, values):
+        # a repeat would write a file twice, or lose a column under a repeated name
+        assert run_with_config("sweep", tmp_path, {key: values}) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"config error: {key} entries must be distinct")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_integer_literal_past_digit_limit_is_config_error(self, tmp_path, capsys):
         # json reads a 5,000-digit literal as an int, which Python refuses past 4,300 digits
@@ -461,6 +486,19 @@ class TestConfigHandling:
         assert config_fingerprint({**DEFAULT_CONFIG, "out": "elsewhere"}) == base
         assert config_fingerprint({**DEFAULT_CONFIG, "format": "json"}) == base
         assert config_fingerprint({**DEFAULT_CONFIG, "bits": [8]}) != base
+
+    def test_default_config_repeats_the_model_defaults(self):
+        # each paper default is written in the model layer and again in DEFAULT_CONFIG
+        arch_params = inspect.signature(build_architecture).parameters.values()
+        cid = build_scenario("CID")
+        law = inspect.signature(power.default_power_model).parameters["resolution_law"]
+        assert DEFAULT_CONFIG["geometry"] == dataclasses.asdict(SweepGeometry())
+        assert DEFAULT_CONFIG["architecture_params"] == {
+            p.name: p.default for p in arch_params if p.kind is p.KEYWORD_ONLY}
+        assert DEFAULT_CONFIG["scenario_params"] == {"t_ci_s": cid.t_ci, "p_ci_w": cid.p_ci}
+        for cls in power.ADC_CLASSES:
+            assert DEFAULT_CONFIG["bits"] == [AdcModel(cls).bits]
+        assert DEFAULT_CONFIG["resolution_law"] == law.default
 
 
 class TestJsonFormat:

@@ -258,6 +258,19 @@ class TestDiscoveryGrid:
             arch, scenario, geom, frame, sweep_order=order, k=k
         ) == total_delay(arch, scenario, geom, frame, k)
 
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    @pytest.mark.parametrize("order", SWEEP_ORDERS)
+    def test_counts_past_int64_are_the_whole_side(self, order, kind):
+        # a BS group or MS beam set wider than its side sees every direction of it
+        geom = SweepGeometry(n_bs_directions=60, n_ms_directions=14)
+
+        def grid(beams, k):
+            return discovery_slot_grid(_beams_arch(beams), build_scenario(kind), geom,
+                                       sweep_order=order, k=k)
+
+        assert np.array_equal(grid(4, 2**70), grid(4, 60))
+        assert np.array_equal(grid(2**70, 3), grid(14, 3))
+
 
 class TestScaledGeometry:
     @pytest.mark.parametrize("order", SWEEP_ORDERS)
