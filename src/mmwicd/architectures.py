@@ -10,6 +10,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .signaling import FrameConfig
 
 ARCHITECTURE_NAMES = ("ABF", "DBF", "HBF", "PSN")
@@ -19,21 +21,21 @@ DEFAULT_T_CI = 1.5  # s, positioning acquisition delay (assisted-GPS fix budget)
 DEFAULT_P_CI = 0.1  # W, receiver draw while acquiring positioning
 
 
-def _check_count(name: str, value) -> None:
-    """value must be an integer >= 1 (booleans are not counts).
+def _count_ok(value) -> bool:
+    """The one count rule: an integer >= 1, Python or numpy (booleans are not counts)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
+def _check_counts(**counts) -> None:
+    """Raise ValueError naming the first keyword whose value fails _count_ok.
 
     Also the only check of k, the BS directions sharing one dwell: the slot
     count, the discovery grid and the walk call it, and every other function
     taking k reaches it through one of them.
     """
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-def _check_counts(obj, fields: tuple[str, ...]) -> None:
-    """Each named field of obj must be an integer >= 1."""
-    for fname in fields:
-        _check_count(fname, getattr(obj, fname))
+    for name, value in counts.items():
+        if not _count_ok(value):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class Architecture:
     simultaneous_beams: int
 
     def __post_init__(self):
-        _check_counts(self, ("n_adc", "simultaneous_beams"))
+        _check_counts(n_adc=self.n_adc, simultaneous_beams=self.simultaneous_beams)
 
 
 def build_architecture(
@@ -69,9 +71,7 @@ def build_architecture(
 
     All three counts are checked whichever scheme is built.
     """
-    for param, value in (("n_ms_antennas", n_ms_antennas), ("n_rf_chains", n_rf_chains),
-                         ("n_combiners", n_combiners)):
-        _check_count(param, value)
+    _check_counts(n_ms_antennas=n_ms_antennas, n_rf_chains=n_rf_chains, n_combiners=n_combiners)
     wiring = {  # (RF chains, simultaneous beams)
         "ABF": (1, 1),
         "DBF": (n_ms_antennas, n_ms_antennas),
@@ -136,7 +136,7 @@ class SweepGeometry:
     n_ms_directions: int = 16
 
     def __post_init__(self):
-        _check_counts(self, ("n_bs_directions", "n_ms_directions"))
+        _check_counts(n_bs_directions=self.n_bs_directions, n_ms_directions=self.n_ms_directions)
 
 
 def directional_scans(
@@ -151,10 +151,10 @@ def directional_scans(
     context the MS beam set is known and only the ceil(n_bs / k) BS groups
     remain.  This is the only closed-form slot count.
     """
-    _check_count("k", k)
-    groups = -(-geom.n_bs_directions // k)
+    _check_counts(k=k)
+    groups = -(-int(geom.n_bs_directions) // int(k))  # Python ints: numpy ones wrap at 2**63
     if scenario.kind == "nCI":
-        return groups * -(-geom.n_ms_directions // arch.simultaneous_beams)
+        return groups * -(-int(geom.n_ms_directions) // int(arch.simultaneous_beams))
     return groups
 
 

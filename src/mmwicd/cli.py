@@ -13,6 +13,7 @@ Config file keys override DEFAULT_CONFIG, and flags override both.  A list is
 non-empty with every entry valid and distinct, a choice one of its names, a
 nested object exactly its default's keys, each a finite number (not a bool),
 and out a string; scenario_params is checked even when CID is not listed.
+Under power_mode "lookup", bits must be [TABLE_BITS], the table's resolution.
 
 Exit codes: 0 ok, 1 runtime failure, 2 config error, 3 verification mismatch.
 """
@@ -37,6 +38,7 @@ from .architectures import (
     Architecture,
     Scenario,
     SweepGeometry,
+    _count_ok,
     build_architecture,
     build_scenario,
     ci_cost,
@@ -54,13 +56,14 @@ from .energy import (
 from .power import (
     ADC_CLASSES,
     RESOLUTION_LAWS,
+    TABLE_BITS,
     AdcModel,
     default_power_model,
     default_power_table,
     parametric_power,
     resolution_factor,
 )
-from .signaling import derive_frame
+from .signaling import _b_sc_ok, derive_frame
 from .sweepsim import (
     SWEEP_ORDERS,
     verify_columns,
@@ -141,10 +144,6 @@ def _is_number(v) -> bool:
             and abs(v) <= sys.float_info.max)
 
 
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
-
-
 def _entries(raw: dict, key: str, ok, what: str) -> tuple:
     """raw[key] as a tuple: a non-empty list of distinct entries that each pass ok."""
     values = raw[key]
@@ -184,9 +183,8 @@ def resolve_config(raw: dict) -> RunConfig:
     geometry, arch_params, ci = (_params(merged, key) for key in
                                  ("geometry", "architecture_params", "scenario_params"))
 
-    b_sc = tuple(map(float, _entries(merged, "b_sc_hz", lambda v: _is_number(v) and v > 0,
-                                     "finite numbers > 0")))
-    bits, convergence_bits, k_values = (_entries(merged, key, _is_count, "integers >= 1")
+    b_sc = tuple(map(float, _entries(merged, "b_sc_hz", _b_sc_ok, "finite numbers > 0")))
+    bits, convergence_bits, k_values = (_entries(merged, key, _count_ok, "integers >= 1")
                                         for key in ("bits", "convergence_bits", "k"))
     arch_names, scenario_kinds, adc_classes, orders = (
         _entries(merged, key, names.__contains__, f"one of {names}")
@@ -197,6 +195,9 @@ def resolve_config(raw: dict) -> RunConfig:
                          ("format", OUTPUT_FORMATS)):
         _require(merged[key] in choices, f"{key} must be one of {choices}, got {merged[key]!r}")
     _require(isinstance(merged["out"], str), f"out must be a string, got {merged['out']!r}")
+    _require(merged["power_mode"] != "lookup" or bits == (TABLE_BITS,),
+             f"bits must be [{TABLE_BITS}] under lookup power_mode, the table's resolution; "
+             f"got {list(bits)}")
 
     geom = _build("geometry", SweepGeometry, **geometry)
     n_targets = geom.n_bs_directions * geom.n_ms_directions
@@ -217,7 +218,7 @@ def resolve_config(raw: dict) -> RunConfig:
                               "resolution factor past float range") from exc
 
     pss_base = merged["pss_base_b_sc_hz"]
-    _require(_is_number(pss_base) and pss_base > 0, "pss_base_b_sc_hz must be a finite number > 0")
+    _require(_b_sc_ok(pss_base), "pss_base_b_sc_hz must be a finite number > 0")
     widest = pss_base * max(k_values) if max(k_values) <= sys.float_info.max else math.inf
     _require(math.isfinite(widest), f"pss_base_b_sc_hz * max(k) must be finite, got {widest}")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .architectures import Architecture, default_architectures
+from .architectures import Architecture, _check_counts, default_architectures
 from .signaling import derive_frame, frame_scaling
 
 ADC_CLASSES = ("LPADC", "HPADC")
@@ -45,8 +45,7 @@ class AdcModel:
     def __post_init__(self):
         if self.cls not in ADC_CLASSES:
             raise ValueError(f"unknown ADC class {self.cls!r}; expected one of {ADC_CLASSES}")
-        if not isinstance(self.bits, (int, np.integer)) or isinstance(self.bits, bool) or self.bits < 1:
-            raise ValueError(f"bits must be an integer >= 1, got {self.bits!r}")
+        _check_counts(bits=self.bits)
 
 
 @dataclass(frozen=True)
@@ -129,8 +128,7 @@ def calibrate(adc_class: str, *, resolution_law: str = "exponential") -> PowerMo
     Least squares over the bundled table's rows of the selected ADC class, with
     b_tot derived from each row's b_sc.
     """
-    if adc_class not in ADC_CLASSES:
-        raise ValueError(f"unknown ADC class {adc_class!r}; expected one of {ADC_CLASSES}")
+    AdcModel(adc_class)  # refuses an unknown class
     r6 = resolution_factor(TABLE_BITS, resolution_law)
     architectures = default_architectures()
 

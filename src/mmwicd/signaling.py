@@ -13,7 +13,8 @@ power drawn at k * b_sc.
 
 from __future__ import annotations
 
-import math
+import contextlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,24 +45,27 @@ class FrameConfig:
     b_tot: float  # Hz, total system bandwidth (ADC sampling rate driver)
 
 
-def _check_b_sc(b_sc) -> None:
+def _b_sc_ok(b_sc) -> bool:
+    """The one bandwidth rule: a number (not a bool) or a numeric numpy array, each value
+    finite and > 0.  An int past float range is compared exactly, not converted."""
     if isinstance(b_sc, np.ndarray):
-        ok = b_sc.dtype.kind in "iuf" and bool(np.all(np.isfinite(b_sc) & (b_sc > 0)))
+        numeric = b_sc.dtype.kind in "iuf"
     else:
-        ok = not isinstance(b_sc, (bool, np.bool_)) and math.isfinite(b_sc) and b_sc > 0
-    if not ok:
-        raise ValueError(f"sub-carrier bandwidth must be a finite number > 0, got {b_sc!r}")
+        numeric = (isinstance(b_sc, (int, float, np.integer, np.floating))
+                   and not isinstance(b_sc, bool))
+    return numeric and bool(np.logical_and(b_sc > 0, b_sc <= sys.float_info.max).all())
 
 
 def _b_sc_array(b_sc) -> np.ndarray:
     """A sequence of sub-carrier bandwidths as a float64 array.
 
-    Booleans are refused rather than read as 1.0 and 0.0; frame_scaling
-    checks the values themselves.
+    Booleans and ints past float range are refused rather than read as 1.0,
+    0.0 or an OverflowError; frame_scaling checks the values themselves.
     """
-    if not {bool, np.bool_}.isdisjoint(map(type, b_sc)):
-        raise ValueError(f"sub-carrier bandwidths must be numbers, got {b_sc!r}")
-    return np.asarray(b_sc, dtype=np.float64)
+    if {bool, np.bool_}.isdisjoint(map(type, b_sc)):
+        with contextlib.suppress(OverflowError):
+            return np.asarray(b_sc, dtype=np.float64)
+    raise ValueError(f"sub-carrier bandwidths must be numbers a float holds, got {b_sc!r}")
 
 
 def frame_scaling(b_sc):
@@ -71,7 +75,8 @@ def frame_scaling(b_sc):
     grows linearly: b_tot = SUBCARRIERS_PER_RB * RBS_FOR_SYNC * b_sc / SYNC_BW_UTILIZATION.
     This is the only copy of both formulas.
     """
-    _check_b_sc(b_sc)
+    if not _b_sc_ok(b_sc):
+        raise ValueError(f"sub-carrier bandwidth must be a finite number > 0, got {b_sc!r}")
     return PSS_TIME_SCALE / b_sc, SUBCARRIERS_PER_RB * RBS_FOR_SYNC * b_sc / SYNC_BW_UTILIZATION
 
 

@@ -28,7 +28,7 @@ from .architectures import (
     Architecture,
     Scenario,
     SweepGeometry,
-    _check_count,
+    _check_counts,
     ci_cost,
     directional_scans,
 )
@@ -37,8 +37,6 @@ from .signaling import FrameConfig, _b_sc_array, frame_scaling
 SEQUENTIAL_BS_OUTER = "SequentialBsOuter"
 SEQUENTIAL_MS_OUTER = "SequentialMsOuter"
 SWEEP_ORDERS = (SEQUENTIAL_BS_OUTER, SEQUENTIAL_MS_OUTER)
-
-_ORDER_CODES = {SEQUENTIAL_BS_OUTER: 0, SEQUENTIAL_MS_OUTER: 1}
 
 # Most float64 discovery times verify_columns holds at once: a block is as
 # many b_sc rows of the grid as fit, and one row when a grid is bigger.
@@ -51,13 +49,9 @@ class SimResult:
     events_consumed: int  # PSS transmissions observed, aligning one included
 
 
-def _order_code(sweep_order: str) -> int:
-    try:
-        return _ORDER_CODES[sweep_order]
-    except KeyError:
-        raise ValueError(
-            f"unknown sweep order {sweep_order!r}; expected one of {SWEEP_ORDERS}"
-        ) from None
+def _check_order(sweep_order: str) -> None:
+    if sweep_order not in SWEEP_ORDERS:
+        raise ValueError(f"unknown sweep order {sweep_order!r}; expected one of {SWEEP_ORDERS}")
 
 
 def simulate(
@@ -81,8 +75,8 @@ def simulate(
     tb, tm = target
     if not (0 <= tb < geom.n_bs_directions and 0 <= tm < geom.n_ms_directions):
         raise ValueError(f"target {target} outside geometry {geom}")
-    order = _order_code(sweep_order)
-    _check_count("k", k)
+    _check_order(sweep_order)
+    _check_counts(k=k)
     n_bs, n_ms = geom.n_bs_directions, geom.n_ms_directions
     beams = arch.simultaneous_beams
     n_groups = -(-n_bs // k)
@@ -94,7 +88,7 @@ def simulate(
 
     consumed = 0
     for slot in range(slots_total):
-        if order == 0:
+        if sweep_order == SEQUENTIAL_BS_OUTER:
             group = slot % n_groups
             set_i = slot // n_groups
         else:
@@ -131,8 +125,8 @@ def discovery_slot_grid(
     group index.  Computed without walking the sweep; simulate is the
     slot-by-slot reference.  Shape (n_bs_directions, n_ms_directions).
     """
-    order = _order_code(sweep_order)
-    _check_count("k", k)
+    _check_order(sweep_order)
+    _check_counts(k=k)
     n_bs, n_ms = geom.n_bs_directions, geom.n_ms_directions
     # A group or set wider than its side already holds all of it: no slot moves.
     k, beams = min(k, n_bs), min(arch.simultaneous_beams, n_ms)
@@ -144,7 +138,7 @@ def discovery_slot_grid(
     else:
         n_sets = 1
         set_i = np.zeros((1, n_ms), dtype=np.int64)
-    if order == 0:
+    if sweep_order == SEQUENTIAL_BS_OUTER:
         return set_i * n_groups + group + 1
     return group * n_sets + set_i + 1
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from mmwicd import AdcModel, SweepGeometry, build_architecture, build_scenario, cli, power
 from mmwicd.cli import DEFAULT_CONFIG, config_fingerprint, main
 
-from conftest import read_csv, scalar_energy
+from conftest import TABULATED_B_SC, read_csv, scalar_energy
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 ARCH_ORDER = ("ABF", "DBF", "HBF", "PSN")
@@ -389,7 +389,19 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key} entry 2000") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
-        assert getattr(cli.resolve_config({key: [1023]}), key) == (1023,)
+        assert getattr(cli.resolve_config({key: [1023], "power_mode": "parametric"}),
+                       key) == (1023,)
+
+    @pytest.mark.parametrize("verb", sorted(cli.COMMANDS))
+    def test_lookup_takes_only_the_table_bits(self, tmp_path, capsys, verb):
+        # the table holds 6-bit measurements, so every verb refuses other bits under lookup
+        assert run([verb], tmp_path, ("--bits", "3")) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: bits must be [6] under lookup")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        assert run([verb], tmp_path, ("--bits", "3", "--power-mode", "parametric")) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("raw", [{"pss_base_b_sc_hz": 1e308}, {"k": [10**400]}],
                              ids=["base", "k-past-float-range"])
@@ -462,9 +474,11 @@ class TestConfigHandling:
         ({"out": 5}, "out"),
         ({"b_sc_hz": [10**400]}, "b_sc_hz"),
         ({"scenario_params": {"t_ci_s": 10**400, "p_ci_w": 0.1}}, "t_ci_s"),
+        ({"bits": [3]}, "bits"),
+        ({"b_sc_hz": [[15e3]]}, "b_sc_hz"),
     ], ids=["extra-geometry-key", "extra-architecture-key", "string-budget", "boolean-budget",
             "negative-budget-without-CID", "numeric-out", "b_sc-past-float-range",
-            "budget-past-float-range"])
+            "budget-past-float-range", "bits-off-the-table-under-lookup", "nested-b_sc-list"])
     def test_value_the_model_cannot_take_is_config_error(self, tmp_path, capsys, monkeypatch,
                                                          raw, key):
         # No --out flag, so "out" comes from the config; outputs would land in tmp_path
@@ -712,20 +726,27 @@ budget_floats = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, sys.float_info.ma
 
 @st.composite
 def cli_runs(draw):
-    """(verb, format, config): a small geometry and any finite, in-range values."""
+    """(verb, format, config): a small geometry and any finite, in-range values.
+
+    Under lookup, b_sc_hz comes from the table's spacings, whose misses exit 1
+    by design, and bits is [6] half the time; any other bits is refused.
+    """
     def small_ints(hi):
         return st.lists(st.one_of(st.integers(1, 12), st.integers(1, hi)), min_size=1, max_size=3)
 
+    lookup = draw(st.sampled_from(["lookup", "parametric"])) == "lookup"
     raw = {
-        "power_mode": "parametric",
+        "power_mode": "lookup" if lookup else "parametric",
         "geometry": {"n_bs_directions": draw(st.integers(1, 40)),
                      "n_ms_directions": draw(st.integers(1, 10))},
         "architecture_params": {"n_ms_antennas": draw(st.integers(1, 16)),
                                 "n_rf_chains": draw(st.integers(1, 16)),
                                 "n_combiners": draw(st.integers(1, 16))},
-        "b_sc_hz": draw(st.lists(positive_floats, min_size=1, max_size=3)),
+        "b_sc_hz": draw(st.lists(st.sampled_from(TABULATED_B_SC), min_size=1, max_size=3,
+                                 unique=True) if lookup
+                        else st.lists(positive_floats, min_size=1, max_size=3)),
         "pss_base_b_sc_hz": draw(positive_floats),
-        "bits": draw(small_ints(1100)),
+        "bits": draw(st.one_of(st.just([6]), small_ints(1100)) if lookup else small_ints(1100)),
         "convergence_bits": draw(small_ints(1100)),
         "k": draw(small_ints(80)),
         "scenario_params": {"t_ci_s": draw(budget_floats), "p_ci_w": draw(budget_floats)},

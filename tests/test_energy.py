@@ -122,8 +122,8 @@ class TestEnergyColumns:
                 )
 
     @pytest.mark.parametrize(
-        "bad", [[math.nan], [15e3, math.inf], [True], [15e3, np.bool_(True)]],
-        ids=["nan", "inf", "bool", "numpy-bool"],
+        "bad", [[math.nan], [15e3, math.inf], [True], [15e3, np.bool_(True)], [10**400]],
+        ids=["nan", "inf", "bool", "numpy-bool", "int-past-float-range"],
     )
     def test_rejects_bad_bandwidth(self, archs, scens, geom, bad):
         with pytest.raises(ValueError):

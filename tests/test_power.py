@@ -92,10 +92,11 @@ class TestCalibration:
         # frozen from an independent least-squares run over the bundled table
         hp = default_power_model("HPADC")
         lp = default_power_model("LPADC")
-        assert hp.c == pytest.approx(1.248091e-11, rel=1e-5)
-        assert lp.c == pytest.approx(4.936052e-13, rel=1e-5)
-        assert hp.base_power["DBF"] == pytest.approx(1.302799, rel=1e-5)
-        assert lp.base_power["ABF"] == pytest.approx(0.996723, rel=1e-5)
+        # abs=0: pytest's default abs=1e-12 would let either c through at 0
+        assert hp.c == pytest.approx(1.248091e-11, rel=1e-5, abs=0)
+        assert lp.c == pytest.approx(4.936052e-13, rel=1e-5, abs=0)
+        assert hp.base_power["DBF"] == pytest.approx(1.302799, rel=1e-5, abs=0)
+        assert lp.base_power["ABF"] == pytest.approx(0.996723, rel=1e-5, abs=0)
 
     def test_slope_against_two_point_estimate(self, archs):
         # independent slope estimate from the DBF end points of the table

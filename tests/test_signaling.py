@@ -52,7 +52,8 @@ class TestDeriveFrame:
         with pytest.raises(ValueError):
             derive_frame(bad)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, True], ids=["nan", "inf", "bool"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True, 10**400],
+                             ids=["nan", "inf", "bool", "int-past-float-range"])
     def test_rejects_non_finite_or_boolean_bandwidth(self, bad):
         with pytest.raises(ValueError):
             derive_frame(bad)

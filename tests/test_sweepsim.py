@@ -116,6 +116,14 @@ class TestSingleTargetSim:
         with pytest.raises(ValueError):
             simulate(archs["ABF"], scens["nCI"], geom, frame15, (0, 0), "Spiral")
 
+    def test_order_given_as_list_rejected(self, archs, scens, geom, frame15):
+        # a list is not one of the order names, even one that holds a name
+        order = ["SequentialBsOuter"]
+        with pytest.raises(ValueError, match="unknown sweep order"):
+            simulate(archs["ABF"], scens["nCI"], geom, frame15, (0, 0), order)
+        with pytest.raises(ValueError, match="unknown sweep order"):
+            discovery_slot_grid(archs["ABF"], scens["nCI"], geom, sweep_order=order)
+
     def test_determinism(self, archs, scens, geom, frame15):
         runs = [
             simulate(archs["PSN"], scens["nCI"], geom, frame15, (17, 6),
