@@ -54,7 +54,6 @@ from .sweepsim import (
     SEQUENTIAL_BS_OUTER,
     SEQUENTIAL_MS_OUTER,
     SWEEP_ORDERS,
-    SimResult,
     VerificationColumns,
     VerificationReport,
     discovery_slot_grid,
@@ -83,7 +82,6 @@ __all__ = [
     "PowerSample",
     "PowerTableError",
     "Scenario",
-    "SimResult",
     "StructureComparison",
     "SweepGeometry",
     "VerificationColumns",

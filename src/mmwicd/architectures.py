@@ -52,6 +52,9 @@ class Architecture:
 
     def __post_init__(self):
         _check_counts(n_adc=self.n_adc, simultaneous_beams=self.simultaneous_beams)
+        # Held as Python ints: numpy ones wrap at 2**63 in the models' products.
+        object.__setattr__(self, "n_adc", int(self.n_adc))
+        object.__setattr__(self, "simultaneous_beams", int(self.simultaneous_beams))
 
 
 def build_architecture(
@@ -81,7 +84,7 @@ def build_architecture(
     if name not in wiring:
         raise ValueError(f"unknown architecture {name!r}; expected one of {ARCHITECTURE_NAMES}")
     rf, beams = wiring[name]
-    return Architecture(name=name, n_adc=2 * rf, simultaneous_beams=beams)
+    return Architecture(name=name, n_adc=2 * int(rf), simultaneous_beams=beams)
 
 
 def default_architectures() -> dict[str, Architecture]:
@@ -137,6 +140,8 @@ class SweepGeometry:
 
     def __post_init__(self):
         _check_counts(n_bs_directions=self.n_bs_directions, n_ms_directions=self.n_ms_directions)
+        object.__setattr__(self, "n_bs_directions", int(self.n_bs_directions))  # as in Architecture
+        object.__setattr__(self, "n_ms_directions", int(self.n_ms_directions))
 
 
 def directional_scans(
@@ -152,9 +157,9 @@ def directional_scans(
     remain.  This is the only closed-form slot count.
     """
     _check_counts(k=k)
-    groups = -(-int(geom.n_bs_directions) // int(k))  # Python ints: numpy ones wrap at 2**63
+    groups = -(-geom.n_bs_directions // int(k))  # a Python int k: numpy ones wrap at 2**63
     if scenario.kind == "nCI":
-        return groups * -(-int(geom.n_ms_directions) // int(arch.simultaneous_beams))
+        return groups * -(-geom.n_ms_directions // arch.simultaneous_beams)
     return groups
 
 

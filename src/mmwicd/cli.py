@@ -450,7 +450,8 @@ def cmd_verify(cfg: RunConfig) -> tuple[list, int, str]:
     """Exhaustive simulation vs. the closed-form delay for every combination.
 
     One verify_columns call per (architecture, scenario, order) covers the
-    whole b_sc list; a combination passes when every order and b_sc does.
+    whole b_sc list with one slot-count verdict; a combination passes when
+    every order does.
     """
     header = ("architecture", "scenario", "sweep_order", "b_sc_hz", "n_targets",
               "min_s", "mean_s", "max_s", "analytic_s", "passed", "first_mismatch")
@@ -465,17 +466,18 @@ def cmd_verify(cfg: RunConfig) -> tuple[list, int, str]:
             labels += [(arch.name, scenario.kind, order) for order in cfg.sweep_orders]
             results += combo
             combos_total += 1
-            combos_passed += all(cols.passed.all() for cols in combo)
+            combos_passed += all(cols.passed for cols in combo)
     n_b_sc = len(cfg.b_sc)
-    # Rows run call-major, b_sc-minor.
+    # Rows run call-major, b_sc-minor; a call's one verdict repeats over its b_sc rows.
     columns = [
         *([v for v in column for _ in range(n_b_sc)] for column in zip(*labels)),
         cfg.b_sc * len(results),
         [cols.n_targets for cols in results for _ in range(n_b_sc)],
         *(np.concatenate([getattr(cols, field) for cols in results])
-          for field in ("min_time", "mean_time", "max_time", "analytic_delay", "passed")),
-        ["" if ok else "{}|{}".format(*cols.first_mismatch)
-         for cols in results for ok in cols.passed.tolist()],
+          for field in ("min_time", "mean_time", "max_time", "analytic_delay")),
+        [cols.passed for cols in results for _ in range(n_b_sc)],
+        ["" if cols.passed else "{}|{}".format(*cols.first_mismatch)
+         for cols in results for _ in range(n_b_sc)],
     ]
     return ([("verify", header, columns)], 0 if combos_passed == combos_total else 3,
             f"{combos_passed}/{combos_total} combinations pass")

@@ -1,10 +1,10 @@
 """Discrete-event simulation of the directional beam sweep.
 
-Independent oracle for the analytic delay formulas: the sweep is walked slot
-by slot and discovery time is whatever the walk produces, never the closed
-form.  Detection is decided at the end of a dwell, so discovery lands on slot
-boundaries; context acquisition, when paid, precedes the sweep.  The
-widened-sync layout is the same sweep with k BS directions per dwell.
+Independent oracle for the analytic delay formulas, in slots, the unit the
+sweep is exact in: the sweep is walked slot by slot and the discovery slot is
+whatever the walk produces, never the closed form.  Detection is decided at
+the end of a dwell, so discovery lands on slot boundaries.  The widened-sync
+layout is the same sweep with k BS directions per dwell.
 
 The all-targets enumeration (discovery_slot_grid) is one numpy broadcast that
 inverts the walk's slot -> (BS group, beam set) schedule: every pair is visited
@@ -12,9 +12,10 @@ exactly once per sweep, so a target's first-alignment slot follows from its own
 group and set.  The slot-by-slot walk (simulate) is the reference the grid is
 tested against.
 
-The grid does not depend on b_sc, so verify_columns checks a whole b_sc
-column of one (architecture, scenario, order) against the closed form in one
-pass over one grid; verify_against_analytic is its one-point case.
+verify_columns compares slots: the grid's slowest slot against the closed-form
+slot count, one integer comparison per call.  The grid does not depend on b_sc,
+so one pass over one grid gives a whole b_sc column of timings in seconds;
+verify_against_analytic is its one-point case.
 """
 
 from __future__ import annotations
@@ -43,12 +44,6 @@ SWEEP_ORDERS = (SEQUENTIAL_BS_OUTER, SEQUENTIAL_MS_OUTER)
 _BLOCK_VALUES = 2**20
 
 
-@dataclass(frozen=True)
-class SimResult:
-    discovery_time: float  # s
-    events_consumed: int  # PSS transmissions observed, aligning one included
-
-
 def _check_order(sweep_order: str) -> None:
     if sweep_order not in SWEEP_ORDERS:
         raise ValueError(f"unknown sweep order {sweep_order!r}; expected one of {SWEEP_ORDERS}")
@@ -58,19 +53,18 @@ def simulate(
     arch: Architecture,
     scenario: Scenario,
     geom: SweepGeometry,
-    frame: FrameConfig,
     target: tuple[int, int],
     sweep_order: str = SEQUENTIAL_BS_OUTER,
     *,
     k: int = 1,
-) -> SimResult:
-    """Walk the sweep slot by slot until the target aligns.
+) -> int:
+    """Walk the sweep slot by slot; return the 1-based slot in which the target aligns.
 
-    Each dwell of t_pss pairs a group of k BS directions (k > 1 is the
-    widened-sync layout) with one MS beam set.  SequentialBsOuter advances
-    the BS group every slot and the beam set once per full BS cycle;
-    SequentialMsOuter is the transpose.  CInD/CID pin the beam set to the one
-    containing the target's MS direction, so only the BS groups are swept.
+    Each dwell pairs a group of k BS directions (k > 1 is the widened-sync
+    layout) with one MS beam set.  SequentialBsOuter advances the BS group
+    every slot and the beam set once per full BS cycle; SequentialMsOuter is
+    the transpose.  CInD/CID pin the beam set to the one containing the
+    target's MS direction, so only the BS groups are swept.
     """
     tb, tm = target
     if not (0 <= tb < geom.n_bs_directions and 0 <= tm < geom.n_ms_directions):
@@ -84,9 +78,7 @@ def simulate(
     pinned = -1 if scenario.kind == "nCI" else tm // beams
     eff_sets = 1 if pinned >= 0 else n_sets
     slots_total = n_groups * eff_sets
-    t_ci = ci_cost(arch, scenario, geom)[0]
 
-    consumed = 0
     for slot in range(slots_total):
         if sweep_order == SEQUENTIAL_BS_OUTER:
             group = slot % n_groups
@@ -96,14 +88,10 @@ def simulate(
             group = slot // eff_sets
         if pinned >= 0:
             set_i = pinned
+        bs_group = range(group * k, min(group * k + k, n_bs))
         beam_set = range(set_i * beams, min(set_i * beams + beams, n_ms))
-        for bs_dir in range(group * k, min(group * k + k, n_bs)):
-            consumed += 1
-            if bs_dir == tb and tm in beam_set:
-                return SimResult(
-                    discovery_time=t_ci + (slot + 1) * frame.t_pss,
-                    events_consumed=consumed,
-                )
+        if tb in bs_group and tm in beam_set:
+            return slot + 1
     raise AssertionError(f"a full sweep of {slots_total} slots missed target {target}")
 
 
@@ -157,13 +145,13 @@ class VerificationReport:
 class VerificationColumns(NamedTuple):
     """VerificationReport's fields over a b_sc sequence; the timings as numpy arrays."""
 
-    n_targets: int  # the same at every b_sc
-    first_mismatch: tuple[int, int] | None  # worst target when some b_sc fails
+    n_targets: int  # the same at every b_sc, as are passed and first_mismatch
+    passed: bool
+    first_mismatch: tuple[int, int] | None  # worst target when the check fails
     min_time: np.ndarray  # s
     mean_time: np.ndarray  # s
     max_time: np.ndarray  # s
     analytic_delay: np.ndarray  # s
-    passed: np.ndarray  # bool
 
 
 def verify_columns(
@@ -174,17 +162,15 @@ def verify_columns(
     *,
     sweep_order: str = SEQUENTIAL_BS_OUTER,
 ) -> VerificationColumns:
-    """Enumerate every target once and compare the worst walk to the closed
-    form at every b_sc.
+    """Enumerate every target once; pass when the slowest discovery slot
+    equals the closed-form slot count (directional_scans).
 
-    Each value equals, bit for bit, the reduction of times = grid * t_pss +
+    Each timing equals, bit for bit, the reduction of times = grid * t_pss +
     t_ci at that b_sc.  min and max come from the integer grid's min and max,
     since x * t_pss + t_ci rounds monotonically in x for t_pss > 0.  The mean
     takes one float row per b_sc, in blocks of whole rows (numpy sums each
     row in the pairwise order of the 1-D array), at most _BLOCK_VALUES values
-    or one row when a row is bigger.  A b_sc passes only on exact equality
-    with total_delay (both sides are integer multiples of t_pss plus the
-    same lead time).
+    or one row when a row is bigger.
     """
     t_pss, _ = frame_scaling(_b_sc_array(b_sc))
     grid = discovery_slot_grid(arch, scenario, geom, sweep_order=sweep_order)
@@ -198,18 +184,16 @@ def verify_columns(
         block += t_ci
         mean_time[rows] = block.mean(axis=1)
         del block  # freed before the next block is allocated
-    max_time = grid.max() * t_pss + t_ci
-    analytic = directional_scans(arch, scenario, geom) * t_pss + t_ci
-    passed = max_time == analytic
+    worst, scans = int(grid.max()), directional_scans(arch, scenario, geom)
+    passed = worst == scans
     return VerificationColumns(
         n_targets=grid.size,
-        first_mismatch=(None if passed.all()
-                        else divmod(int(np.argmax(grid)), geom.n_ms_directions)),
+        passed=passed,
+        first_mismatch=None if passed else divmod(int(np.argmax(grid)), geom.n_ms_directions),
         min_time=grid.min() * t_pss + t_ci,
         mean_time=mean_time,
-        max_time=max_time,
-        analytic_delay=analytic,
-        passed=passed,
+        max_time=worst * t_pss + t_ci,
+        analytic_delay=scans * t_pss + t_ci,
     )
 
 
@@ -230,7 +214,7 @@ def verify_against_analytic(
         mean_time=columns.mean_time[0].item(),
         max_time=columns.max_time[0].item(),
         analytic_delay=columns.analytic_delay[0].item(),
-        passed=bool(columns.passed[0]),
+        passed=columns.passed,
         first_mismatch=columns.first_mismatch,
     )
 

@@ -9,6 +9,8 @@ from mmwicd import (
     SweepGeometry,
     build_architecture,
     build_scenario,
+    convergence_value,
+    default_power_model,
     derive_frame,
     directional_scans,
     discovery_slot_grid,
@@ -126,6 +128,19 @@ class TestDirectionalScans:
         wide = SweepGeometry(2**70, 4)
         assert directional_scans(archs["ABF"], scens["nCI"], wide, np.int64(2)) == 2**71
 
+    def test_numpy_counts_are_held_as_python_ints(self, scens):
+        # 2 * 2**62 converters and 2**41 scans * 2**41 converters are past int64
+        dbf = build_architecture("DBF", n_ms_antennas=np.int64(2**62))
+        assert dbf.n_adc == 2**63 and type(dbf.n_adc) is int
+        geom = SweepGeometry(np.int64(2**40), np.int64(2**41))
+        assert (type(geom.n_bs_directions), type(geom.n_ms_directions)) == (int, int)
+        model, adc = default_power_model("HPADC"), AdcModel("HPADC")
+        wide = convergence_value(build_architecture("HBF", n_rf_chains=np.int64(2**40)),
+                                 scens["nCI"], adc, geom, model)
+        assert wide == convergence_value(build_architecture("HBF", n_rf_chains=2**40),
+                                         scens["nCI"], adc, SweepGeometry(2**40, 2**41), model)
+        assert wide == pytest.approx(2.70e19, rel=1e-2)
+
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             SweepGeometry(n_bs_directions=0)
@@ -137,7 +152,7 @@ class TestKValidation:
         "directional_scans": lambda a, s, g, k: directional_scans(a, s, g, k),
         "total_delay": lambda a, s, g, k: total_delay(a, s, g, derive_frame(15e3), k),
         "discovery_slot_grid": lambda a, s, g, k: discovery_slot_grid(a, s, g, k=k),
-        "simulate": lambda a, s, g, k: simulate(a, s, g, derive_frame(15e3), (0, 0), k=k),
+        "simulate": lambda a, s, g, k: simulate(a, s, g, (0, 0), k=k),
         "worst_case_structure_delay":
             lambda a, s, g, k: worst_case_structure_delay(a, s, g, derive_frame(15e3), k=k),
         "energy_columns":

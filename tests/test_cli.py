@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmwicd import AdcModel, SweepGeometry, build_architecture, build_scenario, cli, power
+from mmwicd import (AdcModel, SweepGeometry, build_architecture, build_scenario, cli, power,
+                    sweepsim)
 from mmwicd.cli import DEFAULT_CONFIG, config_fingerprint, main
 
 from conftest import TABULATED_B_SC, read_csv, scalar_energy
@@ -226,8 +227,7 @@ class TestVerify:
         def broken(arch, scenario, geom, b_sc, *, sweep_order):
             columns = real(arch, scenario, geom, b_sc, sweep_order=sweep_order)
             if arch.name == "HBF" and scenario.kind == "nCI":
-                return columns._replace(passed=np.zeros_like(columns.passed),
-                                        first_mismatch=(1, 2))
+                return columns._replace(passed=False, first_mismatch=(1, 2))
             return columns
 
         monkeypatch.setattr(cli, "verify_columns", broken)
@@ -239,6 +239,19 @@ class TestVerify:
         assert {(r["architecture"], r["scenario"], r["first_mismatch"]) for r in failed} == {
             ("HBF", "nCI", "1|2")}
         assert all(r["first_mismatch"] == "" for r in rows if r["passed"] == "True")
+
+    @pytest.mark.parametrize("one_slot_long, code, summary",
+                             [(False, 0, "12/12"), (True, 3, "0/12")],
+                             ids=["closed-form", "closed-form-one-slot-long"])
+    def test_verdict_survives_a_huge_lead_time(self, tmp_path, capsys, monkeypatch,
+                                               one_slot_long, code, summary):
+        # 1e20 s of CI lead absorbs a one-slot gap in seconds, not in slots
+        if one_slot_long:
+            real = sweepsim.directional_scans
+            monkeypatch.setattr(sweepsim, "directional_scans", lambda *args: real(*args) + 1)
+        assert run_with_config("verify", tmp_path, {
+            "scenario_params": {"t_ci_s": 1e20, "p_ci_w": 0.1}}) == code
+        assert f"{summary} combinations pass" in capsys.readouterr().out
 
     def test_beams_that_do_not_divide_pass(self, tmp_path, capsys):
         # 3 and 5 beams divide neither 14 MS nor 60 BS directions

@@ -1,15 +1,20 @@
-"""Every module of the package reads every name it imports.
+"""Every module of the package reads every name it imports, and the package
+exports exactly what it imports.
 
 No linter runs on this tree, so an import left behind when its last use is
 deleted would go unnoticed.  Each module under src/mmwicd except __init__.py
 (which imports to re-export) is parsed here; an imported name must be read
 somewhere in its module, or the import line must carry `# noqa: F401`.
+__init__.py's `__all__` must name exactly the names it imports, plus
+`__version__`, so a deleted export leaves no dangling entry.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import mmwicd
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mmwicd"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -47,3 +52,11 @@ def test_a_leftover_import_is_caught():
     source = ("from typing import Iterable\nimport os.path\nimport sys  # noqa: F401\n"
               "from json import (\n    dumps,  # noqa: F401\n    loads,\n)\n\nos.getcwd()\n")
     assert unused_imports(source) == ["line 1: Iterable", "line 6: loads"]
+
+
+def test_all_names_exactly_the_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(mmwicd.__all__) == sorted([*imported, "__version__"])
+    assert [name for name in mmwicd.__all__ if not hasattr(mmwicd, name)] == []
