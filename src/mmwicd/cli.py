@@ -4,10 +4,12 @@ Verbs: tables | sweep | convergence | verify | pss.  Outputs are deterministic
 CSV (or JSON) files; every file embeds the tool version and a hash of the
 scientific configuration so results can be traced back to their inputs.
 Each verb returns its tables as columns; main checks every table, then writes
-them column by column, in the bytes csv.writer would write.  CSV renders each
-distinct float once per verb, keyed by its bit pattern, however many columns
-and files hold it.  A non-finite float is refused (exit 2), naming the file and
-column, before any file is written, so a verb that fails writes no file.
+them column by column, in the bytes csv.writer would write.  A column's dtype
+alone picks how CSV renders it: a float64 array each distinct float once per
+verb, keyed by its bit pattern, however many columns and files hold it; an
+integer or bool array each distinct value once; anything else str per cell.
+A non-finite float is refused (exit 2), naming the file and column, before any
+file is written, so a verb that fails writes no file.
 
 Config file keys override DEFAULT_CONFIG, and flags override both.  A list is
 non-empty with every entry valid and distinct, a choice one of its names, a
@@ -269,16 +271,23 @@ def _cells(column) -> list:
 
 def _check(fmt: str, name: str, header: tuple[str, ...], columns: list) -> None:
     """Refuse a table that cannot be written: columns of unequal length, a
-    non-finite float, or (CSV only) a title or cell that needs quoting."""
+    non-finite float, or (CSV only) a title or cell that needs quoting.
+
+    An integer or bool array is skipped, as it can hold neither; a float
+    array is tested as a whole, and any other column by its distinct cells.
+    """
     file = f"{name}.{fmt}"
     if len(columns) != len(header) or len(set(map(len, columns))) > 1:
         raise ValueError(f"{file}: {len(header)} titles for columns of lengths "
                          f"{[len(col) for col in columns]}")
     for title, column in zip(("titles", *header), (header, *columns)):
-        if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+        if kind in "iub":
+            continue
+        if kind == "f":
             bad, text = column[~np.isfinite(column)][:1].tolist(), ""
         else:
-            distinct = set(column)
+            distinct = set(_cells(column))
             bad = [v for v in distinct if isinstance(v, float) and not math.isfinite(v)]
             text = "".join(v for v in distinct if isinstance(v, str))
         if bad:
@@ -288,33 +297,45 @@ def _check(fmt: str, name: str, header: tuple[str, ...], columns: list) -> None:
             raise ValueError(f"{file}: column {title} holds a cell that needs CSV quoting")
 
 
-def _csv_columns(tables: list) -> list:
-    """Each table's columns for CSV, as csv.writer spells them: a column of
-    floats in repr (a numpy object array of str), any other column as a list
-    of values that str renders.
+def _distinct_text(column: np.ndarray) -> np.ndarray:
+    """str of each cell of a float64, integer or bool array, as an object array
+    of references to one string per distinct value; floats are keyed by bit
+    pattern, so 0.0 and -0.0 stay apart."""
+    keys, inverse = np.unique(column.view(np.int64) if column.dtype == np.float64 else column,
+                              return_inverse=True)
+    return np.array(list(map(str, keys.view(column.dtype).tolist())), dtype=object)[inverse]
 
-    The float columns of every table are keyed by bit pattern, so 0.0 and
-    -0.0 stay apart, and each distinct float is rendered once.  Every float
-    column is a view of one object array of references to those shared
-    strings, so a column's cells are only listed when its file is written.
+
+def _csv_columns(tables: list) -> list:
+    """Each table's columns for CSV, as csv.writer spells them (str, which
+    is repr for a float), chosen by dtype alone.
+
+    The float64 arrays of every table are rendered together, each distinct
+    float once (and an array shared by several columns once), as views of
+    one object array of references to the shared strings, so a column's
+    cells are only listed when its file is written.  An integer or bool
+    array renders each distinct value once.  Any other column passes
+    through when its cells are all str, else each cell is rendered by str
+    as its file is written.
     """
-    floats, staged, start = [], [], 0
+    floats, slices, staged, start = [], {}, [], 0
     for _, _, columns in tables:
         table = []
         for column in columns:
-            if not (isinstance(column, np.ndarray) and column.dtype == np.float64):
-                column = _cells(column)
-                if set(map(type, column)) == {float}:  # floats only: 1 == 1.0 == True as set members
-                    column = np.array(column, dtype=np.float64)
-            if isinstance(column, np.ndarray):
-                floats.append(column)
-                column = slice(start, start + len(column))
-                start = column.stop
+            dtype = column.dtype if isinstance(column, np.ndarray) else np.dtype(object)
+            if dtype == np.float64:
+                if id(column) not in slices:
+                    floats.append(column)
+                    slices[id(column)] = slice(start, start + len(column))
+                    start += len(column)
+                column = slices[id(column)]
+            elif dtype.kind in "iub":
+                column = _distinct_text(column)
+            elif not all(isinstance(v, str) for v in set(_cells(column))):
+                column = map(str, _cells(column))
             table.append(column)
         staged.append(table)
-    keys, inverse = np.unique(np.concatenate([np.empty(0), *floats]).view(np.int64),
-                              return_inverse=True)
-    text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)[inverse]
+    text = _distinct_text(np.concatenate([np.empty(0), *floats]))
     return [[text[c] if isinstance(c, slice) else c for c in table] for table in staged]
 
 
@@ -336,8 +357,7 @@ def _emit(cfg: RunConfig, tables: list) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             if cfg.fmt == "csv":
                 fh.write(f"# tool: mmwicd {__version__}\n# config: sha256:{cfg.fingerprint}\n")
-                cells = [c.tolist() if isinstance(c, np.ndarray) else map(str, c)
-                         for c in csv_columns[i]]
+                cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in csv_columns[i]]
                 # One write per 4096 lines, never the whole file in memory.
                 lines = map(",".join, chain([header], zip(*cells)))
                 while block := list(islice(lines, 4096)):
@@ -352,6 +372,13 @@ def _emit(cfg: RunConfig, tables: list) -> None:
 
 # ---------------------------------------------------------------------------
 # Commands
+
+
+def _repeated(values, times: int, dtype=object) -> np.ndarray:
+    """Each value times over, in order, as one array.  An object array unless
+    dtype says otherwise: a config integer such as bits may lie past int64,
+    where an inferred dtype would be float64 and a forced int64 would raise."""
+    return np.repeat(np.array(values, dtype=dtype), times)
 
 
 def cmd_tables(cfg: RunConfig) -> tuple[list, int, None]:
@@ -395,9 +422,10 @@ def cmd_tables(cfg: RunConfig) -> tuple[list, int, None]:
 def cmd_sweep(cfg: RunConfig) -> tuple[list, int, None]:
     """Energy over the b_sc grid: one file per (scenario, ADC class, bits)."""
     arch_names = tuple(a.name for a in cfg.architectures)
+    b_sc = np.array(cfg.b_sc)  # shared by every file
     tables = []
     labels = []  # (scenario, ADC class, bits) of each grid
-    fields = [[] for _ in EnergyColumns._fields]  # each grid's report values, per field
+    grids = []  # each grid's EnergyColumns, one per architecture
     for scenario in cfg.scenarios:
         for cls in cfg.adc_classes:
             model = (default_power_model(cls, cfg.resolution_law)
@@ -408,18 +436,17 @@ def cmd_sweep(cfg: RunConfig) -> tuple[list, int, None]:
                                            geom=cfg.geom, model=model)
                             for arch in cfg.architectures]
                 tables.append((f"sweep-{scenario.kind}-{cls}-{bits}b", ("b_sc_hz", *arch_names),
-                               [cfg.b_sc, *(cols.e_total for cols in per_arch)]))
+                               [b_sc, *(cols.e_total for cols in per_arch)]))
                 labels.append((scenario.kind, cls, bits))
-                # Report rows run b_sc-major, architecture-minor.
-                for acc, per_field in zip(fields, zip(*per_arch)):
-                    acc.append(np.column_stack(per_field).ravel())
-    rows_per_grid = len(cfg.b_sc) * len(arch_names)
-    label_columns = [[v for v in column for _ in range(rows_per_grid)] for column in zip(*labels)]
+                grids.append(per_arch)
+    # Report rows run grid-major, then b_sc, then architecture.
+    rows_per_grid = len(b_sc) * len(arch_names)
     tables.append(("sweep-report", CSV_COLUMNS, [
-        arch_names * (len(cfg.b_sc) * len(labels)),
-        *label_columns,
-        [b_sc for b_sc in cfg.b_sc for _ in arch_names] * len(labels),
-        *map(np.concatenate, fields),
+        np.tile(np.array(arch_names, dtype=object), len(b_sc) * len(grids)),
+        *(_repeated(column, rows_per_grid) for column in zip(*labels)),
+        np.tile(np.repeat(b_sc, len(arch_names)), len(grids)),
+        *(np.array([[getattr(cols, field) for cols in per_arch] for per_arch in grids])
+          .transpose(0, 2, 1).ravel() for field in EnergyColumns._fields),
     ]))
     return tables, 0, None
 
@@ -470,14 +497,14 @@ def cmd_verify(cfg: RunConfig) -> tuple[list, int, str]:
     n_b_sc = len(cfg.b_sc)
     # Rows run call-major, b_sc-minor; a call's one verdict repeats over its b_sc rows.
     columns = [
-        *([v for v in column for _ in range(n_b_sc)] for column in zip(*labels)),
-        cfg.b_sc * len(results),
-        [cols.n_targets for cols in results for _ in range(n_b_sc)],
+        *(_repeated(column, n_b_sc) for column in zip(*labels)),
+        np.tile(np.array(cfg.b_sc), len(results)),
+        _repeated([cols.n_targets for cols in results], n_b_sc),
         *(np.concatenate([getattr(cols, field) for cols in results])
           for field in ("min_time", "mean_time", "max_time", "analytic_delay")),
-        [cols.passed for cols in results for _ in range(n_b_sc)],
-        ["" if cols.passed else "{}|{}".format(*cols.first_mismatch)
-         for cols in results for _ in range(n_b_sc)],
+        _repeated([cols.passed for cols in results], n_b_sc, bool),
+        _repeated(["" if cols.passed else "{}|{}".format(*cols.first_mismatch)
+                   for cols in results], n_b_sc),
     ]
     return ([("verify", header, columns)], 0 if combos_passed == combos_total else 3,
             f"{combos_passed}/{combos_total} combinations pass")

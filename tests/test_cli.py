@@ -150,6 +150,41 @@ class TestSweep:
                                  for name, values in zip(ARCH_ORDER, per_arch)]
         assert rows("sweep-report") == expected
 
+    # bits past int64, valid under the linear law, and the sha256 of the report
+    # each list writes.  numpy reads [1, 2**63] as float64 and [1, 2**63, 10**29]
+    # as object, and cannot hold 10**29 as int64.
+    BIG_BITS = {
+        "past-int64": ([1, 2**63], {
+            "csv": "860a7b9fc1127882c0d06cb7cb01c6f245ae4cd42c390cd0be3634cd635ac7b0",
+            "json": "46896f5f2da08f0258c152d6287f8765433afc896e84b2e592d5d06385e10cc6"}),
+        "past-uint64": ([1, 2**63, 10**29], {
+            "csv": "921774becbf172d92b4da4302b398e1bdc6f706881a75148cece89f8c7529ac3",
+            "json": "a4180fe76c76fbeae12f13c606d6d280360f20af95db757c6551243ef273eba2"}),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", sorted(BIG_BITS))
+    def test_bits_past_int64_written_exactly(self, tmp_path, case, fmt):
+        bits, digests = self.BIG_BITS[case]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "power_mode": "parametric", "resolution_law": "linear", "bits": bits,
+            "scenarios": ["nCI"], "adc_classes": ["HPADC"], "architectures": ["ABF", "PSN"],
+            "b_sc_hz": [15e3, 1e6],
+        }))
+        assert run(["sweep"], tmp_path, ("--config", str(config), "--format", fmt)) == 0
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [f"sweep-nCI-HPADC-{b}b.{fmt}" for b in bits] + [f"sweep-report.{fmt}"])
+        report = out / f"sweep-report.{fmt}"
+        if fmt == "csv":
+            written = [row["bits"] for row in read_csv(report)]
+        else:
+            written = [row["bits"] for row in json.loads(report.read_text())["rows"]]
+        # 2 b_sc x 2 architectures per grid
+        assert written == [str(b) if fmt == "csv" else b for b in bits for _ in range(4)]
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digests[fmt]
+
     def test_lookup_mode_outside_table_is_runtime_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"b_sc_hz": [123e3]}))
@@ -609,6 +644,7 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348
                *REPR_SWITCHES,
                *(math.nextafter(x, to) for x in REPR_SWITCHES for to in (0.0, math.inf))]
 floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+SHARED_FLOATS = np.array([1.5, 0.0, 5e-324])
 plain_text = st.text(alphabet="abcXYZ019_|.+- ", max_size=4)
 
 
@@ -634,8 +670,9 @@ def tables(draw):
 def table_sets(draw):
     """2-4 (name, header, columns) tables whose float cells come from one shared
     pool, or (half of the draws) from EDGE_FLOATS: Python lists and float64
-    arrays, int64 and bool arrays, and columns of floats mixed with ints, bools
-    and text."""
+    arrays, int64, uint64 and bool arrays, text as object and 'U' arrays,
+    columns of floats mixed with ints, bools and text, and object arrays of
+    floats mixed with bools and ints past int64."""
     pool = draw(st.lists(floats, min_size=1, max_size=6))
     pooled = st.one_of(st.sampled_from(pool), st.sampled_from(EDGE_FLOATS))
     result = []
@@ -644,19 +681,29 @@ def table_sets(draw):
         header = tuple(draw(st.lists(plain_text, min_size=2, max_size=4)))
         columns = []
         for _ in header:
-            kind = draw(st.sampled_from(["list", "array", "int64", "bool", "mixed"]))
+            kind = draw(st.sampled_from(["list", "array", "int64", "uint64", "bool", "mixed",
+                                         "text-object", "text-U", "big-object"]))
             if kind == "int64":
                 cells = st.integers(-2**63, 2**63 - 1)
+            elif kind == "uint64":
+                cells = st.integers(0, 2**64 - 1)
             elif kind == "bool":
                 cells = st.booleans()
             elif kind == "mixed":
                 cells = st.one_of(pooled, st.integers(), st.booleans(), plain_text)
+            elif kind.startswith("text"):
+                cells = plain_text
+            elif kind == "big-object":
+                past_int64 = st.one_of(st.integers(2**63, 2**200), st.integers(-2**200, -2**63 - 1))
+                cells = st.one_of(pooled, st.booleans(), past_int64)
             else:
                 cells = pooled
             column = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
-            if kind in ("array", "int64", "bool"):
-                column = np.array(column, dtype={"array": np.float64, "int64": np.int64,
-                                                 "bool": np.bool_}[kind])
+            dtype = {"array": np.float64, "int64": np.int64, "uint64": np.uint64,
+                     "bool": np.bool_, "text-object": object, "text-U": np.str_,
+                     "big-object": object}.get(kind)
+            if dtype is not None:
+                column = np.array(column, dtype=dtype)
             columns.append(column)
         result.append((f"table{i}", header, columns))
     return result
@@ -697,6 +744,9 @@ class TestColumnWriter:
 
     @example(table_list=[("table0", ("a", "b"), [[0.0, -0.0], np.array([-0.0, 1.5])]),
                          ("table1", ("c", "d"), [np.array([1.5, 0.0]), [True, 0.0]])])
+    # one float64 array object in several columns and tables
+    @example(table_list=[("table0", ("a", "b"), [SHARED_FLOATS, SHARED_FLOATS]),
+                         ("table1", ("c", "d"), [np.array([-0.0, 2.5, 1.5]), SHARED_FLOATS])])
     @given(table_list=table_sets())
     @settings(max_examples=300, deadline=None)
     def test_tables_sharing_floats_match_csv_writer(self, configs, table_list):
@@ -708,16 +758,21 @@ class TestColumnWriter:
 
     @pytest.mark.parametrize("cell", [",", '"', "\r", "\n", "a,b", 'say "x"'])
     def test_cell_needing_quotes_raises(self, configs, cell):
-        with pytest.raises(ValueError, match="quot"):
-            cli._emit(configs["csv"], [("quoted", ("a", "b"), [[1.0, 2.0], ["x", cell]])])
+        for column in (["x", cell], np.array(["x", cell], dtype=object), np.array(["x", cell])):
+            with pytest.raises(ValueError, match="quoted.csv: column b holds a cell that needs "
+                                                 "CSV quoting"):
+                cli._emit(configs["csv"], [("quoted", ("a", "b"), [[1.0, 2.0], column])])
         with pytest.raises(ValueError, match="quot"):
             cli._emit(configs["csv"], [("quoted", ("a", cell), [[1.0], ["x"]])])
+        assert not (configs["csv"].out_dir / "quoted.csv").exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_float_raises(self, configs, fmt, bad):
-        with pytest.raises(cli.ConfigError, match=f"refusing to write refused.{fmt}: column b"):
-            cli._emit(configs[fmt], [("refused", ("a", "b"), [[1, 2], np.array([0.5, bad])])])
+        for column in (np.array([0.5, bad]), np.array([0.5, bad], dtype=object)):
+            with pytest.raises(cli.ConfigError,
+                               match=f"refusing to write refused.{fmt}: column b holds"):
+                cli._emit(configs[fmt], [("refused", ("a", "b"), [[1, 2], column])])
         assert not (configs[fmt].out_dir / f"refused.{fmt}").exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
