@@ -55,7 +55,6 @@ from .sweepsim import (
     SEQUENTIAL_MS_OUTER,
     SWEEP_ORDERS,
     VerificationColumns,
-    VerificationReport,
     discovery_slot_grid,
     simulate,
     verify_against_analytic,
@@ -85,7 +84,6 @@ __all__ = [
     "StructureComparison",
     "SweepGeometry",
     "VerificationColumns",
-    "VerificationReport",
     "build_architecture",
     "build_scenario",
     "calibrate",

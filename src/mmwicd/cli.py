@@ -3,13 +3,14 @@
 Verbs: tables | sweep | convergence | verify | pss.  Outputs are deterministic
 CSV (or JSON) files; every file embeds the tool version and a hash of the
 scientific configuration so results can be traced back to their inputs.
-Each verb returns its tables as columns; main checks every table, then writes
-them column by column, in the bytes csv.writer would write.  A column's dtype
-alone picks how CSV renders it: a float64 array each distinct float once per
-verb, keyed by its bit pattern, however many columns and files hold it; an
-integer or bool array each distinct value once; anything else str per cell.
-A non-finite float is refused (exit 2), naming the file and column, before any
-file is written, so a verb that fails writes no file.
+Each verb returns its tables as columns; main reads each column once, by its
+dtype, both to check it and to pick how CSV renders it, then writes every
+table column by column, in the bytes csv.writer would write.  A float64 array
+renders each distinct float once per verb, keyed by its bit pattern, however
+many columns and files hold it; an integer or bool array each distinct value
+once; anything else str per cell.  A non-finite float is refused (exit 2),
+naming the file and column, before any file is written, so a verb that fails
+writes no file.
 
 Config file keys override DEFAULT_CONFIG, and flags override both.  A list is
 non-empty with every entry valid and distinct, a choice one of its names, a
@@ -81,7 +82,7 @@ POWER_MODES = ("lookup", "parametric")
 # and pss the int64 alone.
 MAX_TARGETS = 2**24
 
-# Characters that make csv.writer quote a cell; _check refuses such a cell.
+# Characters that make csv.writer quote a cell; _prepare refuses such a cell.
 _QUOTED_CHARS = frozenset(',"\r\n')
 
 # Scientific defaults; "out" and "format" are presentation-only and excluded
@@ -264,37 +265,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 # Output helpers
 
 
-def _cells(column) -> list:
+def _cells(column):
     """A column as plain Python values (json cannot encode numpy numbers)."""
-    return column.tolist() if isinstance(column, np.ndarray) else list(column)
-
-
-def _check(fmt: str, name: str, header: tuple[str, ...], columns: list) -> None:
-    """Refuse a table that cannot be written: columns of unequal length, a
-    non-finite float, or (CSV only) a title or cell that needs quoting.
-
-    An integer or bool array is skipped, as it can hold neither; a float
-    array is tested as a whole, and any other column by its distinct cells.
-    """
-    file = f"{name}.{fmt}"
-    if len(columns) != len(header) or len(set(map(len, columns))) > 1:
-        raise ValueError(f"{file}: {len(header)} titles for columns of lengths "
-                         f"{[len(col) for col in columns]}")
-    for title, column in zip(("titles", *header), (header, *columns)):
-        kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
-        if kind in "iub":
-            continue
-        if kind == "f":
-            bad, text = column[~np.isfinite(column)][:1].tolist(), ""
-        else:
-            distinct = set(_cells(column))
-            bad = [v for v in distinct if isinstance(v, float) and not math.isfinite(v)]
-            text = "".join(v for v in distinct if isinstance(v, str))
-        if bad:
-            raise ConfigError(f"refusing to write {file}: column {title} holds {bad[0]}; "
-                              "the config drives it out of float range")
-        if fmt == "csv" and not _QUOTED_CHARS.isdisjoint(text):
-            raise ValueError(f"{file}: column {title} holds a cell that needs CSV quoting")
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 def _distinct_text(column: np.ndarray) -> np.ndarray:
@@ -306,64 +279,82 @@ def _distinct_text(column: np.ndarray) -> np.ndarray:
     return np.array(list(map(str, keys.view(column.dtype).tolist())), dtype=object)[inverse]
 
 
-def _csv_columns(tables: list) -> list:
-    """Each table's columns for CSV, as csv.writer spells them (str, which
-    is repr for a float), chosen by dtype alone.
+def _prepare(fmt: str, tables: list) -> list:
+    """Refuse a table that cannot be written, else return each table's columns
+    as its file writes them; under CSV, as csv.writer spells them (str, which
+    is repr for a float).
 
-    The float64 arrays of every table are rendered together, each distinct
-    float once (and an array shared by several columns once), as views of
-    one object array of references to the shared strings, so a column's
-    cells are only listed when its file is written.  An integer or bool
-    array renders each distinct value once.  Any other column passes
-    through when its cells are all str, else each cell is rendered by str
-    as its file is written.
+    Refused, table by table: columns of unequal length, then, for the titles
+    and each column in turn, a non-finite float or (CSV only) a cell that
+    needs quoting.  Each column is read once, by its dtype.  An integer or
+    bool array holds neither, and renders each distinct value once.  A
+    float64 array is tested as a whole; those of every table render
+    together, each distinct float once (and an array shared by several
+    columns once), as views of one object array of references to the shared
+    strings.  Any other column is listed and its distinct cells hashed once,
+    to test them; it passes through as it came when they are all str, else
+    that list's cells are rendered by str as its file is written.
     """
-    floats, slices, staged, start = [], {}, [], 0
-    for _, _, columns in tables:
+    floats, slices, start, prepared = [], {}, 0, []
+    for name, header, columns in tables:
+        file = f"{name}.{fmt}"
+        if len(columns) != len(header) or len(set(map(len, columns))) > 1:
+            raise ValueError(f"{file}: {len(header)} titles for columns of lengths "
+                             f"{[len(col) for col in columns]}")
         table = []
-        for column in columns:
+        for title, column in zip(("titles", *header), (header, *columns)):
             dtype = column.dtype if isinstance(column, np.ndarray) else np.dtype(object)
+            bad, distinct = [], ()
             if dtype == np.float64:
-                if id(column) not in slices:
-                    floats.append(column)
-                    slices[id(column)] = slice(start, start + len(column))
-                    start += len(column)
-                column = slices[id(column)]
-            elif dtype.kind in "iub":
-                column = _distinct_text(column)
-            elif not all(isinstance(v, str) for v in set(_cells(column))):
-                column = map(str, _cells(column))
+                bad = column[~np.isfinite(column)][:1].tolist()
+            elif dtype.kind not in "iub":
+                cells = _cells(column)
+                distinct = set(cells)
+                bad = [v for v in distinct if isinstance(v, float) and not math.isfinite(v)]
+            if bad:
+                raise ConfigError(f"refusing to write {file}: column {title} holds {bad[0]}; "
+                                  "the config drives it out of float range")
+            if fmt == "csv":
+                if not _QUOTED_CHARS.isdisjoint("".join(v for v in distinct if isinstance(v, str))):
+                    raise ValueError(f"{file}: column {title} holds a cell that needs CSV quoting")
+                if dtype == np.float64:
+                    if id(column) not in slices:
+                        floats.append(column)
+                        slices[id(column)] = slice(start, start + len(column))
+                        start += len(column)
+                    column = slices[id(column)]
+                elif dtype.kind in "iub":
+                    column = _distinct_text(column)
+                elif not all(isinstance(v, str) for v in distinct):
+                    column = map(str, cells)
             table.append(column)
-        staged.append(table)
+        prepared.append(table[1:])  # the titles were checked, and are written as given
     text = _distinct_text(np.concatenate([np.empty(0), *floats]))
-    return [[text[c] if isinstance(c, slice) else c for c in table] for table in staged]
+    return [[text[c] if isinstance(c, slice) else c for c in table] for table in prepared]
 
 
 def _emit(cfg: RunConfig, tables: list) -> None:
-    """Check every table, each given as (name, header, one list or numpy array
-    per header column), then write them all.
+    """Check and prepare every table, each given as (name, header, one list or
+    numpy array per header column), in one pass (_prepare), then write them all.
 
     CSV lines are joined column by column (csv.writer's bytes, CRLF line ends,
     no quoting; every table has two or more columns, so no line is one empty
     cell that csv.writer would quote); JSON zips the columns back into one
-    object per row.  A table refused by _check leaves every file unwritten.
+    object per row.  A table refused by _prepare leaves every file unwritten.
     """
-    for table in tables:
-        _check(cfg.fmt, *table)
-    csv_columns = _csv_columns(tables) if cfg.fmt == "csv" else None
+    prepared = _prepare(cfg.fmt, tables)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    for i, (name, header, columns) in enumerate(tables):
+    for (name, header, _), columns in zip(tables, prepared):
         path = cfg.out_dir / f"{name}.{cfg.fmt}"
+        rows = zip(*map(_cells, columns))
         with open(path, "w", newline="", encoding="utf-8") as fh:
             if cfg.fmt == "csv":
                 fh.write(f"# tool: mmwicd {__version__}\n# config: sha256:{cfg.fingerprint}\n")
-                cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in csv_columns[i]]
                 # One write per 4096 lines, never the whole file in memory.
-                lines = map(",".join, chain([header], zip(*cells)))
+                lines = map(",".join, chain([header], rows))
                 while block := list(islice(lines, 4096)):
                     fh.write("\r\n".join(block) + "\r\n")
             else:
-                rows = zip(*map(_cells, columns))
                 json.dump({"tool": f"mmwicd {__version__}", "config_sha256": cfg.fingerprint,
                            "rows": [dict(zip(header, row)) for row in rows]}, fh, indent=2)
                 fh.write("\n")
@@ -539,12 +530,13 @@ def cmd_pss(cfg: RunConfig) -> tuple[list, int, None]:
     return [("pss", columns, list(zip(*rows)))], 0, None
 
 
+# Each verb's function and its --help text.
 COMMANDS = {
-    "tables": cmd_tables,
-    "sweep": cmd_sweep,
-    "convergence": cmd_convergence,
-    "verify": cmd_verify,
-    "pss": cmd_pss,
+    "tables": (cmd_tables, "frame timing, scan counts, and power tables"),
+    "sweep": (cmd_sweep, "energy over the b_sc grid per scenario/ADC class"),
+    "convergence": (cmd_convergence, "large-bandwidth energy limit vs. ADC resolution"),
+    "verify": (cmd_verify, "exhaustive simulation oracle vs. analytic delays"),
+    "pss": (cmd_pss, "widened-sync slot layout delay/energy vs. k"),
 }
 
 
@@ -556,14 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mmwicd {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    help_by_command = {
-        "tables": "frame timing, scan counts, and power tables",
-        "sweep": "energy over the b_sc grid per scenario/ADC class",
-        "convergence": "large-bandwidth energy limit vs. ADC resolution",
-        "verify": "exhaustive simulation oracle vs. analytic delays",
-        "pss": "widened-sync slot layout delay/energy vs. k",
-    }
-    for name, text in help_by_command.items():
+    for name, (_, text) in COMMANDS.items():
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", metavar="PATH", default=None,
                          help="JSON config; keys override the built-in defaults")
@@ -583,10 +568,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        # A finite config can still overflow numpy arithmetic; _check refuses
+        # A finite config can still overflow numpy arithmetic; _prepare refuses
         # the non-finite result, so numpy's own warning would only be noise.
         with np.errstate(over="ignore", invalid="ignore"):
-            tables, status, summary = COMMANDS[args.command](cfg)
+            tables, status, summary = COMMANDS[args.command][0](cfg)
         _emit(cfg, tables)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

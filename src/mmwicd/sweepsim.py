@@ -15,12 +15,11 @@ tested against.
 verify_columns compares slots: the grid's slowest slot against the closed-form
 slot count, one integer comparison per call.  The grid does not depend on b_sc,
 so one pass over one grid gives a whole b_sc column of timings in seconds;
-verify_against_analytic is its one-point case.
+verify_against_analytic returns the same VerificationColumns at one b_sc.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -131,19 +130,8 @@ def discovery_slot_grid(
     return group * n_sets + set_i + 1
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    n_targets: int
-    min_time: float  # s
-    mean_time: float  # s
-    max_time: float  # s
-    analytic_delay: float  # s
-    passed: bool
-    first_mismatch: tuple[int, int] | None  # worst target when the check fails
-
-
 class VerificationColumns(NamedTuple):
-    """VerificationReport's fields over a b_sc sequence; the timings as numpy arrays."""
+    """The oracle's verdict over a b_sc sequence; the timings as numpy arrays."""
 
     n_targets: int  # the same at every b_sc, as are passed and first_mismatch
     passed: bool
@@ -204,19 +192,9 @@ def verify_against_analytic(
     frame: FrameConfig,
     *,
     sweep_order: str = SEQUENTIAL_BS_OUTER,
-) -> VerificationReport:
-    """Enumerate every target and compare the worst walk to the closed form
-    (verify_columns at frame.b_sc)."""
-    columns = verify_columns(arch, scenario, geom, [frame.b_sc], sweep_order=sweep_order)
-    return VerificationReport(
-        n_targets=columns.n_targets,
-        min_time=columns.min_time[0].item(),
-        mean_time=columns.mean_time[0].item(),
-        max_time=columns.max_time[0].item(),
-        analytic_delay=columns.analytic_delay[0].item(),
-        passed=columns.passed,
-        first_mismatch=columns.first_mismatch,
-    )
+) -> VerificationColumns:
+    """verify_columns at frame.b_sc alone: its timings are arrays of length 1."""
+    return verify_columns(arch, scenario, geom, [frame.b_sc], sweep_order=sweep_order)
 
 
 def worst_case_structure_delay(

@@ -332,6 +332,14 @@ class TestPss:
 
 
 class TestConfigHandling:
+    def test_help_lists_every_verb_with_its_text(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        listing = " ".join(capsys.readouterr().out.split())  # whatever argparse wraps
+        for verb, (_, text) in cli.COMMANDS.items():
+            assert text and f" {verb} {text} " in f"{listing} ", verb
+
     def test_empty_grid_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"b_sc_hz": []}))
@@ -774,6 +782,22 @@ class TestColumnWriter:
                                match=f"refusing to write refused.{fmt}: column b holds"):
                 cli._emit(configs[fmt], [("refused", ("a", "b"), [[1, 2], column])])
         assert not (configs[fmt].out_dir / f"refused.{fmt}").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("cells", [["x", "y"], [1, 2]], ids=["str", "int"])
+    def test_column_is_iterated_once_to_check_and_once_to_write(self, configs, fmt, cells):
+        class CountingList(list):
+            iterations = 0
+
+            def __iter__(self):
+                self.iterations += 1
+                return super().__iter__()
+
+        column = CountingList(cells)
+        cli._emit(configs[fmt], [("counted", ("a", "b"), [[1.0, 2.0], column])])
+        assert column.iterations <= 2
+        path = configs[fmt].out_dir / f"counted.{fmt}"
+        assert path.read_bytes() == self.expected(configs[fmt], ("a", "b"), [[1.0, 2.0], cells])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_refused_table_leaves_every_table_unwritten(self, tmp_path, fmt):

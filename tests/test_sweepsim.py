@@ -12,6 +12,7 @@ from mmwicd import (
     SEQUENTIAL_MS_OUTER,
     SWEEP_ORDERS,
     SweepGeometry,
+    VerificationColumns,
     build_architecture,
     build_scenario,
     ci_cost,
@@ -309,6 +310,14 @@ class TestVerifyColumns:
             report = verify_against_analytic(arch, scenario, geom, frame, sweep_order=order)
             assert (report.min_time, report.mean_time, report.max_time,
                     report.analytic_delay, report.n_targets) == (*row, n_bs * n_ms)
+            # the one-point call returns verify_columns' own record at that b_sc
+            assert isinstance(report, VerificationColumns)
+            single = verify_columns(arch, scenario, geom, [b], sweep_order=order)
+            for field, got, want in zip(VerificationColumns._fields, report, single):
+                if isinstance(want, np.ndarray):
+                    assert np.array_equal(got, want), field
+                else:
+                    assert got == want, field
 
     def test_mismatch_names_the_worst_target(self, archs, scens, geom, monkeypatch):
         # a closed form one slot too long fails, at the target seen last
