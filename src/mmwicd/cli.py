@@ -66,7 +66,7 @@ from .power import (
     parametric_power,
     resolution_factor,
 )
-from .signaling import _b_sc_ok, derive_frame
+from .signaling import _b_sc_ok, derive_frame, frame_scaling
 from .sweepsim import (
     SWEEP_ORDERS,
     verify_columns,
@@ -289,13 +289,13 @@ def _prepare(fmt: str, tables: list) -> list:
     needs quoting.  Each column is read once, by its dtype.  An integer or
     bool array holds neither, and renders each distinct value once.  A
     float64 array is tested as a whole; those of every table render
-    together, each distinct float once (and an array shared by several
-    columns once), as views of one object array of references to the shared
-    strings.  Any other column is listed and its distinct cells hashed once,
-    to test them; it passes through as it came when they are all str, else
-    that list's cells are rendered by str as its file is written.
+    together, each distinct float once, as views of one object array of
+    references to the shared strings.  Any other column is listed and its
+    distinct cells hashed once, to test them; it passes through as it came
+    when they are all str, else that list's cells are rendered by str as its
+    file is written.
     """
-    floats, slices, start, prepared = [], {}, 0, []
+    floats, start, prepared = [], 0, []
     for name, header, columns in tables:
         file = f"{name}.{fmt}"
         if len(columns) != len(header) or len(set(map(len, columns))) > 1:
@@ -318,11 +318,9 @@ def _prepare(fmt: str, tables: list) -> list:
                 if not _QUOTED_CHARS.isdisjoint("".join(v for v in distinct if isinstance(v, str))):
                     raise ValueError(f"{file}: column {title} holds a cell that needs CSV quoting")
                 if dtype == np.float64:
-                    if id(column) not in slices:
-                        floats.append(column)
-                        slices[id(column)] = slice(start, start + len(column))
-                        start += len(column)
-                    column = slices[id(column)]
+                    floats.append(column)
+                    start += len(column)
+                    column = slice(start - len(column), start)
                 elif dtype.kind in "iub":
                     column = _distinct_text(column)
                 elif not all(isinstance(v, str) for v in distinct):
@@ -365,20 +363,19 @@ def _emit(cfg: RunConfig, tables: list) -> None:
 # Commands
 
 
-def _repeated(values, times: int, dtype=object) -> np.ndarray:
-    """Each value times over, in order, as one array.  An object array unless
-    dtype says otherwise: a config integer such as bits may lie past int64,
-    where an inferred dtype would be float64 and a forced int64 would raise."""
-    return np.repeat(np.array(values, dtype=dtype), times)
+def _repeated(values, times: int) -> np.ndarray:
+    """Each value times over, in order, as one object array: a config integer
+    such as bits may lie past int64, where an inferred dtype would be float64
+    and a forced int64 would raise."""
+    return np.repeat(np.array(values, dtype=object), times)
 
 
 def cmd_tables(cfg: RunConfig) -> tuple[list, int, None]:
     """Frame timing, scan counts, and the measured/modeled power tables."""
-    rows_i = []
-    for b_sc in cfg.b_sc:
-        frame = derive_frame(b_sc)
-        rows_i.append((b_sc, frame.t_pss, frame.b_tot, f"{frame.b_tot / 1e6:.1f}"))
-    tables = [("tables-i", ("b_sc_hz", "t_pss_s", "b_tot_hz", "b_tot_mhz"), list(zip(*rows_i)))]
+    b_sc = np.array(cfg.b_sc)
+    t_pss, b_tot = frame_scaling(b_sc)
+    tables = [("tables-i", ("b_sc_hz", "t_pss_s", "b_tot_hz", "b_tot_mhz"),
+               [b_sc, t_pss, b_tot, [f"{v / 1e6:.1f}" for v in b_tot.tolist()]])]
 
     rows_ii = []
     for arch in cfg.architectures:
@@ -393,20 +390,15 @@ def cmd_tables(cfg: RunConfig) -> tuple[list, int, None]:
         if cls not in cfg.adc_classes:
             continue
         samples = [s for s in table if s.adc_class == cls]
-        if cfg.power_mode == "lookup":
-            columns = ("architecture", "adc_class", "b_sc_hz", "power_w")
-            rows = [(s.architecture, s.adc_class, s.b_sc, s.power) for s in samples]
-        else:
+        header = ("architecture", "adc_class", "b_sc_hz", "power_w")
+        columns = list(zip(*((s.architecture, s.adc_class, s.b_sc, s.power) for s in samples)))
+        if cfg.power_mode == "parametric":
             model = default_power_model(cls, cfg.resolution_law)
-            columns = ("architecture", "adc_class", "b_sc_hz", "power_w",
-                       "model_power_w", "rel_residual")
-            rows = []
-            for s in samples:
-                arch = build_architecture(s.architecture)
-                modeled = parametric_power(model, arch, AdcModel(cls), s.b_sc)
-                rows.append((s.architecture, s.adc_class, s.b_sc, s.power,
-                             modeled, (modeled - s.power) / s.power))
-        tables.append((file_name, columns, list(zip(*rows))))
+            modeled = [parametric_power(model, build_architecture(s.architecture), AdcModel(cls),
+                                        s.b_sc) for s in samples]
+            header += ("model_power_w", "rel_residual")
+            columns += [modeled, [(m - s.power) / s.power for m, s in zip(modeled, samples)]]
+        tables.append((file_name, header, columns))
     return tables, 0, None
 
 
@@ -453,14 +445,12 @@ def cmd_convergence(cfg: RunConfig) -> tuple[list, int, None]:
     tables = []
     for cls in cfg.adc_classes:
         model = default_power_model(cls, cfg.resolution_law)
-        rows = []
-        for bits in cfg.convergence_bits:
-            values = [
-                convergence_value(arch, nci, AdcModel(cls, bits=bits), cfg.geom, model)
-                for arch in cfg.architectures
-            ]
-            rows.append((bits, *values))
-        tables.append((f"convergence-{cls}", ("bits", *arch_names), list(zip(*rows))))
+        adcs = [AdcModel(cls, bits=bits) for bits in cfg.convergence_bits]
+        tables.append((f"convergence-{cls}", ("bits", *arch_names), [
+            cfg.convergence_bits,
+            *([convergence_value(arch, nci, adc, cfg.geom, model) for adc in adcs]
+              for arch in cfg.architectures),
+        ]))
     return tables, 0, None
 
 
@@ -473,18 +463,13 @@ def cmd_verify(cfg: RunConfig) -> tuple[list, int, str]:
     """
     header = ("architecture", "scenario", "sweep_order", "b_sc_hz", "n_targets",
               "min_s", "mean_s", "max_s", "analytic_s", "passed", "first_mismatch")
-    labels = []  # (architecture, scenario, order) of each call
-    results = []
-    combos_total = 0
-    combos_passed = 0
-    for arch in cfg.architectures:
-        for scenario in cfg.scenarios:
-            combo = [verify_columns(arch, scenario, cfg.geom, cfg.b_sc, sweep_order=order)
-                     for order in cfg.sweep_orders]
-            labels += [(arch.name, scenario.kind, order) for order in cfg.sweep_orders]
-            results += combo
-            combos_total += 1
-            combos_passed += all(cols.passed for cols in combo)
+    calls = [(arch, scenario, order) for arch in cfg.architectures
+             for scenario in cfg.scenarios for order in cfg.sweep_orders]
+    results = [verify_columns(arch, scenario, cfg.geom, cfg.b_sc, sweep_order=order)
+               for arch, scenario, order in calls]
+    labels = [(arch.name, scenario.kind, order) for arch, scenario, order in calls]
+    passed = np.array([cols.passed for cols in results])
+    combos_passed = passed.reshape(-1, len(cfg.sweep_orders)).all(axis=1)
     n_b_sc = len(cfg.b_sc)
     # Rows run call-major, b_sc-minor; a call's one verdict repeats over its b_sc rows.
     columns = [
@@ -493,12 +478,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[list, int, str]:
         _repeated([cols.n_targets for cols in results], n_b_sc),
         *(np.concatenate([getattr(cols, field) for cols in results])
           for field in ("min_time", "mean_time", "max_time", "analytic_delay")),
-        _repeated([cols.passed for cols in results], n_b_sc, bool),
+        np.repeat(passed, n_b_sc),
         _repeated(["" if cols.passed else "{}|{}".format(*cols.first_mismatch)
                    for cols in results], n_b_sc),
     ]
-    return ([("verify", header, columns)], 0 if combos_passed == combos_total else 3,
-            f"{combos_passed}/{combos_total} combinations pass")
+    return ([("verify", header, columns)], 0 if combos_passed.all() else 3,
+            f"{combos_passed.sum()}/{combos_passed.size} combinations pass")
 
 
 def cmd_pss(cfg: RunConfig) -> tuple[list, int, None]:

@@ -106,10 +106,8 @@ def energy_columns(
     n_d = directional_scans(arch, scenario, geom)
     scan_time = directional_scans(arch, scenario, geom, k) * t_pss
     t_ci, e_ci = ci_cost(arch, scenario, geom)
-    if model is None:
-        p_rx = np.array([lookup_power(arch, adc, b) for b in (k * b_sc).tolist()])
-    else:
-        p_rx = parametric_power(model, arch, adc, k * b_sc)
+    p_rx = (lookup_power(arch, adc, k * b_sc) if model is None
+            else parametric_power(model, arch, adc, k * b_sc))
     return EnergyColumns(
         n_d=np.full(b_sc.shape, n_d, dtype=np.int64),
         t_del=scan_time + t_ci,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .architectures import Architecture, _check_counts, default_architectures
-from .signaling import derive_frame, frame_scaling
+from .signaling import frame_scaling
 
 ADC_CLASSES = ("LPADC", "HPADC")
 RESOLUTION_LAWS = ("exponential", "linear")
@@ -83,28 +83,30 @@ def default_power_table() -> list[PowerSample]:
         ]
 
 
-def lookup_power(
-    arch: Architecture,
-    adc: AdcModel,
-    b_sc: float,
-) -> float:
-    """Exact bundled-table entry for (architecture, ADC class, b_sc); 6-bit only."""
+def lookup_power(arch: Architecture, adc: AdcModel, b_sc):
+    """Exact bundled-table entry for (architecture, ADC class, b_sc); 6-bit only.
+
+    b_sc may be a numpy array, giving the entry at each point; a point the
+    table does not hold raises, naming the first such point.
+    """
     if adc.bits != TABLE_BITS:
         raise PowerTableError(
             f"table holds {TABLE_BITS}-bit measurements, not {adc.bits}-bit; "
             "use the parametric model"
         )
-    for sample in default_power_table():
-        if (
-            sample.architecture == arch.name
-            and sample.adc_class == adc.cls
-            and abs(sample.b_sc - b_sc) <= _REL_TOL * max(abs(sample.b_sc), abs(b_sc))
-        ):
-            return sample.power
-    raise PowerTableError(
-        f"no table entry for ({arch.name}, {adc.cls}, b_sc={b_sc!r} Hz); "
-        "use the parametric model"
-    )
+    rows = [s for s in default_power_table()
+            if s.architecture == arch.name and s.adc_class == adc.cls]
+    spacings = np.array([s.b_sc for s in rows])
+    points = np.asarray(b_sc, dtype=np.float64)[..., None]
+    match = np.abs(spacings - points) <= _REL_TOL * np.maximum(np.abs(spacings), np.abs(points))
+    missing = points[~match.any(axis=-1)]
+    if missing.size:
+        raise PowerTableError(
+            f"no table entry for ({arch.name}, {adc.cls}, b_sc={float(missing[0, 0])!r} Hz); "
+            "use the parametric model"
+        )
+    power = np.array([s.power for s in rows])[match.argmax(axis=-1)]
+    return power if isinstance(b_sc, np.ndarray) else float(power)
 
 
 @dataclass(frozen=True)
@@ -129,26 +131,21 @@ def calibrate(adc_class: str, *, resolution_law: str = "exponential") -> PowerMo
     b_tot derived from each row's b_sc.
     """
     AdcModel(adc_class)  # refuses an unknown class
-    r6 = resolution_factor(TABLE_BITS, resolution_law)
     architectures = default_architectures()
+    names, b_sc, observed = zip(*[(s.architecture, s.b_sc, s.power)
+                                  for s in default_power_table() if s.adc_class == adc_class])
+    arch_names, arch_index = np.unique(names, return_inverse=True)
+    # One indicator column per architecture (its base power), then the converter term.
+    n_adc = np.array([architectures[name].n_adc for name in arch_names])[arch_index]
+    slope = n_adc * resolution_factor(TABLE_BITS, resolution_law) * frame_scaling(np.array(b_sc))[1]
+    design = np.column_stack([np.eye(len(arch_names))[arch_index], slope])
 
-    rows = [s for s in default_power_table() if s.adc_class == adc_class]
-    arch_names = sorted({s.architecture for s in rows})
-    index = {a: i for i, a in enumerate(arch_names)}
-    m = len(arch_names)
-    design = np.zeros((len(rows), m + 1))
-    observed = np.empty(len(rows))
-    for r, sample in enumerate(rows):
-        design[r, index[sample.architecture]] = 1.0
-        design[r, m] = architectures[sample.architecture].n_adc * r6 * derive_frame(sample.b_sc).b_tot
-        observed[r] = sample.power
-
-    solution, *_ = np.linalg.lstsq(design, observed, rcond=None)
+    solution, *_ = np.linalg.lstsq(design, np.array(observed), rcond=None)
     return PowerModel(
         adc_class=adc_class,
-        c=float(solution[m]),
+        c=float(solution[-1]),
         resolution_law=resolution_law,
-        base_power={a: float(solution[index[a]]) for a in arch_names},
+        base_power=dict(zip(arch_names.tolist(), solution[:-1].tolist())),
     )
 
 

@@ -203,9 +203,9 @@ def worst_case_structure_delay(
     geom: SweepGeometry,
     frame: FrameConfig,
     *,
-    sweep_order: str = SEQUENTIAL_BS_OUTER,
     k: int = 1,
 ) -> float:
-    """Max discovery time over all targets with k BS directions per dwell (s)."""
-    grid = discovery_slot_grid(arch, scenario, geom, sweep_order=sweep_order, k=k)
+    """Max discovery time over all targets with k BS directions per dwell (s);
+    either sweep order ends in the same last slot, so neither is asked for."""
+    grid = discovery_slot_grid(arch, scenario, geom, k=k)
     return float(grid.max()) * frame.t_pss + ci_cost(arch, scenario, geom)[0]

@@ -50,6 +50,17 @@ class TestLookup:
         with pytest.raises(PowerTableError):
             lookup_power(archs["ABF"], AdcModel("HPADC", bits=8), 15e3)
 
+    def test_array_bandwidths_match_scalar_lookups(self, archs):
+        adc = AdcModel("LPADC")
+        b_sc = np.array(TABULATED_B_SC[::-1])
+        powers = lookup_power(archs["HBF"], adc, b_sc)
+        assert powers.tolist() == [lookup_power(archs["HBF"], adc, b) for b in b_sc.tolist()]
+        # the first spacing off the table in input order, not the smallest
+        with pytest.raises(PowerTableError, match=r"b_sc=123000\.0 Hz"):
+            lookup_power(archs["HBF"], adc, np.array([15e3, 123e3, 250e3, 7e3]))
+        with pytest.raises(PowerTableError, match="8-bit"):
+            lookup_power(archs["HBF"], AdcModel("LPADC", bits=8), b_sc)
+
 
 class TestResolutionFactor:
     def test_laws(self):

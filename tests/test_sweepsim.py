@@ -243,7 +243,7 @@ class TestDiscoveryGrid:
         assert grid.max() == directional_scans(arch, scenario, geom, k)
         frame = derive_frame(15e3)
         assert worst_case_structure_delay(
-            arch, scenario, geom, frame, sweep_order=order, k=k
+            arch, scenario, geom, frame, k=k
         ) == total_delay(arch, scenario, geom, frame, k)
 
     @pytest.mark.parametrize("kind", SCENARIO_KINDS)
