@@ -35,7 +35,6 @@ from .power import (
     ADC_CLASSES,
     AdcModel,
     PowerModel,
-    PowerSample,
     PowerTableError,
     calibrate,
     default_power_model,
@@ -78,7 +77,6 @@ __all__ = [
     "EnergyReport",
     "FrameConfig",
     "PowerModel",
-    "PowerSample",
     "PowerTableError",
     "Scenario",
     "StructureComparison",

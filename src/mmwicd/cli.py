@@ -45,6 +45,7 @@ from .architectures import (
     build_architecture,
     build_scenario,
     ci_cost,
+    default_architectures,
     directional_scans,
     total_delay,
 )
@@ -111,10 +112,10 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field has no truth value; compare fingerprints
 class RunConfig:
     fingerprint: str  # sha256 of the scientific part of the merged config
-    b_sc: tuple[float, ...]
+    b_sc: np.ndarray  # float64, read-only; every verb passes it on as it is
     architectures: tuple[Architecture, ...]
     scenarios: tuple[Scenario, ...]
     adc_classes: tuple[str, ...]
@@ -186,7 +187,8 @@ def resolve_config(raw: dict) -> RunConfig:
     geometry, arch_params, ci = (_params(merged, key) for key in
                                  ("geometry", "architecture_params", "scenario_params"))
 
-    b_sc = tuple(map(float, _entries(merged, "b_sc_hz", _b_sc_ok, "finite numbers > 0")))
+    b_sc = np.array(_entries(merged, "b_sc_hz", _b_sc_ok, "finite numbers > 0"), dtype=np.float64)
+    b_sc.flags.writeable = False
     bits, convergence_bits, k_values = (_entries(merged, key, _count_ok, "integers >= 1")
                                         for key in ("bits", "convergence_bits", "k"))
     arch_names, scenario_kinds, adc_classes, orders = (
@@ -372,10 +374,9 @@ def _repeated(values, times: int) -> np.ndarray:
 
 def cmd_tables(cfg: RunConfig) -> tuple[list, int, None]:
     """Frame timing, scan counts, and the measured/modeled power tables."""
-    b_sc = np.array(cfg.b_sc)
-    t_pss, b_tot = frame_scaling(b_sc)
+    t_pss, b_tot = frame_scaling(cfg.b_sc)
     tables = [("tables-i", ("b_sc_hz", "t_pss_s", "b_tot_hz", "b_tot_mhz"),
-               [b_sc, t_pss, b_tot, [f"{v / 1e6:.1f}" for v in b_tot.tolist()]])]
+               [cfg.b_sc, t_pss, b_tot, [f"{v / 1e6:.1f}" for v in b_tot.tolist()]])]
 
     rows_ii = []
     for arch in cfg.architectures:
@@ -385,19 +386,22 @@ def cmd_tables(cfg: RunConfig) -> tuple[list, int, None]:
     tables.append(("tables-ii", ("architecture", "scenario", "n_scans", "t_ci_s"),
                    list(zip(*rows_ii))))
 
-    table = default_power_table()
+    archs = default_architectures()
     for file_name, cls in (("tables-iii", "HPADC"), ("tables-iv", "LPADC")):
         if cls not in cfg.adc_classes:
             continue
-        samples = [s for s in table if s.adc_class == cls]
+        entries = {name: columns for (name, c), columns in default_power_table().items()
+                   if c == cls}
+        b_sc, power = map(np.concatenate, zip(*entries.values()))
         header = ("architecture", "adc_class", "b_sc_hz", "power_w")
-        columns = list(zip(*((s.architecture, s.adc_class, s.b_sc, s.power) for s in samples)))
+        columns = [np.repeat(list(entries), [len(spacings) for spacings, _ in entries.values()]),
+                   [cls] * len(b_sc), b_sc, power]
         if cfg.power_mode == "parametric":
-            model = default_power_model(cls, cfg.resolution_law)
-            modeled = [parametric_power(model, build_architecture(s.architecture), AdcModel(cls),
-                                        s.b_sc) for s in samples]
+            model, adc = default_power_model(cls, cfg.resolution_law), AdcModel(cls)
+            modeled = np.concatenate([parametric_power(model, archs[name], adc, spacings)
+                                      for name, (spacings, _) in entries.items()])
             header += ("model_power_w", "rel_residual")
-            columns += [modeled, [(m - s.power) / s.power for m, s in zip(modeled, samples)]]
+            columns += [modeled, (modeled - power) / power]
         tables.append((file_name, header, columns))
     return tables, 0, None
 
@@ -405,7 +409,6 @@ def cmd_tables(cfg: RunConfig) -> tuple[list, int, None]:
 def cmd_sweep(cfg: RunConfig) -> tuple[list, int, None]:
     """Energy over the b_sc grid: one file per (scenario, ADC class, bits)."""
     arch_names = tuple(a.name for a in cfg.architectures)
-    b_sc = np.array(cfg.b_sc)  # shared by every file
     tables = []
     labels = []  # (scenario, ADC class, bits) of each grid
     grids = []  # each grid's EnergyColumns, one per architecture
@@ -419,15 +422,15 @@ def cmd_sweep(cfg: RunConfig) -> tuple[list, int, None]:
                                            geom=cfg.geom, model=model)
                             for arch in cfg.architectures]
                 tables.append((f"sweep-{scenario.kind}-{cls}-{bits}b", ("b_sc_hz", *arch_names),
-                               [b_sc, *(cols.e_total for cols in per_arch)]))
+                               [cfg.b_sc, *(cols.e_total for cols in per_arch)]))
                 labels.append((scenario.kind, cls, bits))
                 grids.append(per_arch)
     # Report rows run grid-major, then b_sc, then architecture.
-    rows_per_grid = len(b_sc) * len(arch_names)
+    rows_per_grid = len(cfg.b_sc) * len(arch_names)
     tables.append(("sweep-report", CSV_COLUMNS, [
-        np.tile(np.array(arch_names, dtype=object), len(b_sc) * len(grids)),
+        np.tile(np.array(arch_names, dtype=object), len(cfg.b_sc) * len(grids)),
         *(_repeated(column, rows_per_grid) for column in zip(*labels)),
-        np.tile(np.repeat(b_sc, len(arch_names)), len(grids)),
+        np.tile(np.repeat(cfg.b_sc, len(arch_names)), len(grids)),
         *(np.array([[getattr(cols, field) for cols in per_arch] for per_arch in grids])
           .transpose(0, 2, 1).ravel() for field in EnergyColumns._fields),
     ]))
@@ -474,7 +477,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[list, int, str]:
     # Rows run call-major, b_sc-minor; a call's one verdict repeats over its b_sc rows.
     columns = [
         *(_repeated(column, n_b_sc) for column in zip(*labels)),
-        np.tile(np.array(cfg.b_sc), len(results)),
+        np.tile(cfg.b_sc, len(results)),
         _repeated([cols.n_targets for cols in results], n_b_sc),
         *(np.concatenate([getattr(cols, field) for cols in results])
           for field in ("min_time", "mean_time", "max_time", "analytic_delay")),

@@ -85,7 +85,7 @@ def energy_columns(
     arch: Architecture,
     scenario: Scenario,
     adc: AdcModel,
-    b_sc: Sequence[float],
+    b_sc: np.ndarray | Sequence[float],
     *,
     k: int = 1,
     geom: SweepGeometry,
@@ -99,7 +99,7 @@ def energy_columns(
     e_total = p_rx * scan time + e_ci.  k > 1 is the widened-sync layout of
     proposed_structure_energy: k BS directions share a dwell and power is
     drawn at k * b_sc; directional_scans checks k.  n_d is the plain (k = 1)
-    scan count.
+    scan count.  A float64 array b_sc is used as it is, not copied or scanned.
     """
     b_sc = _b_sc_array(b_sc)
     t_pss, _ = frame_scaling(b_sc)

@@ -10,6 +10,10 @@ resolution to conversion steps: 2**bits under the default "exponential" law,
 plain bits under "linear" (the resolution_law config key).  Calibration fits
 the per-architecture bases and the shared c jointly against the bundled table
 by least squares.
+
+default_power_table() reads the bundled table once, on first use, into
+{(architecture, adc_class): (b_sc, power)}: read-only float64 columns in Hz
+and W, the entries and each entry's points in file order.
 """
 
 from __future__ import annotations
@@ -48,14 +52,6 @@ class AdcModel:
         _check_counts(bits=self.bits)
 
 
-@dataclass(frozen=True)
-class PowerSample:
-    architecture: str
-    adc_class: str
-    b_sc: float  # Hz
-    power: float  # W
-
-
 def resolution_factor(bits: int, law: str = "exponential") -> float:
     """Conversion-step count for a resolution, under the selected law."""
     if law == "exponential":
@@ -66,37 +62,35 @@ def resolution_factor(bits: int, law: str = "exponential") -> float:
 
 
 @functools.cache
-def default_power_table() -> list[PowerSample]:
-    """The bundled (architecture, adc_class, b_sc_hz, power_w) rows, read once;
-    '#' lines are comments."""
+def default_power_table() -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
+    """The bundled table's columns (see the module docstring); '#' lines are comments."""
     ref = importlib.resources.files("mmwicd").joinpath("data/power_tables.csv")
+    columns: dict = {}
     with ref.open("r", encoding="utf-8") as fh:
         rows = (line for line in fh if not line.lstrip().startswith("#"))
-        return [
-            PowerSample(
-                architecture=rec["architecture"],
-                adc_class=rec["adc_class"],
-                b_sc=float(rec["b_sc_hz"]),
-                power=float(rec["power_w"]),
-            )
-            for rec in csv.DictReader(rows)
-        ]
+        for rec in csv.DictReader(rows):
+            b_sc, power = columns.setdefault((rec["architecture"], rec["adc_class"]), ([], []))
+            b_sc.append(float(rec["b_sc_hz"]))
+            power.append(float(rec["power_w"]))
+    table = {key: (np.array(b_sc), np.array(power)) for key, (b_sc, power) in columns.items()}
+    for b_sc, power in table.values():  # every caller shares the cached columns
+        b_sc.flags.writeable = power.flags.writeable = False
+    return table
 
 
 def lookup_power(arch: Architecture, adc: AdcModel, b_sc):
     """Exact bundled-table entry for (architecture, ADC class, b_sc); 6-bit only.
 
     b_sc may be a numpy array, giving the entry at each point; a point the
-    table does not hold raises, naming the first such point.
+    table does not hold (every point, for a pair it lacks) raises, naming the
+    first such point.
     """
     if adc.bits != TABLE_BITS:
         raise PowerTableError(
             f"table holds {TABLE_BITS}-bit measurements, not {adc.bits}-bit; "
             "use the parametric model"
         )
-    rows = [s for s in default_power_table()
-            if s.architecture == arch.name and s.adc_class == adc.cls]
-    spacings = np.array([s.b_sc for s in rows])
+    spacings, powers = default_power_table().get((arch.name, adc.cls), (np.empty(0),) * 2)
     points = np.asarray(b_sc, dtype=np.float64)[..., None]
     match = np.abs(spacings - points) <= _REL_TOL * np.maximum(np.abs(spacings), np.abs(points))
     missing = points[~match.any(axis=-1)]
@@ -105,7 +99,7 @@ def lookup_power(arch: Architecture, adc: AdcModel, b_sc):
             f"no table entry for ({arch.name}, {adc.cls}, b_sc={float(missing[0, 0])!r} Hz); "
             "use the parametric model"
         )
-    power = np.array([s.power for s in rows])[match.argmax(axis=-1)]
+    power = powers[match.argmax(axis=-1)]
     return power if isinstance(b_sc, np.ndarray) else float(power)
 
 
@@ -127,20 +121,22 @@ class PowerModel:
 def calibrate(adc_class: str, *, resolution_law: str = "exponential") -> PowerModel:
     """Fit per-architecture base powers and the shared conversion constant.
 
-    Least squares over the bundled table's rows of the selected ADC class, with
-    b_tot derived from each row's b_sc.
+    Least squares over the bundled table's rows of the selected ADC class, in
+    file order, with b_tot derived from each row's b_sc.
     """
     AdcModel(adc_class)  # refuses an unknown class
     architectures = default_architectures()
-    names, b_sc, observed = zip(*[(s.architecture, s.b_sc, s.power)
-                                  for s in default_power_table() if s.adc_class == adc_class])
+    entries = {name: columns for (name, cls), columns in default_power_table().items()
+               if cls == adc_class}
+    b_sc, observed = map(np.concatenate, zip(*entries.values()))
+    names = np.repeat(list(entries), [len(spacings) for spacings, _ in entries.values()])
     arch_names, arch_index = np.unique(names, return_inverse=True)
     # One indicator column per architecture (its base power), then the converter term.
     n_adc = np.array([architectures[name].n_adc for name in arch_names])[arch_index]
-    slope = n_adc * resolution_factor(TABLE_BITS, resolution_law) * frame_scaling(np.array(b_sc))[1]
+    slope = n_adc * resolution_factor(TABLE_BITS, resolution_law) * frame_scaling(b_sc)[1]
     design = np.column_stack([np.eye(len(arch_names))[arch_index], slope])
 
-    solution, *_ = np.linalg.lstsq(design, np.array(observed), rcond=None)
+    solution, *_ = np.linalg.lstsq(design, observed, rcond=None)
     return PowerModel(
         adc_class=adc_class,
         c=float(solution[-1]),

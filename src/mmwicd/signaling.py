@@ -57,12 +57,14 @@ def _b_sc_ok(b_sc) -> bool:
 
 
 def _b_sc_array(b_sc) -> np.ndarray:
-    """A sequence of sub-carrier bandwidths as a float64 array.
-
-    Booleans and ints past float range are refused rather than read as 1.0,
-    0.0 or an OverflowError; frame_scaling checks the values themselves.
-    """
-    if {bool, np.bool_}.isdisjoint(map(type, b_sc)):
+    """Sub-carrier bandwidths as float64: a numpy array by its dtype (numeric only,
+    and itself when float64), a sequence element by element, refusing booleans and
+    ints past float range rather than reading 1.0, 0.0 or an OverflowError;
+    frame_scaling checks the values themselves."""
+    if isinstance(b_sc, np.ndarray):
+        if b_sc.dtype.kind in "iuf":
+            return b_sc.astype(np.float64, copy=False)
+    elif {bool, np.bool_}.isdisjoint(map(type, b_sc)):
         with contextlib.suppress(OverflowError):
             return np.asarray(b_sc, dtype=np.float64)
     raise ValueError(f"sub-carrier bandwidths must be numbers a float holds, got {b_sc!r}")

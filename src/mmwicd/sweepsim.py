@@ -146,7 +146,7 @@ def verify_columns(
     arch: Architecture,
     scenario: Scenario,
     geom: SweepGeometry,
-    b_sc: Sequence[float],
+    b_sc: np.ndarray | Sequence[float],
     *,
     sweep_order: str = SEQUENTIAL_BS_OUTER,
 ) -> VerificationColumns:

@@ -16,6 +16,7 @@ from mmwicd import (
     SweepGeometry,
     default_architectures,
     default_power_model,
+    default_power_table,
     default_scenarios,
     derive_frame,
     directional_scans,
@@ -47,6 +48,13 @@ def archs():
 @pytest.fixture(scope="session")
 def scens():
     return default_scenarios()
+
+
+def table_rows():
+    """The bundled power table as (architecture, adc_class, b_sc, power) rows of
+    Python values, in file order."""
+    return [(name, cls, b, p) for (name, cls), (b_sc, power) in default_power_table().items()
+            for b, p in zip(b_sc.tolist(), power.tolist())]
 
 
 def read_csv(path):

@@ -19,7 +19,6 @@ from mmwicd import (
     convergence_value,
     default_architectures,
     default_power_model,
-    default_power_table,
     default_scenarios,
     derive_frame,
     directional_scans,
@@ -33,6 +32,8 @@ from mmwicd import (
     verify_against_analytic,
     worst_case_structure_delay,
 )
+
+from conftest import table_rows
 
 GEOM = SweepGeometry()
 ARCHS = default_architectures()
@@ -93,21 +94,19 @@ def test_criterion_2_scan_count_table():
 def test_criterion_3_power_tables():
     started = time.perf_counter()
     failures = []
-    table = default_power_table()
+    table = table_rows()
     _check(failures, len(table) == 40, f"table holds {len(table)} rows, expected 40")
-    for sample in table:
-        got = lookup_power(ARCHS[sample.architecture], AdcModel(sample.adc_class), sample.b_sc)
-        _check(failures, got == sample.power,
-               f"lookup({sample.architecture},{sample.adc_class},{sample.b_sc:g}) = {got}")
+    for name, cls, b_sc, power in table:
+        got = lookup_power(ARCHS[name], AdcModel(cls), b_sc)
+        _check(failures, got == power, f"lookup({name},{cls},{b_sc:g}) = {got}")
     for cls in ADC_CLASSES:
         model = default_power_model(cls)
-        for sample in table:
-            if sample.adc_class != cls:
+        for name, row_cls, b_sc, power in table:
+            if row_cls != cls:
                 continue
-            modeled = parametric_power(model, ARCHS[sample.architecture], AdcModel(cls), sample.b_sc)
-            rel = abs(modeled - sample.power) / sample.power
-            _check(failures, rel <= 0.05,
-                   f"parametric({sample.architecture},{cls},{sample.b_sc:g}) off by {rel:.2%}")
+            modeled = parametric_power(model, ARCHS[name], AdcModel(cls), b_sc)
+            rel = abs(modeled - power) / power
+            _check(failures, rel <= 0.05, f"parametric({name},{cls},{b_sc:g}) off by {rel:.2%}")
     _finish(3, "measured power lookups exact, calibrated model within 5%",
             failures, started, 1.0)
 

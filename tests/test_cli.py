@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmwicd import (AdcModel, SweepGeometry, build_architecture, build_scenario, cli, power,
-                    sweepsim)
+                    signaling, sweepsim)
 from mmwicd.cli import DEFAULT_CONFIG, config_fingerprint, main
 
 from conftest import TABULATED_B_SC, read_csv, scalar_energy
@@ -244,6 +244,42 @@ class TestPowerModelCache:
     def test_calibrations_per_verb(self, calibrations, tmp_path, args, expected):
         assert run(args, tmp_path) == 0
         assert len(calibrations) == expected
+
+
+class TestInputsReadOnce:
+    """Each verb reads the power table and the b_sc grid as columns, once."""
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls, original = [], getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+        return calls
+
+    def test_parametric_tables_call_the_model_once_per_entry(self, monkeypatch, tmp_path):
+        cfg = cli.resolve_config({"power_mode": "parametric", "out": str(tmp_path)})
+        modeled, built, adcs = (self.counting(monkeypatch, name) for name in
+                                ("parametric_power", "build_architecture", "AdcModel"))
+        cli.cmd_tables(cfg)
+        assert sorted((model.adc_class, arch.name) for model, arch, _, _ in modeled) == sorted(
+            (cls, name) for cls in ("HPADC", "LPADC") for name in ("ABF", "DBF", "HBF", "PSN"))
+        assert all(len(b_sc) == len(TABULATED_B_SC) for *_, b_sc in modeled)
+        assert (built, len(adcs)) == ([], 2)
+
+    def test_sweep_and_verify_pass_the_config_grid_as_it_is(self, monkeypatch, tmp_path):
+        cfg = cli.resolve_config({"power_mode": "parametric", "bits": [3, 6], "out": str(tmp_path)})
+        assert cfg.b_sc.dtype == np.float64 and not cfg.b_sc.flags.writeable
+        assert signaling._b_sc_array(cfg.b_sc) is cfg.b_sc
+        energy_calls = self.counting(monkeypatch, "energy_columns")
+        verify_calls = self.counting(monkeypatch, "verify_columns")
+        cli.cmd_sweep(cfg)
+        cli.cmd_verify(cfg)
+        assert len(energy_calls) == 3 * 2 * 2 * 4 and len(verify_calls) == 4 * 3 * 2
+        assert all(args[3] is cfg.b_sc for args in energy_calls + verify_calls)
 
 
 class TestVerify:

@@ -122,8 +122,10 @@ class TestEnergyColumns:
                 )
 
     @pytest.mark.parametrize(
-        "bad", [[math.nan], [15e3, math.inf], [True], [15e3, np.bool_(True)], [10**400]],
-        ids=["nan", "inf", "bool", "numpy-bool", "int-past-float-range"],
+        "bad", [[math.nan], [15e3, math.inf], [True], [15e3, np.bool_(True)], [10**400],
+                np.array([True]), np.array([10**400], dtype=object), np.array([np.nan])],
+        ids=["nan", "inf", "bool", "numpy-bool", "int-past-float-range",
+             "bool-array", "object-array", "nan-array"],
     )
     def test_rejects_bad_bandwidth(self, archs, scens, geom, bad):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from mmwicd import (
     ADC_CLASSES,
     ARCHITECTURE_NAMES,
     AdcModel,
+    Architecture,
     PowerTableError,
     build_architecture,
     default_power_model,
@@ -16,20 +17,28 @@ from mmwicd import (
     resolution_factor,
 )
 
-from conftest import TABULATED_B_SC, rel_err
+from conftest import TABULATED_B_SC, rel_err, table_rows
 
 
 class TestPowerTable:
     def test_shape(self):
         table = default_power_table()
-        assert len(table) == 40
+        assert sum(len(b_sc) for b_sc, _ in table.values()) == 40
+        assert len(table) == len(ADC_CLASSES) * len(ARCHITECTURE_NAMES)
         for cls in ADC_CLASSES:
             for name in ARCHITECTURE_NAMES:
-                rows = [s for s in table if s.adc_class == cls and s.architecture == name]
-                assert sorted(s.b_sc for s in rows) == sorted(TABULATED_B_SC)
+                b_sc, power = table[name, cls]
+                assert b_sc.dtype == power.dtype == np.float64 and len(power) == len(b_sc)
+                assert sorted(b_sc.tolist()) == sorted(TABULATED_B_SC)
+
+    def test_columns_are_read_only(self):
+        b_sc, power = default_power_table()["DBF", "HPADC"]
+        with pytest.raises(ValueError):
+            power[0] = 0.0
+        assert not b_sc.flags.writeable
 
     def test_spot_measurements(self):
-        table = {(s.architecture, s.adc_class, s.b_sc): s.power for s in default_power_table()}
+        table = {(name, cls, b_sc): power for name, cls, b_sc, power in table_rows()}
         assert table[("DBF", "HPADC", 15e3)] == 1.31
         assert table[("DBF", "HPADC", 10e6)] == 25.1616
         assert table[("ABF", "LPADC", 15e3)] == 0.996
@@ -38,13 +47,19 @@ class TestPowerTable:
 
 class TestLookup:
     def test_all_forty_entries_exact(self, archs):
-        for sample in default_power_table():
-            adc = AdcModel(sample.adc_class)
-            assert lookup_power(archs[sample.architecture], adc, sample.b_sc) == sample.power
+        rows = table_rows()
+        assert len(rows) == 40
+        for name, cls, b_sc, power in rows:
+            assert lookup_power(archs[name], AdcModel(cls), b_sc) == power
 
     def test_missing_bandwidth_raises(self, archs):
         with pytest.raises(PowerTableError):
             lookup_power(archs["ABF"], AdcModel("HPADC"), 123e3)
+
+    def test_architecture_not_in_table_raises(self):
+        match = r"no table entry for \(XYZ, HPADC, b_sc=15000.0 Hz\)"
+        with pytest.raises(PowerTableError, match=match):
+            lookup_power(Architecture("XYZ", 2, 1), AdcModel("HPADC"), 15e3)
 
     def test_non_table_resolution_raises(self, archs):
         with pytest.raises(PowerTableError):
@@ -93,11 +108,11 @@ class TestCalibration:
     @pytest.mark.parametrize("cls", ADC_CLASSES)
     def test_parametric_reproduces_table(self, cls, archs):
         model = default_power_model(cls)
-        for sample in default_power_table():
-            if sample.adc_class != cls:
+        for name, row_cls, b_sc, power in table_rows():
+            if row_cls != cls:
                 continue
-            modeled = parametric_power(model, archs[sample.architecture], AdcModel(cls), sample.b_sc)
-            assert rel_err(modeled, sample.power) <= 0.05
+            modeled = parametric_power(model, archs[name], AdcModel(cls), b_sc)
+            assert rel_err(modeled, power) <= 0.05
 
     def test_recovered_constants(self):
         # frozen from an independent least-squares run over the bundled table
@@ -111,8 +126,8 @@ class TestCalibration:
 
     def test_slope_against_two_point_estimate(self, archs):
         # independent slope estimate from the DBF end points of the table
-        table = {(s.architecture, s.b_sc): s.power for s in default_power_table()
-                 if s.adc_class == "HPADC"}
+        table = {(name, b_sc): power for name, cls, b_sc, power in table_rows()
+                 if cls == "HPADC"}
         d_power = table[("DBF", 10e6)] - table[("DBF", 15e3)]
         d_b_tot = derive_frame(10e6).b_tot - derive_frame(15e3).b_tot
         model = default_power_model("HPADC")
