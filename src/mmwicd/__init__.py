@@ -13,13 +13,11 @@ from .architectures import (
     Scenario,
     SweepGeometry,
     build_architecture,
-    build_scenario,
     ci_cost,
     default_architectures,
     default_scenarios,
     directional_scans,
     total_delay,
-    uses_ci_budget,
 )
 from .energy import (
     EnergyColumns,
@@ -83,7 +81,6 @@ __all__ = [
     "SweepGeometry",
     "VerificationColumns",
     "build_architecture",
-    "build_scenario",
     "calibrate",
     "ci_cost",
     "convergence_value",
@@ -104,7 +101,6 @@ __all__ = [
     "resolution_factor",
     "simulate",
     "total_delay",
-    "uses_ci_budget",
     "verify_against_analytic",
     "verify_columns",
     "worst_case_structure_delay",

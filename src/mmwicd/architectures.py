@@ -117,18 +117,10 @@ class Scenario:
             )
 
 
-def build_scenario(
-    kind: str, *, t_ci: float | None = None, p_ci: float | None = None
-) -> Scenario:
-    """The scenario of that kind; CID's budget defaults to DEFAULT_T_CI at DEFAULT_P_CI."""
-    if kind == "CID":
-        t_ci = DEFAULT_T_CI if t_ci is None else float(t_ci)
-        p_ci = DEFAULT_P_CI if p_ci is None else float(p_ci)
-    return Scenario(kind, 0.0 if t_ci is None else t_ci, 0.0 if p_ci is None else p_ci)
-
-
 def default_scenarios() -> dict[str, Scenario]:
-    return {kind: build_scenario(kind) for kind in SCENARIO_KINDS}
+    """The three scenarios, CID with the paper's DEFAULT_T_CI at DEFAULT_P_CI."""
+    return {kind: Scenario(kind, DEFAULT_T_CI, DEFAULT_P_CI) if kind == "CID" else Scenario(kind)
+            for kind in SCENARIO_KINDS}
 
 
 @dataclass(frozen=True)
@@ -163,22 +155,15 @@ def directional_scans(
     return groups
 
 
-def uses_ci_budget(arch: Architecture, scenario: Scenario, geom: SweepGeometry) -> bool:
-    """Whether this configuration actually pays the CID acquisition cost.
-
-    A receiver that already observes every MS direction at once (DBF with a
-    full antenna set) gains nothing from positioning context and never spends
-    the acquisition delay or power.
-    """
-    return scenario.kind == "CID" and arch.simultaneous_beams < geom.n_ms_directions
-
-
 def ci_cost(arch: Architecture, scenario: Scenario, geom: SweepGeometry) -> tuple[float, float]:
     """(t_ci, e_ci): context-acquisition delay (s) and energy (J) paid before the sweep.
 
-    Both are 0.0 unless uses_ci_budget; the sweep's k never shortens them.
+    This is the whole CI rule.  Only CID pays, and only a receiver that cannot
+    already observe every MS direction at once: DBF with a full antenna set
+    gains nothing from positioning context and never spends the acquisition
+    delay or power.  Otherwise both are 0.0; the sweep's k never shortens them.
     """
-    if uses_ci_budget(arch, scenario, geom):
+    if scenario.kind == "CID" and arch.simultaneous_beams < geom.n_ms_directions:
         return scenario.t_ci, scenario.p_ci * scenario.t_ci
     return 0.0, 0.0
 

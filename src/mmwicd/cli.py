@@ -43,7 +43,6 @@ from .architectures import (
     SweepGeometry,
     _count_ok,
     build_architecture,
-    build_scenario,
     ci_cost,
     default_architectures,
     directional_scans,
@@ -212,8 +211,9 @@ def resolve_config(raw: dict) -> RunConfig:
     architectures = tuple(_build("architecture_params", build_architecture, name, **arch_params)
                           for name in arch_names)
     # The CI budget is checked whether or not CID is listed.
-    cid = _build("scenario_params", build_scenario, "CID", t_ci=ci["t_ci_s"], p_ci=ci["p_ci_w"])
-    scenarios = tuple(cid if kind == "CID" else build_scenario(kind) for kind in scenario_kinds)
+    cid = _build("scenario_params", Scenario, "CID",
+                 t_ci=float(ci["t_ci_s"]), p_ci=float(ci["p_ci_w"]))
+    scenarios = tuple(cid if kind == "CID" else Scenario(kind) for kind in scenario_kinds)
 
     for key, values in (("bits", bits), ("convergence_bits", convergence_bits)):
         try:  # the factor grows with bits, so the largest entry is the one to test
@@ -444,7 +444,7 @@ def cmd_convergence(cfg: RunConfig) -> tuple[list, int, None]:
     model, whatever the configured scenarios and power_mode.
     """
     arch_names = tuple(a.name for a in cfg.architectures)
-    nci = build_scenario("nCI")
+    nci = Scenario("nCI")
     tables = []
     for cls in cfg.adc_classes:
         model = default_power_model(cls, cfg.resolution_law)

@@ -52,7 +52,7 @@ class AdcModel:
         _check_counts(bits=self.bits)
 
 
-def resolution_factor(bits: int, law: str = "exponential") -> float:
+def resolution_factor(bits: int, law: str) -> float:
     """Conversion-step count for a resolution, under the selected law."""
     if law == "exponential":
         return 2.0 ** int(bits)  # a numpy integer would overflow to inf
@@ -92,7 +92,9 @@ def lookup_power(arch: Architecture, adc: AdcModel, b_sc):
         )
     spacings, powers = default_power_table().get((arch.name, adc.cls), (np.empty(0),) * 2)
     points = np.asarray(b_sc, dtype=np.float64)[..., None]
-    match = np.abs(spacings - points) <= _REL_TOL * np.maximum(np.abs(spacings), np.abs(points))
+    # An infinite point would pass the tolerance test as inf <= inf, so it must be finite.
+    match = np.isfinite(points) & (
+        np.abs(spacings - points) <= _REL_TOL * np.maximum(np.abs(spacings), np.abs(points)))
     missing = points[~match.any(axis=-1)]
     if missing.size:
         raise PowerTableError(
@@ -118,7 +120,7 @@ class PowerModel:
     base_power: dict[str, float]
 
 
-def calibrate(adc_class: str, *, resolution_law: str = "exponential") -> PowerModel:
+def calibrate(adc_class: str, *, resolution_law: str) -> PowerModel:
     """Fit per-architecture base powers and the shared conversion constant.
 
     Least squares over the bundled table's rows of the selected ADC class, in

@@ -23,7 +23,6 @@ from mmwicd import (
     discovery_slot_grid,
     lookup_power,
     resolution_factor,
-    uses_ci_budget,
 )
 
 # The five sub-carrier bandwidths the bundled power table was measured at.
@@ -75,7 +74,7 @@ def scalar_energy(arch, scenario, adc, b_sc, power_mode, geom, k=1):
     frame = derive_frame(b_sc)
     n_d = directional_scans(arch, scenario, geom)
     scan_time = int(discovery_slot_grid(arch, scenario, geom, k=k).max()) * frame.t_pss
-    if uses_ci_budget(arch, scenario, geom):
+    if scenario.kind == "CID" and arch.simultaneous_beams < geom.n_ms_directions:
         t_ci, e_ci = scenario.t_ci, scenario.p_ci * scenario.t_ci
     else:
         t_ci, e_ci = 0.0, 0.0

@@ -28,7 +28,6 @@ from mmwicd import (
     parametric_power,
     proposed_structure_energy,
     total_delay,
-    uses_ci_budget,
     verify_against_analytic,
     worst_case_structure_delay,
 )

@@ -8,16 +8,16 @@ from mmwicd import (
     Scenario,
     SweepGeometry,
     build_architecture,
-    build_scenario,
+    ci_cost,
     convergence_value,
     default_power_model,
+    default_scenarios,
     derive_frame,
     directional_scans,
     discovery_slot_grid,
     energy_columns,
     simulate,
     total_delay,
-    uses_ci_budget,
     worst_case_structure_delay,
 )
 
@@ -66,28 +66,28 @@ class TestArchitectureRegistry:
 
 class TestScenarios:
     def test_cid_defaults(self):
-        scenario = build_scenario("CID")
+        scenario = default_scenarios()["CID"]
         assert scenario.t_ci == 1.5
         assert scenario.p_ci == 0.1
 
     def test_cid_overrides(self):
-        scenario = build_scenario("CID", t_ci=2.0, p_ci=0.2)
+        scenario = Scenario("CID", t_ci=2.0, p_ci=0.2)
         assert (scenario.t_ci, scenario.p_ci) == (2.0, 0.2)
 
     @pytest.mark.parametrize("kind", ["nCI", "CInD"])
     def test_instant_scenarios_reject_budget(self, kind):
-        assert build_scenario(kind).t_ci == 0.0
+        assert Scenario(kind).t_ci == 0.0
         with pytest.raises(ValueError):
-            build_scenario(kind, t_ci=1.5)
+            Scenario(kind, t_ci=1.5)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            build_scenario("XCI")
+            Scenario("XCI")
 
     @pytest.mark.parametrize("budget", [{"t_ci": float("nan")}, {"p_ci": float("inf")}])
     def test_cid_rejects_non_finite_budget(self, budget):
         with pytest.raises(ValueError, match="finite"):
-            build_scenario("CID", **budget)
+            Scenario("CID", **budget)
 
 
 class TestScenarioRecord:
@@ -177,13 +177,14 @@ class TestKValidation:
 
 class TestCiBudget:
     def test_only_cid_with_partial_coverage_pays(self, archs, scens, geom):
+        cid = scens["CID"]
         for name in ARCHITECTURE_NAMES:
-            assert not uses_ci_budget(archs[name], scens["nCI"], geom)
-            assert not uses_ci_budget(archs[name], scens["CInD"], geom)
+            assert ci_cost(archs[name], scens["nCI"], geom) == (0.0, 0.0)
+            assert ci_cost(archs[name], scens["CInD"], geom) == (0.0, 0.0)
         # DBF sees all MS directions at once, so positioning adds nothing
-        assert not uses_ci_budget(archs["DBF"], scens["CID"], geom)
+        assert ci_cost(archs["DBF"], cid, geom) == (0.0, 0.0)
         for name in ("ABF", "HBF", "PSN"):
-            assert uses_ci_budget(archs[name], scens["CID"], geom)
+            assert ci_cost(archs[name], cid, geom) == (cid.t_ci, cid.p_ci * cid.t_ci)
 
 
 class TestTotalDelay:
@@ -208,5 +209,6 @@ class TestTotalDelay:
             for kind in SCENARIO_KINDS:
                 arch, scenario = archs[name], scens[kind]
                 scans = directional_scans(arch, scenario, geom)
-                t_ci = scenario.t_ci if uses_ci_budget(arch, scenario, geom) else 0.0
+                pays = scenario.kind == "CID" and arch.simultaneous_beams < geom.n_ms_directions
+                t_ci = scenario.t_ci if pays else 0.0
                 assert total_delay(arch, scenario, geom, frame) == scans * frame.t_pss + t_ci

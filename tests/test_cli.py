@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmwicd import (AdcModel, SweepGeometry, build_architecture, build_scenario, cli, power,
+from mmwicd import (AdcModel, SweepGeometry, build_architecture, cli, default_scenarios, power,
                     signaling, sweepsim)
 from mmwicd.cli import DEFAULT_CONFIG, config_fingerprint, main
 
@@ -596,7 +596,7 @@ class TestConfigHandling:
     def test_default_config_repeats_the_model_defaults(self):
         # each paper default is written in the model layer and again in DEFAULT_CONFIG
         arch_params = inspect.signature(build_architecture).parameters.values()
-        cid = build_scenario("CID")
+        cid = default_scenarios()["CID"]
         law = inspect.signature(power.default_power_model).parameters["resolution_law"]
         assert DEFAULT_CONFIG["geometry"] == dataclasses.asdict(SweepGeometry())
         assert DEFAULT_CONFIG["architecture_params"] == {
@@ -605,6 +605,18 @@ class TestConfigHandling:
         for cls in power.ADC_CLASSES:
             assert DEFAULT_CONFIG["bits"] == [AdcModel(cls).bits]
         assert DEFAULT_CONFIG["resolution_law"] == law.default
+
+    def test_integer_budget_is_read_as_a_float(self, tmp_path, capsys):
+        # json reads 2 and -1 as ints; the CI budget is written and refused as a float
+        budget = {"scenario_params": {"t_ci_s": 2, "p_ci_w": 0}}
+        assert run_with_config("tables", tmp_path, budget) == 0
+        rows = {(r["architecture"], r["scenario"]): r["t_ci_s"]
+                for r in read_csv(tmp_path / "out" / "tables-ii.csv")}
+        assert {name: rows[name, "CID"] for name in ARCH_ORDER} == {
+            "ABF": "2.0", "DBF": "0.0", "HBF": "2.0", "PSN": "2.0"}
+        budget = {"scenario_params": {"t_ci_s": -1, "p_ci_w": 0.1}}
+        assert run_with_config("sweep", tmp_path, budget) == 2
+        assert "t_ci=-1.0," in capsys.readouterr().err
 
 
 class TestJsonFormat:

@@ -7,10 +7,13 @@ from mmwicd import (
     AdcModel,
     Architecture,
     PowerTableError,
+    Scenario,
+    SweepGeometry,
     build_architecture,
     default_power_model,
     default_power_table,
     derive_frame,
+    energy_columns,
     frame_scaling,
     lookup_power,
     parametric_power,
@@ -76,18 +79,30 @@ class TestLookup:
         with pytest.raises(PowerTableError, match="8-bit"):
             lookup_power(archs["HBF"], AdcModel("LPADC", bits=8), b_sc)
 
+    @pytest.mark.parametrize("call", [
+        lambda archs, adc: lookup_power(archs["DBF"], adc, np.inf),
+        lambda archs, adc: lookup_power(archs["DBF"], adc, -np.inf),
+        lambda archs, adc: lookup_power(archs["DBF"], adc, np.array([15e3, np.inf])),
+        lambda archs, adc: energy_columns(archs["ABF"], Scenario("nCI"), adc, [1e300],
+                                          k=10**10, geom=SweepGeometry(), model=None),
+    ], ids=["inf", "-inf", "array-with-inf", "energy-columns-k-overflow"])
+    def test_infinite_bandwidth_matches_no_entry(self, archs, call):
+        # |s - b| <= tol * max(|s|, |b|) reads inf <= inf at an infinite b
+        with np.errstate(over="ignore"), pytest.raises(PowerTableError, match=r"b_sc=-?inf Hz"):
+            call(archs, AdcModel("HPADC"))
+
 
 class TestResolutionFactor:
     def test_laws(self):
-        assert resolution_factor(6) == 64.0
-        assert resolution_factor(10) == 1024.0
+        assert resolution_factor(6, "exponential") == 64.0
+        assert resolution_factor(10, "exponential") == 1024.0
         assert resolution_factor(6, "linear") == 6.0
         with pytest.raises(ValueError):
             resolution_factor(6, "cubic")
 
     def test_numpy_integer_bits_overflow_like_python_ints(self):
         with pytest.raises(OverflowError):
-            resolution_factor(np.int64(1100))
+            resolution_factor(np.int64(1100), "exponential")
 
     def test_numpy_integer_bits_give_the_same_power(self, archs):
         model = default_power_model("HPADC")

@@ -11,11 +11,12 @@ from mmwicd import (
     SEQUENTIAL_BS_OUTER,
     SEQUENTIAL_MS_OUTER,
     SWEEP_ORDERS,
+    Scenario,
     SweepGeometry,
     VerificationColumns,
     build_architecture,
-    build_scenario,
     ci_cost,
+    default_scenarios,
     derive_frame,
     directional_scans,
     discovery_slot_grid,
@@ -26,6 +27,7 @@ from mmwicd import (
     worst_case_structure_delay,
 )
 from mmwicd import sweepsim
+from mmwicd.architectures import DEFAULT_P_CI
 from conftest import TABULATED_B_SC
 
 
@@ -187,7 +189,7 @@ class TestDiscoveryGrid:
         # brute-force re-derivation of each target's first aligned slot
         n_bs, n_ms, beams, k, order, kind = params
         grid = discovery_slot_grid(
-            _beams_arch(beams), build_scenario(kind),
+            _beams_arch(beams), default_scenarios()[kind],
             SweepGeometry(n_bs_directions=n_bs, n_ms_directions=n_ms),
             sweep_order=SWEEP_ORDERS[order], k=k,
         )
@@ -216,7 +218,7 @@ class TestDiscoveryGrid:
         geom = SweepGeometry(n_bs_directions=n_bs, n_ms_directions=n_ms)
         for kind in SCENARIO_KINDS:
             for order in SWEEP_ORDERS:
-                _assert_grid_matches_walk(_beams_arch(beams), build_scenario(kind),
+                _assert_grid_matches_walk(_beams_arch(beams), default_scenarios()[kind],
                                           geom, order, k)
 
     @settings(max_examples=60, deadline=None)
@@ -235,7 +237,7 @@ class TestDiscoveryGrid:
                                        n_rf_chains, n_combiners, k, order, kind):
         arch = build_architecture(name, n_ms_antennas=n_ms_antennas,
                                   n_rf_chains=n_rf_chains, n_combiners=n_combiners)
-        scenario = build_scenario(kind)
+        scenario = default_scenarios()[kind]
         geom = SweepGeometry(n_bs_directions=n_bs, n_ms_directions=n_ms)
         _assert_grid_matches_walk(arch, scenario, geom, order, k)
         # The closed forms equal the walk's worst case exactly, whatever divides.
@@ -253,7 +255,7 @@ class TestDiscoveryGrid:
         geom = SweepGeometry(n_bs_directions=60, n_ms_directions=14)
 
         def grid(beams, k):
-            return discovery_slot_grid(_beams_arch(beams), build_scenario(kind), geom,
+            return discovery_slot_grid(_beams_arch(beams), default_scenarios()[kind], geom,
                                        sweep_order=order, k=k)
 
         assert np.array_equal(grid(4, 2**70), grid(4, 60))
@@ -290,7 +292,7 @@ class TestVerifyColumns:
         # 16 values split a column mid-way: several b_sc rows per block when the
         # grid is small, one row per block when it holds more than 8 targets
         arch = _beams_arch(beams)
-        scenario = build_scenario(kind, t_ci=t_ci) if kind == "CID" else build_scenario(kind)
+        scenario = Scenario("CID", t_ci, DEFAULT_P_CI) if kind == "CID" else Scenario(kind)
         geom = SweepGeometry(n_bs_directions=n_bs, n_ms_directions=n_ms)
         with pytest.MonkeyPatch.context() as mp:
             if block_values is not None:
@@ -331,7 +333,7 @@ class TestVerifyColumns:
         # (t_ci = 1e20 at any b_sc, the default 1.5 s at b_sc = 1e300); in slots
         # it does not.  CID sees every MS direction of BS direction 63 in the last
         # slot, and argmax names the first of them.
-        for scenario, b_sc in [(build_scenario("CID", t_ci=1e20), [15e3, 1e6]),
+        for scenario, b_sc in [(Scenario("CID", 1e20, DEFAULT_P_CI), [15e3, 1e6]),
                                (scens["CID"], [15e3, 1e300])]:
             columns = verify_columns(archs["ABF"], scenario, geom, b_sc)
             assert (columns.passed, columns.first_mismatch) == (False, (63, 0)), b_sc
