@@ -7,12 +7,11 @@ on whether positioning context removes the MS-side half of the search.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .signaling import FrameConfig
+from .signaling import FrameConfig, _real_ok
 
 ARCHITECTURE_NAMES = ("ABF", "DBF", "HBF", "PSN")
 SCENARIO_KINDS = ("nCI", "CInD", "CID")
@@ -98,7 +97,7 @@ class Scenario:
 
     nCI: no positioning context; the full BS x MS grid is searched.
     CInD: MS positioning already known; only the BS sweep remains.
-    CID: positioning must first be acquired, costing t_ci seconds at p_ci watts.
+    CID: positioning is first acquired: t_ci seconds at p_ci watts, held as Python floats.
     """
 
     kind: str
@@ -107,14 +106,18 @@ class Scenario:
 
     def __post_init__(self):
         t, p = self.t_ci, self.p_ci
+        if not (_real_ok(t) and _real_ok(p) and np.ndim(t) == np.ndim(p) == 0):
+            raise ValueError(f"CI budget must be two finite numbers, got t_ci={t!r}, p_ci={p!r}")
+        t, p = float(t), float(p)
+        object.__setattr__(self, "t_ci", t)  # Python floats, as Architecture holds ints
+        object.__setattr__(self, "p_ci", p)
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario {self.kind!r}; expected one of {SCENARIO_KINDS}")
         if self.kind != "CID" and (t, p) != (0.0, 0.0):
             raise ValueError(f"{self.kind} carries no context-acquisition budget")
-        if not (0 <= t <= sys.float_info.max and 0 <= p <= sys.float_info.max):
-            raise ValueError(
-                f"CID acquisition delay and power must be finite and >= 0, got t_ci={t}, p_ci={p}"
-            )
+        if min(t, p) < 0:
+            raise ValueError("CID acquisition delay and power must be finite and >= 0, "
+                             f"got t_ci={t}, p_ci={p}")
 
 
 def default_scenarios() -> dict[str, Scenario]:

@@ -66,7 +66,7 @@ from .power import (
     parametric_power,
     resolution_factor,
 )
-from .signaling import _b_sc_ok, derive_frame, frame_scaling
+from .signaling import _b_sc_ok, _real_ok, derive_frame, frame_scaling
 from .sweepsim import (
     SWEEP_ORDERS,
     verify_columns,
@@ -141,12 +141,6 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _is_number(v) -> bool:
-    """A number a float holds: not a bool, NaN, an infinity or an int past float range."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
-
-
 def _entries(raw: dict, key: str, ok, what: str) -> tuple:
     """raw[key] as a tuple: a non-empty list of distinct entries that each pass ok."""
     values = raw[key]
@@ -165,7 +159,7 @@ def _params(raw: dict, key: str) -> dict:
     _require(isinstance(params, dict) and params.keys() == names,
              f"{key} must be an object with exactly the keys {list(names)}")
     for name, v in params.items():
-        _require(_is_number(v), f"{key}.{name} must be a finite number, got {v!r}")
+        _require(_real_ok(v), f"{key}.{name} must be a finite number, got {v!r}")
     return params
 
 
@@ -211,8 +205,7 @@ def resolve_config(raw: dict) -> RunConfig:
     architectures = tuple(_build("architecture_params", build_architecture, name, **arch_params)
                           for name in arch_names)
     # The CI budget is checked whether or not CID is listed.
-    cid = _build("scenario_params", Scenario, "CID",
-                 t_ci=float(ci["t_ci_s"]), p_ci=float(ci["p_ci_w"]))
+    cid = _build("scenario_params", Scenario, "CID", t_ci=ci["t_ci_s"], p_ci=ci["p_ci_w"])
     scenarios = tuple(cid if kind == "CID" else Scenario(kind) for kind in scenario_kinds)
 
     for key, values in (("bits", bits), ("convergence_bits", convergence_bits)):

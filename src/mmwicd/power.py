@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .architectures import Architecture, _check_counts, default_architectures
-from .signaling import frame_scaling
+from .signaling import _B_SC_REFUSED, _b_sc_ok, frame_scaling
 
 ADC_CLASSES = ("LPADC", "HPADC")
 RESOLUTION_LAWS = ("exponential", "linear")
@@ -81,10 +81,12 @@ def default_power_table() -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]
 def lookup_power(arch: Architecture, adc: AdcModel, b_sc):
     """Exact bundled-table entry for (architecture, ADC class, b_sc); 6-bit only.
 
-    b_sc may be a numpy array, giving the entry at each point; a point the
-    table does not hold (every point, for a pair it lacks) raises, naming the
-    first such point.
+    b_sc may be a numpy array, giving the entry at each point.  What
+    parametric_power refuses raises its ValueError; a point not in the table
+    (every point, for a pair it lacks) raises PowerTableError, naming the first.
     """
+    if not _b_sc_ok(b_sc):
+        raise ValueError(_B_SC_REFUSED.format(b_sc))
     if adc.bits != TABLE_BITS:
         raise PowerTableError(
             f"table holds {TABLE_BITS}-bit measurements, not {adc.bits}-bit; "
@@ -92,9 +94,7 @@ def lookup_power(arch: Architecture, adc: AdcModel, b_sc):
         )
     spacings, powers = default_power_table().get((arch.name, adc.cls), (np.empty(0),) * 2)
     points = np.asarray(b_sc, dtype=np.float64)[..., None]
-    # An infinite point would pass the tolerance test as inf <= inf, so it must be finite.
-    match = np.isfinite(points) & (
-        np.abs(spacings - points) <= _REL_TOL * np.maximum(np.abs(spacings), np.abs(points)))
+    match = np.abs(spacings - points) <= _REL_TOL * np.maximum(np.abs(spacings), np.abs(points))
     missing = points[~match.any(axis=-1)]
     if missing.size:
         raise PowerTableError(

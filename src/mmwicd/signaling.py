@@ -13,7 +13,6 @@ power drawn at k * b_sc.
 
 from __future__ import annotations
 
-import contextlib
 import sys
 from dataclasses import dataclass
 
@@ -35,6 +34,8 @@ SYNC_BW_UTILIZATION = 1.08e6 / 1.4e6
 # t_pss * b_tot under the defaults; independent of b_sc.
 SYNC_TIME_BANDWIDTH = SUBCARRIERS_PER_RB * RBS_FOR_SYNC * PSS_TIME_SCALE / SYNC_BW_UTILIZATION
 
+_B_SC_REFUSED = "sub-carrier bandwidth must be a finite number > 0, got {!r}"
+
 
 @dataclass(frozen=True)
 class FrameConfig:
@@ -45,28 +46,29 @@ class FrameConfig:
     b_tot: float  # Hz, total system bandwidth (ADC sampling rate driver)
 
 
+def _real_ok(value) -> bool:
+    """The one real-number rule: a Python int or float (not a bool), or a numpy number or
+    array of kind i/u/f and at most 64 bits, every value finite (a float in its width)."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        dtype = value.dtype
+        return dtype.kind in "iuf" and dtype.itemsize <= 8 and bool(np.isfinite(value).all())
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
+
+
 def _b_sc_ok(b_sc) -> bool:
-    """The one bandwidth rule: a number (not a bool) or a numeric numpy array, each value
-    finite and > 0.  An int past float range is compared exactly, not converted."""
-    if isinstance(b_sc, np.ndarray):
-        numeric = b_sc.dtype.kind in "iuf"
-    else:
-        numeric = (isinstance(b_sc, (int, float, np.integer, np.floating))
-                   and not isinstance(b_sc, bool))
-    return numeric and bool(np.logical_and(b_sc > 0, b_sc <= sys.float_info.max).all())
+    """The one bandwidth rule: _real_ok, and every value > 0."""
+    return _real_ok(b_sc) and bool(np.greater(b_sc, 0).all())
 
 
 def _b_sc_array(b_sc) -> np.ndarray:
-    """Sub-carrier bandwidths as float64: a numpy array by its dtype (numeric only,
-    and itself when float64), a sequence element by element, refusing booleans and
-    ints past float range rather than reading 1.0, 0.0 or an OverflowError;
-    frame_scaling checks the values themselves."""
+    """Sub-carrier bandwidths as float64: a numpy array of a dtype _real_ok takes (itself
+    when float64), a sequence when every entry passes _real_ok; frame_scaling checks > 0."""
     if isinstance(b_sc, np.ndarray):
-        if b_sc.dtype.kind in "iuf":
+        if b_sc.dtype.kind in "iuf" and b_sc.dtype.itemsize <= 8:
             return b_sc.astype(np.float64, copy=False)
-    elif {bool, np.bool_}.isdisjoint(map(type, b_sc)):
-        with contextlib.suppress(OverflowError):
-            return np.asarray(b_sc, dtype=np.float64)
+    elif all(map(_real_ok, b_sc)):
+        return np.asarray(b_sc, dtype=np.float64)
     raise ValueError(f"sub-carrier bandwidths must be numbers a float holds, got {b_sc!r}")
 
 
@@ -75,10 +77,12 @@ def frame_scaling(b_sc):
 
     t_pss scales inversely with b_sc (anchored at 15 kHz <-> 5 ms) and b_tot
     grows linearly: b_tot = SUBCARRIERS_PER_RB * RBS_FOR_SYNC * b_sc / SYNC_BW_UTILIZATION.
-    This is the only copy of both formulas.
+    This is the only copy of both formulas; a numpy input computes in float64.
     """
     if not _b_sc_ok(b_sc):
-        raise ValueError(f"sub-carrier bandwidth must be a finite number > 0, got {b_sc!r}")
+        raise ValueError(_B_SC_REFUSED.format(b_sc))
+    if isinstance(b_sc, (np.ndarray, np.generic)):
+        b_sc = b_sc.astype(np.float64, copy=False)
     return PSS_TIME_SCALE / b_sc, SUBCARRIERS_PER_RB * RBS_FOR_SYNC * b_sc / SYNC_BW_UTILIZATION
 
 

@@ -1,0 +1,102 @@
+"""One real-number rule at every public entry that takes a real value.
+
+A sub-carrier spacing or a CID budget may be a Python int or float, or a numpy
+int or float of up to 64 bits.  A bool, a string, None, NaN, an infinity, an
+int past float range and a numpy float wider than 64 bits are refused with
+ValueError, and so are spacings <= 0, by both power sources alike.  Warnings are errors here, as everywhere in the
+suite, so a narrow float that overflows a cast fails too.
+"""
+
+import numpy as np
+import pytest
+
+from mmwicd import (
+    AdcModel,
+    Scenario,
+    SweepGeometry,
+    default_architectures,
+    default_power_model,
+    derive_frame,
+    energy_columns,
+    frame_scaling,
+    lookup_power,
+    parametric_power,
+    verify_columns,
+)
+
+ARCHS = default_architectures()
+ADC = AdcModel("HPADC")
+MODEL = default_power_model("HPADC")
+GEOM = SweepGeometry()
+
+# Each accepted value is a spacing the bundled table holds, so lookup_power answers too.
+ACCEPTED = [250e3, 500000, np.float16(15e3), np.float32(250e3), np.int64(10**6),
+            np.uint32(500000)]
+# A longdouble past float64 range is finite in its own width, but no float holds it.
+REFUSED = [True, np.bool_(True), "250e3", None, np.nan, np.inf, -np.inf, 10**400,
+           np.longdouble("1e400")]
+NOT_SPACINGS = [0, -1]
+
+ENTRIES = {
+    "Scenario": lambda v: Scenario("CID", v, 0.1),
+    "derive_frame": derive_frame,
+    "parametric_power": lambda v: parametric_power(MODEL, ARCHS["DBF"], ADC, v),
+    "lookup_power": lambda v: lookup_power(ARCHS["DBF"], ADC, v),
+    "energy_columns": lambda v: energy_columns(ARCHS["ABF"], Scenario("nCI"), ADC, [v],
+                                               geom=GEOM, model=None),
+    "verify_columns": lambda v: verify_columns(ARCHS["ABF"], Scenario("nCI"), GEOM, [v]),
+}
+SPACING_ENTRIES = [name for name in ENTRIES if name != "Scenario"]
+
+
+def _id(value) -> str:
+    return repr(value)[:24]
+
+
+def _refuses(entry, value) -> bool:
+    try:
+        entry(value)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("value", ACCEPTED, ids=_id)
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_accepted(entry, value):
+    result = ENTRIES[entry](value)
+    if entry == "Scenario":
+        assert type(result.t_ci) is float and result.t_ci == float(value)
+
+
+@pytest.mark.parametrize("value", REFUSED, ids=_id)
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_refused(entry, value):
+    with pytest.raises(ValueError):
+        ENTRIES[entry](value)
+
+
+@pytest.mark.parametrize("value", NOT_SPACINGS, ids=_id)
+@pytest.mark.parametrize("entry", SPACING_ENTRIES)
+def test_refused_as_a_spacing(entry, value):
+    with pytest.raises(ValueError):
+        ENTRIES[entry](value)
+
+
+def test_both_power_sources_refuse_the_same_spacings():
+    values = [*ACCEPTED, *REFUSED, *NOT_SPACINGS, [250e3, 15e3], np.array(["15000"]),
+              np.array([250e3, np.nan]), np.float32(np.inf), np.array([250e3], dtype=object)]
+    lookup, parametric = ENTRIES["lookup_power"], ENTRIES["parametric_power"]
+    assert [_refuses(lookup, v) for v in values] == [_refuses(parametric, v) for v in values]
+
+
+@pytest.mark.parametrize("value", [np.float16(15e3), np.float32(250e3)], ids=_id)
+def test_narrow_float_computes_as_the_python_float(value):
+    wide = float(value)
+    frame, expected = derive_frame(value), derive_frame(wide)
+    assert (frame.t_pss, frame.b_tot) == (expected.t_pss, expected.b_tot)
+    assert np.asarray(frame.t_pss).dtype == np.asarray(frame.b_tot).dtype == np.float64
+    power = ENTRIES["parametric_power"]
+    assert power(value) == power(wide) and np.asarray(power(value)).dtype == np.float64
+    array = frame_scaling(np.array([value]))
+    assert [column.tolist() for column in array] == [[expected.t_pss], [expected.b_tot]]
