@@ -21,8 +21,8 @@ DEFAULT_P_CI = 0.1  # W, receiver draw while acquiring positioning
 
 
 def _count_ok(value) -> bool:
-    """The one count rule: an integer >= 1, Python or numpy (booleans are not counts)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+    """The one count rule: _real_ok, and an integer >= 1, Python or numpy (not a bool)."""
+    return isinstance(value, (int, np.integer)) and _real_ok(value) and value >= 1
 
 
 def _check_counts(**counts) -> None:
@@ -34,7 +34,7 @@ def _check_counts(**counts) -> None:
     """
     for name, value in counts.items():
         if not _count_ok(value):
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            raise ValueError(f"{name} must be an integer >= 1 that a float holds, got {value!r}")
 
 
 @dataclass(frozen=True)

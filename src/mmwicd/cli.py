@@ -15,7 +15,8 @@ writes no file.
 Config file keys override DEFAULT_CONFIG, and flags override both.  A list is
 non-empty with every entry valid and distinct, a choice one of its names, a
 nested object exactly its default's keys, each a finite number (not a bool),
-and out a string; scenario_params is checked even when CID is not listed.
+a count (bits, k, geometry, architecture_params) an integer >= 1 that a float
+holds, and out a string; scenario_params is checked even when CID is not listed.
 Under power_mode "lookup", bits must be [TABLE_BITS], the table's resolution.
 
 Exit codes: 0 ok, 1 runtime failure, 2 config error, 3 verification mismatch.
@@ -182,7 +183,8 @@ def resolve_config(raw: dict) -> RunConfig:
 
     b_sc = np.array(_entries(merged, "b_sc_hz", _b_sc_ok, "finite numbers > 0"), dtype=np.float64)
     b_sc.flags.writeable = False
-    bits, convergence_bits, k_values = (_entries(merged, key, _count_ok, "integers >= 1")
+    bits, convergence_bits, k_values = (_entries(merged, key, _count_ok,
+                                                 "integers >= 1 that a float holds")
                                         for key in ("bits", "convergence_bits", "k"))
     arch_names, scenario_kinds, adc_classes, orders = (
         _entries(merged, key, names.__contains__, f"one of {names}")
@@ -217,8 +219,7 @@ def resolve_config(raw: dict) -> RunConfig:
 
     pss_base = merged["pss_base_b_sc_hz"]
     _require(_b_sc_ok(pss_base), "pss_base_b_sc_hz must be a finite number > 0")
-    widest = pss_base * max(k_values) if max(k_values) <= sys.float_info.max else math.inf
-    _require(math.isfinite(widest), f"pss_base_b_sc_hz * max(k) must be finite, got {widest}")
+    _require(_b_sc_ok(pss_base * max(k_values)), "pss_base_b_sc_hz * max(k) must be finite")
 
     return RunConfig(
         fingerprint=config_fingerprint(merged),

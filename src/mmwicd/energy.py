@@ -144,10 +144,10 @@ def convergence_value(
 
     Only the converter term survives: scans * n_adc * c * r(bits) * (b_tot * t_pss),
     using the analytically constant time-bandwidth product, so the value is
-    independent of b_sc by construction.
+    independent of b_sc by construction.  Counts multiply as floats: past float range, inf.
     """
     _check_class(model, adc)
-    n_d = directional_scans(arch, scenario, geom)
+    n_d = float(directional_scans(arch, scenario, geom))
     return n_d * arch.n_adc * model.c * resolution_factor(adc.bits, model.resolution_law) * SYNC_TIME_BANDWIDTH
 
 
@@ -167,8 +167,7 @@ def ec_crossover(
     """
     _check_class(model, adc)
     r = resolution_factor(adc.bits, model.resolution_law)
-    n_a = directional_scans(arch_a, scenario, geom)
-    n_b = directional_scans(arch_b, scenario, geom)
+    n_a, n_b = (float(directional_scans(arch, scenario, geom)) for arch in (arch_a, arch_b))
     scale = derive_frame(1.0).t_pss  # t_pss * b_sc, the inverse-proportionality constant
     a_term = scale * (n_a * model.base_power[arch_a.name] - n_b * model.base_power[arch_b.name])
     c_term = SYNC_TIME_BANDWIDTH * model.c * r * (n_a * arch_a.n_adc - n_b * arch_b.n_adc)

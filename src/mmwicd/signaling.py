@@ -77,12 +77,12 @@ def frame_scaling(b_sc):
 
     t_pss scales inversely with b_sc (anchored at 15 kHz <-> 5 ms) and b_tot
     grows linearly: b_tot = SUBCARRIERS_PER_RB * RBS_FOR_SYNC * b_sc / SYNC_BW_UTILIZATION.
-    This is the only copy of both formulas; a numpy input computes in float64.
+    The only copy of both formulas; numpy input computes in float64, a Python int as a float.
     """
     if not _b_sc_ok(b_sc):
         raise ValueError(_B_SC_REFUSED.format(b_sc))
-    if isinstance(b_sc, (np.ndarray, np.generic)):
-        b_sc = b_sc.astype(np.float64, copy=False)
+    b_sc = (b_sc.astype(np.float64, copy=False) if isinstance(b_sc, (np.ndarray, np.generic))
+            else float(b_sc))
     return PSS_TIME_SCALE / b_sc, SUBCARRIERS_PER_RB * RBS_FOR_SYNC * b_sc / SYNC_BW_UTILIZATION
 
 

@@ -35,6 +35,23 @@ def run_with_config(verb, tmp_path, raw):
     return run([verb], tmp_path, ("--config", str(config)))
 
 
+def with_architecture_params(**counts):
+    return {"architecture_params": {**DEFAULT_CONFIG["architecture_params"], **counts}}
+
+
+# Configs whose ints pass float range only in a product or a converter count; each
+# once stopped some verb with exit 1, "int too large to convert to float".
+INT_PAST_FLOAT_RANGE = {
+    "int-k-product": {"pss_base_b_sc_hz": 250000, "k": [1, 10**304]},
+    "int-base-product": {"pss_base_b_sc_hz": 10**308, "k": [1, 2]},
+    "dbf-converters": with_architecture_params(n_ms_antennas=10**308),
+    "dbf-converters-parametric": {**with_architecture_params(n_ms_antennas=10**308),
+                                  "power_mode": "parametric"},
+}
+# 2 * 5e307 converters fit a float; only convergence's product with the scan count does not.
+HBF_CONVERTERS_NEAR_FLOAT_MAX = with_architecture_params(n_rf_chains=5 * 10**307)
+
+
 class TestTables:
     def test_table_i_matches_golden_bytes(self, tmp_path):
         assert run(["tables"], tmp_path) == 0
@@ -495,12 +512,39 @@ class TestConfigHandling:
         assert run([verb], tmp_path, ("--bits", "3", "--power-mode", "parametric")) == 0
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("raw", [{"pss_base_b_sc_hz": 1e308}, {"k": [10**400]}],
-                             ids=["base", "k-past-float-range"])
-    def test_overflowing_pss_bandwidth_is_config_error(self, tmp_path, capsys, raw):
+    @pytest.mark.parametrize("raw,message", [
+        ({"pss_base_b_sc_hz": 1e308}, "pss_base_b_sc_hz * max(k) must be finite"),
+        # a count past float range is refused as the count, by the one count rule
+        ({"k": [10**400]}, "k entries must be integers >= 1 that a float holds"),
+    ], ids=["base", "k-past-float-range"])
+    def test_overflowing_pss_bandwidth_is_config_error(self, tmp_path, capsys, raw, message):
         assert run_with_config("pss", tmp_path, raw) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "pss_base_b_sc_hz" in err and "max(k)" in err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", sorted(cli.COMMANDS))
+    @pytest.mark.parametrize("case", sorted(INT_PAST_FLOAT_RANGE))
+    def test_int_past_float_range_is_config_error(self, tmp_path, capsys, verb, case):
+        # an int product or converter count past float range is refused up front, never exit 1
+        assert run_with_config(verb, tmp_path, INT_PAST_FLOAT_RANGE[case]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
+        assert "pss_base_b_sc_hz * max(k)" in err or "bad architecture_params: n_adc" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", sorted(cli.COMMANDS))
+    def test_converter_count_near_float_range(self, tmp_path, capsys, verb):
+        # HBF's 10**308 converters fit a float, but 64 scans of them do not: convergence
+        # refuses its inf limit by file and column, and the verbs that never form it run
+        code = run_with_config(verb, tmp_path, HBF_CONVERTERS_NEAR_FLOAT_MAX)
+        out, err = capsys.readouterr()
+        if verb != "convergence":
+            assert (code, err) == (0, "")
+            return
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("config error: refusing to write convergence-")
+        assert "column HBF holds inf" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("k", [100000, 2**63 - 1, 2**63, 10**19, 10**300],
@@ -869,23 +913,29 @@ def cli_runs(draw):
     """(verb, format, config): a small geometry and any finite, in-range values.
 
     Under lookup, b_sc_hz comes from the table's spacings, whose misses exit 1
-    by design, and bits is [6] half the time; any other bits is refused.
+    by design, and bits is [6] half the time; any other bits is refused.  Part
+    of the time pss_base_b_sc_hz is a Python int, and each architecture count
+    any int up to 10**308; half of those lie at or above 10**306, where their
+    products with k, scan counts and 2 (the I/Q pair) can pass float range.
     """
     def small_ints(hi):
         return st.lists(st.one_of(st.integers(1, 12), st.integers(1, hi)), min_size=1, max_size=3)
+
+    big_ints = st.one_of(st.integers(1, 10**308), st.integers(10**306, 10**308))
+    arch_counts = st.one_of(st.integers(1, 16), big_ints)
 
     lookup = draw(st.sampled_from(["lookup", "parametric"])) == "lookup"
     raw = {
         "power_mode": "lookup" if lookup else "parametric",
         "geometry": {"n_bs_directions": draw(st.integers(1, 40)),
                      "n_ms_directions": draw(st.integers(1, 10))},
-        "architecture_params": {"n_ms_antennas": draw(st.integers(1, 16)),
-                                "n_rf_chains": draw(st.integers(1, 16)),
-                                "n_combiners": draw(st.integers(1, 16))},
+        "architecture_params": {"n_ms_antennas": draw(arch_counts),
+                                "n_rf_chains": draw(arch_counts),
+                                "n_combiners": draw(arch_counts)},
         "b_sc_hz": draw(st.lists(st.sampled_from(TABULATED_B_SC), min_size=1, max_size=3,
                                  unique=True) if lookup
                         else st.lists(positive_floats, min_size=1, max_size=3)),
-        "pss_base_b_sc_hz": draw(positive_floats),
+        "pss_base_b_sc_hz": draw(st.one_of(positive_floats, big_ints)),
         "bits": draw(st.one_of(st.just([6]), small_ints(1100)) if lookup else small_ints(1100)),
         "convergence_bits": draw(small_ints(1100)),
         "k": draw(small_ints(80)),
@@ -941,6 +991,11 @@ class TestCliProperty:
     """A random config either runs clean or is refused as a whole."""
 
     @given(run_args=cli_runs())
+    @example(run_args=("tables", "csv", INT_PAST_FLOAT_RANGE["int-k-product"]))
+    @example(run_args=("sweep", "json", INT_PAST_FLOAT_RANGE["int-base-product"]))
+    @example(run_args=("pss", "csv", INT_PAST_FLOAT_RANGE["dbf-converters"]))
+    @example(run_args=("sweep", "csv", INT_PAST_FLOAT_RANGE["dbf-converters-parametric"]))
+    @example(run_args=("convergence", "csv", HBF_CONVERTERS_NEAR_FLOAT_MAX))
     @settings(max_examples=200, deadline=None)
     def test_exit_zero_with_finite_outputs_or_exit_two_with_none(self, run_args):
         code, stdout, stderr, written = run_in_process(*run_args)

@@ -1,10 +1,12 @@
-"""One real-number rule at every public entry that takes a real value.
+"""One real-number rule at every public entry that takes a real value or a count.
 
 A sub-carrier spacing or a CID budget may be a Python int or float, or a numpy
 int or float of up to 64 bits.  A bool, a string, None, NaN, an infinity, an
 int past float range and a numpy float wider than 64 bits are refused with
-ValueError, and so are spacings <= 0, by both power sources alike.  Warnings are errors here, as everywhere in the
-suite, so a narrow float that overflows a cast fails too.
+ValueError, and so are spacings <= 0, by both power sources alike.  A count is
+a real number too, and an integer >= 1: one past float range is refused as
+well, since the models multiply counts into floats.  Warnings are errors here,
+as everywhere in the suite, so a narrow float that overflows a cast fails too.
 """
 
 import numpy as np
@@ -12,15 +14,22 @@ import pytest
 
 from mmwicd import (
     AdcModel,
+    Architecture,
     Scenario,
     SweepGeometry,
+    build_architecture,
+    convergence_value,
     default_architectures,
     default_power_model,
     derive_frame,
+    directional_scans,
+    discovery_slot_grid,
+    ec_crossover,
     energy_columns,
     frame_scaling,
     lookup_power,
     parametric_power,
+    simulate,
     verify_columns,
 )
 
@@ -100,3 +109,54 @@ def test_narrow_float_computes_as_the_python_float(value):
     assert power(value) == power(wide) and np.asarray(power(value)).dtype == np.float64
     array = frame_scaling(np.array([value]))
     assert [column.tolist() for column in array] == [[expected.t_pss], [expected.b_tot]]
+
+
+COUNTS_ACCEPTED = [1, np.int64(2**62), 2**70]
+COUNTS_REFUSED = [True, np.bool_(True), 0, -1, 1.0, "3", 10**400]
+NCI = Scenario("nCI")
+
+COUNT_ENTRIES = {
+    "Architecture.n_adc": lambda v: Architecture("ABF", v, 1),
+    "Architecture.simultaneous_beams": lambda v: Architecture("ABF", 2, v),
+    "build_architecture.n_ms_antennas": lambda v: build_architecture("DBF", n_ms_antennas=v),
+    "build_architecture.n_rf_chains": lambda v: build_architecture("HBF", n_rf_chains=v),
+    "build_architecture.n_combiners": lambda v: build_architecture("PSN", n_combiners=v),
+    "SweepGeometry.n_bs_directions": lambda v: SweepGeometry(v, 16),
+    "SweepGeometry.n_ms_directions": lambda v: SweepGeometry(64, v),
+    "AdcModel.bits": lambda v: AdcModel("HPADC", bits=v),
+    "directional_scans.k": lambda v: directional_scans(ARCHS["ABF"], NCI, GEOM, v),
+    "discovery_slot_grid.k": lambda v: discovery_slot_grid(ARCHS["ABF"], NCI, GEOM, k=v),
+    "simulate.k": lambda v: simulate(ARCHS["ABF"], NCI, GEOM, (0, 0), k=v),
+    "energy_columns.k": lambda v: energy_columns(ARCHS["ABF"], NCI, ADC, [15e3], k=v,
+                                                 geom=GEOM, model=MODEL),
+}
+
+
+@pytest.mark.parametrize("value", COUNTS_ACCEPTED, ids=_id)
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_count_accepted(entry, value):
+    COUNT_ENTRIES[entry](value)
+
+
+@pytest.mark.parametrize("value", COUNTS_REFUSED, ids=_id)
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_count_refused(entry, value):
+    with pytest.raises(ValueError):
+        COUNT_ENTRIES[entry](value)
+
+
+def test_int_spacing_past_float_range_computes_as_the_float():
+    # 72 * b_sc leaves float range: b_tot is inf, as for the float, not an OverflowError
+    wide = 1.7e308
+    frame, expected = derive_frame(int(wide)), derive_frame(wide)
+    assert [float(v).hex() for v in (frame.b_sc, frame.t_pss, frame.b_tot)] == \
+        [float(v).hex() for v in (expected.b_sc, expected.t_pss, expected.b_tot)]
+    power = ENTRIES["parametric_power"]
+    assert float(power(int(wide))).hex() == float(power(wide)).hex()
+
+
+def test_converter_count_near_float_range_gives_inf_not_overflow():
+    # 64 scans * 10**308 converters leave float range: the limit is inf, the crossover none
+    hbf = build_architecture("HBF", n_rf_chains=5 * 10**307)
+    assert convergence_value(hbf, NCI, ADC, GEOM, MODEL) == np.inf
+    assert ec_crossover(hbf, ARCHS["ABF"], NCI, ADC, GEOM, MODEL) is None
