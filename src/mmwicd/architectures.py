@@ -137,6 +137,7 @@ class SweepGeometry:
         _check_counts(n_bs_directions=self.n_bs_directions, n_ms_directions=self.n_ms_directions)
         object.__setattr__(self, "n_bs_directions", int(self.n_bs_directions))  # as in Architecture
         object.__setattr__(self, "n_ms_directions", int(self.n_ms_directions))
+        _check_counts(n_targets=self.n_bs_directions * self.n_ms_directions)  # caps scan counts
 
 
 def directional_scans(

@@ -59,7 +59,6 @@ from .energy import (
 )
 from .power import (
     ADC_CLASSES,
-    RESOLUTION_LAWS,
     TABLE_BITS,
     AdcModel,
     default_power_model,
@@ -96,7 +95,6 @@ DEFAULT_CONFIG = {
     "bits": [6],
     "convergence_bits": list(range(1, 13)),
     "power_mode": "lookup",
-    "resolution_law": "exponential",
     "geometry": {"n_bs_directions": 64, "n_ms_directions": 16},
     "architecture_params": {"n_ms_antennas": 16, "n_rf_chains": 4, "n_combiners": 4},
     "scenario_params": {"t_ci_s": 1.5, "p_ci_w": 0.1},
@@ -122,7 +120,6 @@ class RunConfig:
     bits: tuple[int, ...]
     convergence_bits: tuple[int, ...]
     power_mode: str
-    resolution_law: str
     geom: SweepGeometry
     k_values: tuple[int, ...]
     pss_base_b_sc: float
@@ -191,8 +188,7 @@ def resolve_config(raw: dict) -> RunConfig:
         for key, names in (("architectures", ARCHITECTURE_NAMES), ("scenarios", SCENARIO_KINDS),
                            ("adc_classes", ADC_CLASSES), ("sweep_orders", SWEEP_ORDERS)))
 
-    for key, choices in (("power_mode", POWER_MODES), ("resolution_law", RESOLUTION_LAWS),
-                         ("format", OUTPUT_FORMATS)):
+    for key, choices in (("power_mode", POWER_MODES), ("format", OUTPUT_FORMATS)):
         _require(merged[key] in choices, f"{key} must be one of {choices}, got {merged[key]!r}")
     _require(isinstance(merged["out"], str), f"out must be a string, got {merged['out']!r}")
     _require(merged["power_mode"] != "lookup" or bits == (TABLE_BITS,),
@@ -212,9 +208,9 @@ def resolve_config(raw: dict) -> RunConfig:
 
     for key, values in (("bits", bits), ("convergence_bits", convergence_bits)):
         try:  # the factor grows with bits, so the largest entry is the one to test
-            resolution_factor(max(values), merged["resolution_law"])
+            resolution_factor(max(values))
         except OverflowError as exc:
-            raise ConfigError(f"{key} entry {max(values)} puts the {merged['resolution_law']} "
+            raise ConfigError(f"{key} entry {max(values)} puts the exponential "
                               "resolution factor past float range") from exc
 
     pss_base = merged["pss_base_b_sc_hz"]
@@ -230,7 +226,6 @@ def resolve_config(raw: dict) -> RunConfig:
         bits=bits,
         convergence_bits=convergence_bits,
         power_mode=merged["power_mode"],
-        resolution_law=merged["resolution_law"],
         geom=geom,
         k_values=k_values,
         pss_base_b_sc=float(pss_base),
@@ -359,13 +354,6 @@ def _emit(cfg: RunConfig, tables: list) -> None:
 # Commands
 
 
-def _repeated(values, times: int) -> np.ndarray:
-    """Each value times over, in order, as one object array: a config integer
-    such as bits may lie past int64, where an inferred dtype would be float64
-    and a forced int64 would raise."""
-    return np.repeat(np.array(values, dtype=object), times)
-
-
 def cmd_tables(cfg: RunConfig) -> tuple[list, int, None]:
     """Frame timing, scan counts, and the measured/modeled power tables."""
     t_pss, b_tot = frame_scaling(cfg.b_sc)
@@ -391,7 +379,7 @@ def cmd_tables(cfg: RunConfig) -> tuple[list, int, None]:
         columns = [np.repeat(list(entries), [len(spacings) for spacings, _ in entries.values()]),
                    [cls] * len(b_sc), b_sc, power]
         if cfg.power_mode == "parametric":
-            model, adc = default_power_model(cls, cfg.resolution_law), AdcModel(cls)
+            model, adc = default_power_model(cls), AdcModel(cls)
             modeled = np.concatenate([parametric_power(model, archs[name], adc, spacings)
                                       for name, (spacings, _) in entries.items()])
             header += ("model_power_w", "rel_residual")
@@ -408,8 +396,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[list, int, None]:
     grids = []  # each grid's EnergyColumns, one per architecture
     for scenario in cfg.scenarios:
         for cls in cfg.adc_classes:
-            model = (default_power_model(cls, cfg.resolution_law)
-                     if cfg.power_mode == "parametric" else None)
+            model = default_power_model(cls) if cfg.power_mode == "parametric" else None
             for bits in cfg.bits:
                 adc = AdcModel(cls, bits=bits)
                 per_arch = [energy_columns(arch, scenario, adc, cfg.b_sc,
@@ -423,7 +410,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[list, int, None]:
     rows_per_grid = len(cfg.b_sc) * len(arch_names)
     tables.append(("sweep-report", CSV_COLUMNS, [
         np.tile(np.array(arch_names, dtype=object), len(cfg.b_sc) * len(grids)),
-        *(_repeated(column, rows_per_grid) for column in zip(*labels)),
+        *(np.repeat(column, rows_per_grid) for column in zip(*labels)),
         np.tile(np.repeat(cfg.b_sc, len(arch_names)), len(grids)),
         *(np.array([[getattr(cols, field) for cols in per_arch] for per_arch in grids])
           .transpose(0, 2, 1).ravel() for field in EnergyColumns._fields),
@@ -441,7 +428,7 @@ def cmd_convergence(cfg: RunConfig) -> tuple[list, int, None]:
     nci = Scenario("nCI")
     tables = []
     for cls in cfg.adc_classes:
-        model = default_power_model(cls, cfg.resolution_law)
+        model = default_power_model(cls)
         adcs = [AdcModel(cls, bits=bits) for bits in cfg.convergence_bits]
         tables.append((f"convergence-{cls}", ("bits", *arch_names), [
             cfg.convergence_bits,
@@ -470,13 +457,13 @@ def cmd_verify(cfg: RunConfig) -> tuple[list, int, str]:
     n_b_sc = len(cfg.b_sc)
     # Rows run call-major, b_sc-minor; a call's one verdict repeats over its b_sc rows.
     columns = [
-        *(_repeated(column, n_b_sc) for column in zip(*labels)),
+        *(np.repeat(column, n_b_sc) for column in zip(*labels)),
         np.tile(cfg.b_sc, len(results)),
-        _repeated([cols.n_targets for cols in results], n_b_sc),
+        np.repeat([cols.n_targets for cols in results], n_b_sc),
         *(np.concatenate([getattr(cols, field) for cols in results])
           for field in ("min_time", "mean_time", "max_time", "analytic_delay")),
         np.repeat(passed, n_b_sc),
-        _repeated(["" if cols.passed else "{}|{}".format(*cols.first_mismatch)
+        np.repeat(["" if cols.passed else "{}|{}".format(*cols.first_mismatch)
                    for cols in results], n_b_sc),
     ]
     return ([("verify", header, columns)], 0 if combos_passed.all() else 3,
@@ -495,7 +482,7 @@ def cmd_pss(cfg: RunConfig) -> tuple[list, int, None]:
                "scenario", "adc_class", "bits", "power_mode")
     scenario = next((s for s in cfg.scenarios if s.kind == "nCI"), cfg.scenarios[0])
     cls, bits = cfg.adc_classes[0], cfg.bits[0]
-    adc, model = AdcModel(cls, bits=bits), default_power_model(cls, cfg.resolution_law)
+    adc, model = AdcModel(cls, bits=bits), default_power_model(cls)
     frame = derive_frame(cfg.pss_base_b_sc)
     rows = []
     for arch in cfg.architectures:

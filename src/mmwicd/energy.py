@@ -74,7 +74,7 @@ class EnergyReport:
 class EnergyColumns(NamedTuple):
     """EnergyReport's numeric columns over a b_sc sequence, as numpy arrays."""
 
-    n_d: np.ndarray  # int64, directional scans (the same at every point)
+    n_d: np.ndarray  # directional scans (the same at every point); int64 for any CLI config
     t_del: np.ndarray  # s
     p_rx: np.ndarray  # W
     e_ci: np.ndarray  # J
@@ -99,7 +99,7 @@ def energy_columns(
     e_total = p_rx * scan time + e_ci.  k > 1 is the widened-sync layout of
     proposed_structure_energy: k BS directions share a dwell and power is
     drawn at k * b_sc; directional_scans checks k.  n_d is the plain (k = 1)
-    scan count.  A float64 array b_sc is used as it is, not copied or scanned.
+    scan count, exact (int64 if it fits).  A float64 b_sc is used as it is, unscanned.
     """
     b_sc = _b_sc_array(b_sc)
     t_pss, _ = frame_scaling(b_sc)
@@ -109,7 +109,7 @@ def energy_columns(
     p_rx = (lookup_power(arch, adc, k * b_sc) if model is None
             else parametric_power(model, arch, adc, k * b_sc))
     return EnergyColumns(
-        n_d=np.full(b_sc.shape, n_d, dtype=np.int64),
+        n_d=np.full(b_sc.shape, n_d),
         t_del=scan_time + t_ci,
         p_rx=p_rx,
         e_ci=np.full(b_sc.shape, e_ci),
@@ -130,7 +130,7 @@ def energy(
     """Full energy report for one configuration point (energy_columns at one b_sc)."""
     columns = energy_columns(arch, scenario, adc, [b_sc], k=k, geom=geom, model=model)
     return EnergyReport(arch.name, scenario.kind, adc.cls, adc.bits, float(b_sc),
-                        *(column[0].item() for column in columns))
+                        *(column.tolist()[0] for column in columns))  # object: no .item()
 
 
 def convergence_value(
@@ -148,7 +148,7 @@ def convergence_value(
     """
     _check_class(model, adc)
     n_d = float(directional_scans(arch, scenario, geom))
-    return n_d * arch.n_adc * model.c * resolution_factor(adc.bits, model.resolution_law) * SYNC_TIME_BANDWIDTH
+    return n_d * arch.n_adc * model.c * resolution_factor(adc.bits) * SYNC_TIME_BANDWIDTH
 
 
 def ec_crossover(
@@ -166,7 +166,7 @@ def ec_crossover(
     returned, or None when the curves do not cross at a positive bandwidth.
     """
     _check_class(model, adc)
-    r = resolution_factor(adc.bits, model.resolution_law)
+    r = resolution_factor(adc.bits)
     n_a, n_b = (float(directional_scans(arch, scenario, geom)) for arch in (arch_a, arch_b))
     scale = derive_frame(1.0).t_pss  # t_pss * b_sc, the inverse-proportionality constant
     a_term = scale * (n_a * model.base_power[arch_a.name] - n_b * model.base_power[arch_b.name])

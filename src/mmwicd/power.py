@@ -1,15 +1,14 @@
-"""Receiver power consumption: bundled table lookup and a calibrated linear model.
+"""Receiver power consumption: bundled table lookup and a calibrated affine model.
 
 Everything except the converters draws bandwidth-independent power, so total
 power is affine in the total system bandwidth:
 
     P(arch, b_tot) = base_power[arch] + n_adc(arch) * c * r(bits) * b_tot
 
-where c is the per-class energy per conversion step and r(bits) maps ADC
-resolution to conversion steps: 2**bits under the default "exponential" law,
-plain bits under "linear" (the resolution_law config key).  Calibration fits
-the per-architecture bases and the shared c jointly against the bundled table
-by least squares.
+where c is the per-class energy per conversion step (a Walden-style figure
+of merit) and r(bits) = 2**bits is the number of conversion steps at that ADC
+resolution.  Calibration fits the per-architecture bases and the shared c
+jointly against the bundled table by least squares.
 
 default_power_table() reads the bundled table once, on first use, into
 {(architecture, adc_class): (b_sc, power)}: read-only float64 columns in Hz
@@ -29,7 +28,6 @@ from .architectures import Architecture, _check_counts, default_architectures
 from .signaling import _B_SC_REFUSED, _b_sc_ok, frame_scaling
 
 ADC_CLASSES = ("LPADC", "HPADC")
-RESOLUTION_LAWS = ("exponential", "linear")
 TABLE_BITS = 6  # the bundled table was measured with 6-bit converters
 
 _REL_TOL = 1e-9
@@ -52,13 +50,9 @@ class AdcModel:
         _check_counts(bits=self.bits)
 
 
-def resolution_factor(bits: int, law: str) -> float:
-    """Conversion-step count for a resolution, under the selected law."""
-    if law == "exponential":
-        return 2.0 ** int(bits)  # a numpy integer would overflow to inf
-    if law == "linear":
-        return float(bits)
-    raise ValueError(f"unknown resolution law {law!r}; expected one of {RESOLUTION_LAWS}")
+def resolution_factor(bits: int) -> float:
+    """Conversion-step count for a resolution: 2**bits, OverflowError past float range."""
+    return 2.0 ** int(bits)  # a numpy integer would overflow to inf
 
 
 @functools.cache
@@ -111,16 +105,16 @@ class PowerModel:
 
     base_power holds the bandwidth-independent watts per architecture; c is the
     shared energy-per-conversion constant recovered from the fit, in J per
-    conversion step per Hz of sampling.
+    conversion step per Hz of sampling.  A converter at b bits sampling b_tot
+    draws c * 2**b * b_tot.
     """
 
     adc_class: str
     c: float
-    resolution_law: str
     base_power: dict[str, float]
 
 
-def calibrate(adc_class: str, *, resolution_law: str) -> PowerModel:
+def calibrate(adc_class: str) -> PowerModel:
     """Fit per-architecture base powers and the shared conversion constant.
 
     Least squares over the bundled table's rows of the selected ADC class, in
@@ -135,14 +129,13 @@ def calibrate(adc_class: str, *, resolution_law: str) -> PowerModel:
     arch_names, arch_index = np.unique(names, return_inverse=True)
     # One indicator column per architecture (its base power), then the converter term.
     n_adc = np.array([architectures[name].n_adc for name in arch_names])[arch_index]
-    slope = n_adc * resolution_factor(TABLE_BITS, resolution_law) * frame_scaling(b_sc)[1]
+    slope = n_adc * resolution_factor(TABLE_BITS) * frame_scaling(b_sc)[1]
     design = np.column_stack([np.eye(len(arch_names))[arch_index], slope])
 
     solution, *_ = np.linalg.lstsq(design, observed, rcond=None)
     return PowerModel(
         adc_class=adc_class,
         c=float(solution[-1]),
-        resolution_law=resolution_law,
         base_power=dict(zip(arch_names.tolist(), solution[:-1].tolist())),
     )
 
@@ -161,11 +154,11 @@ def parametric_power(model: PowerModel, arch: Architecture, adc: AdcModel, b_sc)
     _check_class(model, adc)
     if arch.name not in model.base_power:
         raise ValueError(f"model was not calibrated for architecture {arch.name}")
-    slope = arch.n_adc * model.c * resolution_factor(adc.bits, model.resolution_law)
+    slope = arch.n_adc * model.c * resolution_factor(adc.bits)
     return model.base_power[arch.name] + slope * frame_scaling(b_sc)[1]
 
 
 @functools.cache
-def default_power_model(adc_class: str, resolution_law: str = "exponential") -> PowerModel:
-    """Calibration of the bundled table, computed once per (class, law)."""
-    return calibrate(adc_class, resolution_law=resolution_law)
+def default_power_model(adc_class: str) -> PowerModel:
+    """Calibration of the bundled table, computed once per class."""
+    return calibrate(adc_class)

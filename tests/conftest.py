@@ -82,6 +82,6 @@ def scalar_energy(arch, scenario, adc, b_sc, power_mode, geom, k=1):
         p_rx = lookup_power(arch, adc, k * b_sc)
     else:
         model = default_power_model(adc.cls)
-        slope = arch.n_adc * model.c * resolution_factor(adc.bits, model.resolution_law)
+        slope = arch.n_adc * model.c * resolution_factor(adc.bits)
         p_rx = model.base_power[arch.name] + slope * derive_frame(k * b_sc).b_tot
     return n_d, scan_time + t_ci, p_rx, e_ci, p_rx * scan_time + e_ci

@@ -1,0 +1,65 @@
+"""Golden outputs: every file each verb writes, in both formats, on two configs.
+
+tests/test_cli.py checks the current tree against what this module records.
+Run it as a script, from the repository root, to record them again:
+
+    PYTHONPATH=src python3 tests/record_golden.py
+
+It rewrites tests/data/golden_sha256.json ({config: {format: {verb: {file:
+sha256}}}}) and tests/data/table_i_golden.csv (the defaults' tables-i.csv,
+byte for byte).  Only a deliberate output change should move either; review
+the diff before committing it.
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+from mmwicd import cli
+
+GOLDEN_DIR = Path(__file__).parent / "data"
+FORMATS = ("csv", "json")
+
+# The defaults, and a 60x14 parametric grid, where 3 and 5 beams do not divide
+# the 14 MS directions and k = 7 does not divide the 60 BS directions.
+GOLDEN_CONFIGS = {
+    "defaults": {},
+    "60x14": {
+        "power_mode": "parametric",
+        "geometry": {"n_bs_directions": 60, "n_ms_directions": 14},
+        "architecture_params": {"n_ms_antennas": 16, "n_rf_chains": 3, "n_combiners": 5},
+        "bits": [3, 6, 9],
+        "k": [1, 3, 5, 7],
+    },
+}
+
+
+def output_digests(tmp_path, raw, fmt):
+    """{verb: {file name: sha256}} of what each verb writes into a fresh directory."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    digests = {}
+    for verb in cli.COMMANDS:
+        out = tmp_path / fmt / verb
+        assert cli.main([verb, "--config", str(config), "--out", str(out), "--format", fmt]) == 0
+        digests[verb] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                         for p in sorted(out.iterdir())}
+    return digests
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = {}
+        for name, raw in GOLDEN_CONFIGS.items():
+            work = Path(tmp) / name
+            work.mkdir()
+            golden[name] = {fmt: output_digests(work, raw, fmt) for fmt in FORMATS}
+        table_i = (Path(tmp) / "defaults" / "csv" / "tables" / "tables-i.csv").read_bytes()
+    (GOLDEN_DIR / "golden_sha256.json").write_text(
+        json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    (GOLDEN_DIR / "table_i_golden.csv").write_bytes(table_i)
+
+
+if __name__ == "__main__":
+    main()

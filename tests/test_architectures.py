@@ -145,6 +145,11 @@ class TestDirectionalScans:
         with pytest.raises(ValueError):
             SweepGeometry(n_bs_directions=0)
 
+    def test_target_count_past_float_range_is_refused(self):
+        # each side is a count, but no float holds the 10**400 scans the product allows
+        with pytest.raises(ValueError, match="n_targets"):
+            SweepGeometry(10**200, 10**200)
+
 
 class TestKValidation:
     # Every function that takes k, the BS directions per dwell, rejects the same values.

@@ -1,7 +1,6 @@
 import contextlib
 import csv
 import dataclasses
-import hashlib
 import inspect
 import io
 import json
@@ -20,8 +19,8 @@ from mmwicd import (AdcModel, SweepGeometry, build_architecture, cli, default_sc
 from mmwicd.cli import DEFAULT_CONFIG, config_fingerprint, main
 
 from conftest import TABULATED_B_SC, read_csv, scalar_energy
+from record_golden import GOLDEN_CONFIGS, GOLDEN_DIR, output_digests
 
-GOLDEN_DIR = Path(__file__).parent / "data"
 ARCH_ORDER = ("ABF", "DBF", "HBF", "PSN")
 
 
@@ -167,41 +166,6 @@ class TestSweep:
                                  for name, values in zip(ARCH_ORDER, per_arch)]
         assert rows("sweep-report") == expected
 
-    # bits past int64, valid under the linear law, and the sha256 of the report
-    # each list writes.  numpy reads [1, 2**63] as float64 and [1, 2**63, 10**29]
-    # as object, and cannot hold 10**29 as int64.
-    BIG_BITS = {
-        "past-int64": ([1, 2**63], {
-            "csv": "860a7b9fc1127882c0d06cb7cb01c6f245ae4cd42c390cd0be3634cd635ac7b0",
-            "json": "46896f5f2da08f0258c152d6287f8765433afc896e84b2e592d5d06385e10cc6"}),
-        "past-uint64": ([1, 2**63, 10**29], {
-            "csv": "921774becbf172d92b4da4302b398e1bdc6f706881a75148cece89f8c7529ac3",
-            "json": "a4180fe76c76fbeae12f13c606d6d280360f20af95db757c6551243ef273eba2"}),
-    }
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("case", sorted(BIG_BITS))
-    def test_bits_past_int64_written_exactly(self, tmp_path, case, fmt):
-        bits, digests = self.BIG_BITS[case]
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "power_mode": "parametric", "resolution_law": "linear", "bits": bits,
-            "scenarios": ["nCI"], "adc_classes": ["HPADC"], "architectures": ["ABF", "PSN"],
-            "b_sc_hz": [15e3, 1e6],
-        }))
-        assert run(["sweep"], tmp_path, ("--config", str(config), "--format", fmt)) == 0
-        out = tmp_path / "out"
-        assert sorted(p.name for p in out.iterdir()) == sorted(
-            [f"sweep-nCI-HPADC-{b}b.{fmt}" for b in bits] + [f"sweep-report.{fmt}"])
-        report = out / f"sweep-report.{fmt}"
-        if fmt == "csv":
-            written = [row["bits"] for row in read_csv(report)]
-        else:
-            written = [row["bits"] for row in json.loads(report.read_text())["rows"]]
-        # 2 b_sc x 2 architectures per grid
-        assert written == [str(b) if fmt == "csv" else b for b in bits for _ in range(4)]
-        assert hashlib.sha256(report.read_bytes()).hexdigest() == digests[fmt]
-
     def test_lookup_mode_outside_table_is_runtime_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"b_sc_hz": [123e3]}))
@@ -222,20 +186,9 @@ class TestConvergence:
                 assert float(r["HBF"]) == pytest.approx(common, rel=1e-9)
                 assert float(r["PSN"]) == pytest.approx(common / 4, rel=1e-9)
 
-    def test_linear_law_scales_with_bits(self, tmp_path):
-        assert run_with_config("convergence", tmp_path, {"resolution_law": "linear"}) == 0
-        for cls in ("HPADC", "LPADC"):
-            rows = read_csv(tmp_path / "out" / f"convergence-{cls}.csv")
-            limit = {int(r["bits"]): r for r in rows}
-            for name in ARCH_ORDER:
-                one_bit = float(limit[1][name])
-                for bits in (2, 4, 8):
-                    assert float(limit[bits][name]) == bits * one_bit
-                assert float(limit[12][name]) == 2 * float(limit[6][name])
-
 
 class TestPowerModelCache:
-    """default_power_model calibrates once per (class, law) a verb uses."""
+    """default_power_model calibrates once per class a verb uses."""
 
     @pytest.fixture
     def calibrations(self, monkeypatch):
@@ -404,6 +357,13 @@ class TestConfigHandling:
         config.write_text(json.dumps({"subcarrier": [15e3]}))
         assert run(["tables"], tmp_path, ("--config", str(config))) == 2
 
+    @pytest.mark.parametrize("verb", sorted(cli.COMMANDS))
+    def test_resolution_law_is_an_unknown_key(self, tmp_path, capsys, verb):
+        # the converter power grows with 2**bits; there is no other law to choose
+        assert run_with_config(verb, tmp_path, {"resolution_law": "exponential"}) == 2
+        assert capsys.readouterr().err == "config error: unknown config keys: ['resolution_law']\n"
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_json_is_config_error(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("{not json")
@@ -547,13 +507,24 @@ class TestConfigHandling:
         assert "column HBF holds inf" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("k", [100000, 2**63 - 1, 2**63, 10**19, 10**300],
-                             ids=["1e5", "int64-max", "int64-max+1", "1e19", "1e300"])
-    def test_any_k_runs(self, tmp_path, capsys, k):
-        # a BS group wider than the BS side is the whole side, past int64 too
-        assert run_with_config("pss", tmp_path, {"k": [1, k]}) == 0
+    @pytest.mark.parametrize("k, fmt", [
+        pytest.param(k, fmt, id=name if fmt == "csv" else f"{name}-json")
+        for fmt in ("csv", "json")
+        for name, k in (("1e5", 100000), ("int64-max", 2**63 - 1), ("int64-max+1", 2**63),
+                        ("1e19", 10**19), ("1e300", 10**300))])
+    def test_any_k_runs(self, tmp_path, capsys, k, fmt):
+        # a BS group wider than the BS side is the whole side, past int64 too;
+        # the writer spells each k exactly in both formats
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"k": [1, k]}))
+        assert run(["pss"], tmp_path, ("--config", str(config), "--format", fmt)) == 0
         assert capsys.readouterr().err == ""
-        assert [row["k"] for row in read_csv(tmp_path / "out" / "pss.csv")][:2] == ["1", str(k)]
+        report = tmp_path / "out" / f"pss.{fmt}"
+        if fmt == "csv":
+            assert [row["k"] for row in read_csv(report)][:2] == ["1", str(k)]
+        else:
+            assert [row["k"] for row in json.loads(report.read_text())["rows"]][:2] == [1, k]
+            assert f'"k": {k},' in report.read_text()
 
     @pytest.mark.parametrize("verb", ["verify", "pss"])
     @pytest.mark.parametrize("param", sorted(DEFAULT_CONFIG["architecture_params"]))
@@ -641,14 +612,12 @@ class TestConfigHandling:
         # each paper default is written in the model layer and again in DEFAULT_CONFIG
         arch_params = inspect.signature(build_architecture).parameters.values()
         cid = default_scenarios()["CID"]
-        law = inspect.signature(power.default_power_model).parameters["resolution_law"]
         assert DEFAULT_CONFIG["geometry"] == dataclasses.asdict(SweepGeometry())
         assert DEFAULT_CONFIG["architecture_params"] == {
             p.name: p.default for p in arch_params if p.kind is p.KEYWORD_ONLY}
         assert DEFAULT_CONFIG["scenario_params"] == {"t_ci_s": cid.t_ci, "p_ci_w": cid.p_ci}
         for cls in power.ADC_CLASSES:
             assert DEFAULT_CONFIG["bits"] == [AdcModel(cls).bits]
-        assert DEFAULT_CONFIG["resolution_law"] == law.default
 
     def test_integer_budget_is_read_as_a_float(self, tmp_path, capsys):
         # json reads 2 and -1 as ints; the CI budget is written and refused as a float
@@ -672,34 +641,6 @@ class TestJsonFormat:
         first = payload["rows"][0]
         assert first["b_sc_hz"] == 15e3
         assert first["ABF"] == 5.12
-
-
-# Every file each verb writes, in both formats, on two configs: the defaults
-# and a 60x14 parametric grid, where 3 and 5 beams do not divide the 14 MS
-# directions and k = 7 does not divide the 60 BS directions.
-GOLDEN_CONFIGS = {
-    "defaults": {},
-    "60x14": {
-        "power_mode": "parametric",
-        "geometry": {"n_bs_directions": 60, "n_ms_directions": 14},
-        "architecture_params": {"n_ms_antennas": 16, "n_rf_chains": 3, "n_combiners": 5},
-        "bits": [3, 6, 9],
-        "k": [1, 3, 5, 7],
-    },
-}
-
-
-def output_digests(tmp_path, raw, fmt):
-    """{verb: {file name: sha256}} of what each verb writes into a fresh directory."""
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(raw))
-    digests = {}
-    for verb in cli.COMMANDS:
-        out = tmp_path / fmt / verb
-        assert main([verb, "--config", str(config), "--out", str(out), "--format", fmt]) == 0
-        digests[verb] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                         for p in sorted(out.iterdir())}
-    return digests
 
 
 class TestGoldenOutputs:

@@ -107,6 +107,19 @@ class TestEnergyColumns:
             assert report.csv_row()[5:] == [column[i] for column in columns]
             assert type(report.n_d) is int and type(report.e_total) is float
 
+    @pytest.mark.parametrize("model", [None, "parametric"])
+    def test_scan_count_past_int64_is_exact(self, archs, scens, model):
+        # 2**40 x 2**40 targets: 2**80 scans, held exactly, with a finite delay
+        geom, adc = SweepGeometry(2**40, 2**40), AdcModel("HPADC")
+        model = model and default_power_model("HPADC")
+        columns = energy_columns(archs["ABF"], scens["nCI"], adc, [15e3, 250e3], geom=geom,
+                                 model=model)
+        assert columns.n_d.tolist() == [2**80, 2**80]
+        assert np.isfinite(columns.t_del).all()
+        report = energy(archs["ABF"], scens["nCI"], adc, 15e3, geom=geom, model=model)
+        assert report.n_d == 2**80 and type(report.n_d) is int
+        assert math.isfinite(report.t_del) and report.t_del == columns.t_del[0]
+
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
     @pytest.mark.parametrize("kind", SCENARIO_KINDS)
     def test_widened_sync_equals_scalar_arithmetic(self, archs, scens, kind, k):

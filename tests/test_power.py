@@ -95,15 +95,12 @@ class TestLookup:
 
 class TestResolutionFactor:
     def test_laws(self):
-        assert resolution_factor(6, "exponential") == 64.0
-        assert resolution_factor(10, "exponential") == 1024.0
-        assert resolution_factor(6, "linear") == 6.0
-        with pytest.raises(ValueError):
-            resolution_factor(6, "cubic")
+        assert resolution_factor(6) == 64.0
+        assert resolution_factor(10) == 1024.0
 
     def test_numpy_integer_bits_overflow_like_python_ints(self):
         with pytest.raises(OverflowError):
-            resolution_factor(np.int64(1100), "exponential")
+            resolution_factor(np.int64(1100))
 
     def test_numpy_integer_bits_give_the_same_power(self, archs):
         model = default_power_model("HPADC")
