@@ -53,6 +53,7 @@ from .sweepsim import (
     SWEEP_ORDERS,
     VerificationColumns,
     discovery_slot_grid,
+    discovery_slot_sides,
     simulate,
     verify_against_analytic,
     verify_columns,
@@ -91,6 +92,7 @@ __all__ = [
     "derive_frame",
     "directional_scans",
     "discovery_slot_grid",
+    "discovery_slot_sides",
     "ec_crossover",
     "energy",
     "energy_columns",

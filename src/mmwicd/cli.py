@@ -29,7 +29,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, islice
 from pathlib import Path
 
@@ -38,6 +38,8 @@ import numpy as np
 from . import __version__
 from .architectures import (
     ARCHITECTURE_NAMES,
+    DEFAULT_P_CI,
+    DEFAULT_T_CI,
     SCENARIO_KINDS,
     Architecture,
     Scenario,
@@ -61,8 +63,10 @@ from .power import (
     ADC_CLASSES,
     TABLE_BITS,
     AdcModel,
+    PowerTableError,
     default_power_model,
     default_power_table,
+    lookup_power,
     parametric_power,
     resolution_factor,
 )
@@ -78,8 +82,7 @@ OUTPUT_FORMATS = ("csv", "json")
 POWER_MODES = ("lookup", "parametric")
 
 # Largest n_bs_directions * n_ms_directions accepted: verify holds at most one
-# int64 and one float64 value per (BS, MS) direction pair, 256 MiB at the cap,
-# and pss the int64 alone.
+# int64 and one float64 value per (BS, MS) direction pair, 256 MiB at the cap.
 MAX_TARGETS = 2**24
 
 # Characters that make csv.writer quote a cell; _prepare refuses such a cell.
@@ -92,12 +95,12 @@ DEFAULT_CONFIG = {
     "architectures": list(ARCHITECTURE_NAMES),
     "scenarios": list(SCENARIO_KINDS),
     "adc_classes": ["HPADC", "LPADC"],
-    "bits": [6],
+    "bits": [TABLE_BITS],
     "convergence_bits": list(range(1, 13)),
     "power_mode": "lookup",
-    "geometry": {"n_bs_directions": 64, "n_ms_directions": 16},
+    "geometry": asdict(SweepGeometry()),
     "architecture_params": {"n_ms_antennas": 16, "n_rf_chains": 4, "n_combiners": 4},
-    "scenario_params": {"t_ci_s": 1.5, "p_ci_w": 0.1},
+    "scenario_params": {"t_ci_s": DEFAULT_T_CI, "p_ci_w": DEFAULT_P_CI},
     "k": [1, 2, 4, 8, 16],
     "pss_base_b_sc_hz": 250e3,
     "sweep_orders": list(SWEEP_ORDERS),
@@ -199,7 +202,7 @@ def resolve_config(raw: dict) -> RunConfig:
     n_targets = geom.n_bs_directions * geom.n_ms_directions
     _require(n_targets <= MAX_TARGETS,
              f"geometry has {n_targets} (BS, MS) direction pairs, more than the "
-             f"{MAX_TARGETS} (2**24) that verify and pss enumerate")
+             f"{MAX_TARGETS} (2**24) that verify enumerates")
     architectures = tuple(_build("architecture_params", build_architecture, name, **arch_params)
                           for name in arch_names)
     # The CI budget is checked whether or not CID is listed.
@@ -389,7 +392,24 @@ def cmd_tables(cfg: RunConfig) -> tuple[list, int, None]:
 
 
 def cmd_sweep(cfg: RunConfig) -> tuple[list, int, None]:
-    """Energy over the b_sc grid: one file per (scenario, ADC class, bits)."""
+    """Energy over the b_sc grid: one file per (scenario, ADC class, bits).
+
+    Under lookup power, a listed architecture must be the default one the table
+    measured, and the table must hold every b_sc for each listed (architecture,
+    ADC class); otherwise the config is refused before any energy is computed.
+    """
+    if cfg.power_mode == "lookup":
+        measured = default_architectures()
+        for arch in cfg.architectures:
+            table = measured[arch.name]
+            _require(arch == table, f"the lookup table measured {arch.name} with {table.n_adc} "
+                     f"converters and {table.simultaneous_beams} simultaneous beams, not "
+                     f"{arch.n_adc} and {arch.simultaneous_beams}; use the parametric model")
+            for cls in cfg.adc_classes:
+                try:
+                    lookup_power(arch, AdcModel(cls), cfg.b_sc)
+                except PowerTableError as exc:
+                    raise ConfigError(str(exc)) from exc
     arch_names = tuple(a.name for a in cfg.architectures)
     tables = []
     labels = []  # (scenario, ADC class, bits) of each grid

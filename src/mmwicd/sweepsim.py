@@ -6,15 +6,15 @@ whatever the walk produces, never the closed form.  Detection is decided at
 the end of a dwell, so discovery lands on slot boundaries.  The widened-sync
 layout is the same sweep with k BS directions per dwell.
 
-The all-targets enumeration (discovery_slot_grid) is one numpy broadcast that
-inverts the walk's slot -> (BS group, beam set) schedule: every pair is visited
-exactly once per sweep, so a target's first-alignment slot follows from its own
-group and set.  The slot-by-slot walk (simulate) is the reference the grid is
-tested against.
+discovery_slot_sides inverts the walk's slot -> (BS group, beam set) schedule:
+every pair is visited exactly once per sweep, so a target's first-alignment
+slot is a BS term plus an MS term, and the all-targets grid
+(discovery_slot_grid) is their outer sum.  The slot-by-slot walk (simulate)
+is the reference the grid is tested against.
 
-verify_columns compares slots: the grid's slowest slot against the closed-form
-slot count, one integer comparison per call.  The grid does not depend on b_sc,
-so one pass over one grid gives a whole b_sc column of timings in seconds;
+verify_columns compares slots: the slowest slot, read from the two vectors,
+against the closed-form slot count, one integer comparison per call.  Only
+its mean reads the grid, one pass over it for a whole b_sc column of means;
 verify_against_analytic returns the same VerificationColumns at one b_sc.
 """
 
@@ -94,6 +94,37 @@ def simulate(
     raise AssertionError(f"a full sweep of {slots_total} slots missed target {target}")
 
 
+def discovery_slot_sides(
+    arch: Architecture,
+    scenario: Scenario,
+    geom: SweepGeometry,
+    *,
+    sweep_order: str = SEQUENTIAL_BS_OUTER,
+    k: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(bs, ms), int64 vectors over the BS and MS directions: target (tb, tm)
+    is found in 1-based slot bs[tb] + ms[tm].
+
+    It is seen in the one slot that pairs its BS group (tb // k) with its beam
+    set (tm // beams): 0-based slot set * n_groups + group under
+    SequentialBsOuter, group * n_sets + set under SequentialMsOuter.  Pinned
+    scenarios pin each target to its own set, so only the BS groups are swept
+    and the set is 0.  The only copy of this schedule; simulate walks it.
+    """
+    _check_order(sweep_order)
+    _check_counts(k=k)
+    n_bs, n_ms = geom.n_bs_directions, geom.n_ms_directions
+    # A group or set wider than its side already holds all of it: no slot moves.
+    k, beams = min(k, n_bs), min(arch.simultaneous_beams, n_ms)
+    group = np.arange(n_bs, dtype=np.int64) // k
+    n_sets, set_i = -(-n_ms // beams), np.arange(n_ms, dtype=np.int64) // beams
+    if scenario.kind != "nCI":
+        n_sets, set_i = 1, np.zeros_like(set_i)
+    if sweep_order == SEQUENTIAL_BS_OUTER:
+        return group + 1, set_i * -(-n_bs // k)
+    return group * n_sets + 1, set_i
+
+
 def discovery_slot_grid(
     arch: Architecture,
     scenario: Scenario,
@@ -102,32 +133,10 @@ def discovery_slot_grid(
     sweep_order: str = SEQUENTIAL_BS_OUTER,
     k: int = 1,
 ) -> np.ndarray:
-    """1-based discovery slot for every (bs, ms) target.
-
-    A target is seen in the one slot that pairs its BS group (tb // k) with
-    its beam set (tm // beams).  SequentialBsOuter reaches that pair at
-    0-based slot set * n_groups + group, SequentialMsOuter at
-    group * n_sets + set.  In pinned scenarios each target is pinned to its
-    own correct set, so the sweep runs over BS groups only and the slot is the
-    group index.  Computed without walking the sweep; simulate is the
-    slot-by-slot reference.  Shape (n_bs_directions, n_ms_directions).
-    """
-    _check_order(sweep_order)
-    _check_counts(k=k)
-    n_bs, n_ms = geom.n_bs_directions, geom.n_ms_directions
-    # A group or set wider than its side already holds all of it: no slot moves.
-    k, beams = min(k, n_bs), min(arch.simultaneous_beams, n_ms)
-    n_groups = -(-n_bs // k)
-    group = np.arange(n_bs, dtype=np.int64)[:, None] // k
-    if scenario.kind == "nCI":
-        n_sets = -(-n_ms // beams)
-        set_i = np.arange(n_ms, dtype=np.int64)[None, :] // beams
-    else:
-        n_sets = 1
-        set_i = np.zeros((1, n_ms), dtype=np.int64)
-    if sweep_order == SEQUENTIAL_BS_OUTER:
-        return set_i * n_groups + group + 1
-    return group * n_sets + set_i + 1
+    """1-based discovery slot for every (bs, ms) target, shape
+    (n_bs_directions, n_ms_directions): the outer sum of discovery_slot_sides."""
+    bs, ms = discovery_slot_sides(arch, scenario, geom, sweep_order=sweep_order, k=k)
+    return bs[:, None] + ms
 
 
 class VerificationColumns(NamedTuple):
@@ -150,35 +159,36 @@ def verify_columns(
     *,
     sweep_order: str = SEQUENTIAL_BS_OUTER,
 ) -> VerificationColumns:
-    """Enumerate every target once; pass when the slowest discovery slot
-    equals the closed-form slot count (directional_scans).
+    """Pass when the slowest discovery slot equals the closed-form slot count
+    (directional_scans).
 
     Each timing equals, bit for bit, the reduction of times = grid * t_pss +
-    t_ci at that b_sc.  min and max come from the integer grid's min and max,
-    since x * t_pss + t_ci rounds monotonically in x for t_pss > 0.  The mean
-    takes one float row per b_sc, in blocks of whole rows (numpy sums each
-    row in the pairwise order of the 1-D array), at most _BLOCK_VALUES values
-    or one row when a row is bigger.
+    t_ci at that b_sc.  min and max are the slot vectors' summed minima and
+    maxima, as x * t_pss + t_ci rounds monotonically in x for t_pss > 0, and
+    the worst target (the grid's first row-major argmax) is their argmaxes.
+    The mean takes one float row of discovery_slot_grid per b_sc, in blocks of
+    whole rows (numpy sums each row in the pairwise order of the 1-D array),
+    at most _BLOCK_VALUES values or one row when a row is bigger.
     """
     t_pss, _ = frame_scaling(_b_sc_array(b_sc))
-    grid = discovery_slot_grid(arch, scenario, geom, sweep_order=sweep_order)
+    bs, ms = discovery_slot_sides(arch, scenario, geom, sweep_order=sweep_order)
     t_ci = ci_cost(arch, scenario, geom)[0]
-    flat = grid.reshape(1, -1)
+    flat = discovery_slot_grid(arch, scenario, geom, sweep_order=sweep_order).reshape(1, -1)
     mean_time = np.empty_like(t_pss)
-    step = max(1, _BLOCK_VALUES // grid.size)
+    step = max(1, _BLOCK_VALUES // flat.size)
     for start in range(0, len(t_pss), step):
         rows = slice(start, start + step)
         block = flat * t_pss[rows, None]
         block += t_ci
         mean_time[rows] = block.mean(axis=1)
         del block  # freed before the next block is allocated
-    worst, scans = int(grid.max()), directional_scans(arch, scenario, geom)
+    worst, scans = int(bs.max() + ms.max()), directional_scans(arch, scenario, geom)
     passed = worst == scans
     return VerificationColumns(
-        n_targets=grid.size,
+        n_targets=flat.size,
         passed=passed,
-        first_mismatch=None if passed else divmod(int(np.argmax(grid)), geom.n_ms_directions),
-        min_time=grid.min() * t_pss + t_ci,
+        first_mismatch=None if passed else (int(np.argmax(bs)), int(np.argmax(ms))),
+        min_time=(bs.min() + ms.min()) * t_pss + t_ci,
         mean_time=mean_time,
         max_time=worst * t_pss + t_ci,
         analytic_delay=scans * t_pss + t_ci,
@@ -207,5 +217,5 @@ def worst_case_structure_delay(
 ) -> float:
     """Max discovery time over all targets with k BS directions per dwell (s);
     either sweep order ends in the same last slot, so neither is asked for."""
-    grid = discovery_slot_grid(arch, scenario, geom, k=k)
-    return float(grid.max()) * frame.t_pss + ci_cost(arch, scenario, geom)[0]
+    bs, ms = discovery_slot_sides(arch, scenario, geom, k=k)
+    return float(bs.max() + ms.max()) * frame.t_pss + ci_cost(arch, scenario, geom)[0]

@@ -166,12 +166,35 @@ class TestSweep:
                                  for name, values in zip(ARCH_ORDER, per_arch)]
         assert rows("sweep-report") == expected
 
-    def test_lookup_mode_outside_table_is_runtime_error(self, tmp_path, capsys):
+    def test_lookup_mode_outside_table_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"b_sc_hz": [123e3]}))
         code = run(["sweep"], tmp_path, ("--config", str(config)))
-        assert code == 1
-        assert "error" in capsys.readouterr().err
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: no table entry for (ABF, HPADC, b_sc=123000.0 Hz); "
+            "use the parametric model\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"b_sc_hz": [15e3, 300e3]}, "no table entry for (ABF, HPADC, b_sc=300000.0 Hz)"),
+        (with_architecture_params(n_ms_antennas=8),
+         "the lookup table measured DBF with 32 converters and 16 simultaneous beams, "
+         "not 16 and 8"),
+    ], ids=["untabulated-b_sc", "8-antenna-DBF"])
+    @pytest.mark.parametrize("verb", sorted(cli.COMMANDS))
+    def test_lookup_sweep_refuses_what_the_table_did_not_measure(self, tmp_path, capsys,
+                                                                 verb, raw, message):
+        # sweep alone reads table power for the configured receivers; it refuses
+        # before any work, and the other verbs run as they did
+        code = run_with_config(verb, tmp_path, raw)
+        out, err = capsys.readouterr()
+        if verb != "sweep":
+            assert (code, err) == (0, "")
+            return
+        assert (code, out) == (2, "")
+        assert err == f"config error: {message}; use the parametric model\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestConvergence:
@@ -496,8 +519,12 @@ class TestConfigHandling:
     @pytest.mark.parametrize("verb", sorted(cli.COMMANDS))
     def test_converter_count_near_float_range(self, tmp_path, capsys, verb):
         # HBF's 10**308 converters fit a float, but 64 scans of them do not: convergence
-        # refuses its inf limit by file and column, and the verbs that never form it run
-        code = run_with_config(verb, tmp_path, HBF_CONVERTERS_NEAR_FLOAT_MAX)
+        # refuses its inf limit by file and column, and the verbs that never form it run;
+        # sweep's lookup power holds only the default HBF, so it runs parametric
+        raw = HBF_CONVERTERS_NEAR_FLOAT_MAX
+        if verb == "sweep":
+            raw = {**raw, "power_mode": "parametric"}
+        code = run_with_config(verb, tmp_path, raw)
         out, err = capsys.readouterr()
         if verb != "convergence":
             assert (code, err) == (0, "")

@@ -20,6 +20,7 @@ from mmwicd import (
     derive_frame,
     directional_scans,
     discovery_slot_grid,
+    discovery_slot_sides,
     simulate,
     total_delay,
     verify_against_analytic,
@@ -153,6 +154,19 @@ class TestPssStructureSim:
     def test_pinned_structure_sweep(self, archs, scens, geom):
         assert simulate(archs["HBF"], scens["CInD"], geom, (63, 9), k=8) == 8
 
+    def test_worst_case_reads_two_vectors_not_the_grid(self, archs, scens):
+        # 2**24 targets, whose int64 grid would take 128 MiB; two 4096-slot vectors take 64 KiB
+        geom = SweepGeometry(n_bs_directions=4096, n_ms_directions=4096)
+        frame = derive_frame(250e3)
+        tracemalloc.start()
+        try:
+            worst = worst_case_structure_delay(archs["ABF"], scens["nCI"], geom, frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert worst == total_delay(archs["ABF"], scens["nCI"], geom, frame)
+
 
 def _beams_arch(beams):
     """HBF receiver forming `beams` simultaneous beams."""
@@ -247,6 +261,40 @@ class TestDiscoveryGrid:
         assert worst_case_structure_delay(
             arch, scenario, geom, frame, k=k
         ) == total_delay(arch, scenario, geom, frame, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_bs=st.integers(1, 12),
+        n_ms=st.integers(1, 10),
+        name=st.sampled_from(ARCHITECTURE_NAMES),
+        n_ms_antennas=st.integers(1, 12),
+        n_rf_chains=st.integers(1, 12),
+        n_combiners=st.integers(1, 12),
+        order=st.sampled_from(SWEEP_ORDERS),
+        kind=st.sampled_from(SCENARIO_KINDS),
+    )
+    def test_verdict_fields_equal_grid_reductions(self, n_bs, n_ms, name, n_ms_antennas,
+                                                  n_rf_chains, n_combiners, order, kind):
+        # verify_columns reads the two slot vectors; the walk-checked grid is the reference
+        arch = build_architecture(name, n_ms_antennas=n_ms_antennas,
+                                  n_rf_chains=n_rf_chains, n_combiners=n_combiners)
+        scenario = default_scenarios()[kind]
+        geom = SweepGeometry(n_bs_directions=n_bs, n_ms_directions=n_ms)
+        grid = discovery_slot_grid(arch, scenario, geom, sweep_order=order)
+        bs, ms = discovery_slot_sides(arch, scenario, geom, sweep_order=order)
+        assert (bs.shape, ms.shape, bs.dtype, ms.dtype) == ((n_bs,), (n_ms,), np.int64, np.int64)
+        b_sc = [15e3, 1e6]
+        t_pss = [derive_frame(b).t_pss for b in b_sc]
+        t_ci = ci_cost(arch, scenario, geom)[0]
+        columns = verify_columns(arch, scenario, geom, b_sc, sweep_order=order)
+        assert columns.min_time.tolist() == [grid.min() * t + t_ci for t in t_pss]
+        assert columns.max_time.tolist() == [grid.max() * t + t_ci for t in t_pss]
+        real = sweepsim.directional_scans
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweepsim, "directional_scans", lambda *args: real(*args) + 1)
+            columns = verify_columns(arch, scenario, geom, b_sc, sweep_order=order)
+        assert columns.passed is False
+        assert columns.first_mismatch == divmod(int(np.argmax(grid)), n_ms)
 
     @pytest.mark.parametrize("kind", SCENARIO_KINDS)
     @pytest.mark.parametrize("order", SWEEP_ORDERS)
