@@ -19,7 +19,7 @@ a count (bits, k, geometry, architecture_params) an integer >= 1 that a float
 holds, and out a string; scenario_params is checked even when CID is not listed.
 Under power_mode "lookup", bits must be [TABLE_BITS], the table's resolution.
 
-Exit codes: 0 ok, 1 runtime failure, 2 config error, 3 verification mismatch.
+Exit codes: 0 ok, 1 runtime failure, 2 config error or PowerTableError, 3 verification mismatch.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .power import (
     PowerTableError,
     default_power_model,
     default_power_table,
-    lookup_power,
     parametric_power,
     resolution_factor,
 )
@@ -99,11 +98,10 @@ DEFAULT_CONFIG = {
     "convergence_bits": list(range(1, 13)),
     "power_mode": "lookup",
     "geometry": asdict(SweepGeometry()),
-    "architecture_params": {"n_ms_antennas": 16, "n_rf_chains": 4, "n_combiners": 4},
+    "architecture_params": dict(build_architecture.__kwdefaults__),
     "scenario_params": {"t_ci_s": DEFAULT_T_CI, "p_ci_w": DEFAULT_P_CI},
     "k": [1, 2, 4, 8, 16],
     "pss_base_b_sc_hz": 250e3,
-    "sweep_orders": list(SWEEP_ORDERS),
     "format": "csv",
     "out": "out",
 }
@@ -126,7 +124,6 @@ class RunConfig:
     geom: SweepGeometry
     k_values: tuple[int, ...]
     pss_base_b_sc: float
-    sweep_orders: tuple[str, ...]
     out_dir: Path
     fmt: str
 
@@ -186,10 +183,10 @@ def resolve_config(raw: dict) -> RunConfig:
     bits, convergence_bits, k_values = (_entries(merged, key, _count_ok,
                                                  "integers >= 1 that a float holds")
                                         for key in ("bits", "convergence_bits", "k"))
-    arch_names, scenario_kinds, adc_classes, orders = (
+    arch_names, scenario_kinds, adc_classes = (
         _entries(merged, key, names.__contains__, f"one of {names}")
         for key, names in (("architectures", ARCHITECTURE_NAMES), ("scenarios", SCENARIO_KINDS),
-                           ("adc_classes", ADC_CLASSES), ("sweep_orders", SWEEP_ORDERS)))
+                           ("adc_classes", ADC_CLASSES)))
 
     for key, choices in (("power_mode", POWER_MODES), ("format", OUTPUT_FORMATS)):
         _require(merged[key] in choices, f"{key} must be one of {choices}, got {merged[key]!r}")
@@ -232,7 +229,6 @@ def resolve_config(raw: dict) -> RunConfig:
         geom=geom,
         k_values=k_values,
         pss_base_b_sc=float(pss_base),
-        sweep_orders=orders,
         out_dir=Path(merged["out"]),
         fmt=merged["format"],
     )
@@ -392,24 +388,8 @@ def cmd_tables(cfg: RunConfig) -> tuple[list, int, None]:
 
 
 def cmd_sweep(cfg: RunConfig) -> tuple[list, int, None]:
-    """Energy over the b_sc grid: one file per (scenario, ADC class, bits).
-
-    Under lookup power, a listed architecture must be the default one the table
-    measured, and the table must hold every b_sc for each listed (architecture,
-    ADC class); otherwise the config is refused before any energy is computed.
-    """
-    if cfg.power_mode == "lookup":
-        measured = default_architectures()
-        for arch in cfg.architectures:
-            table = measured[arch.name]
-            _require(arch == table, f"the lookup table measured {arch.name} with {table.n_adc} "
-                     f"converters and {table.simultaneous_beams} simultaneous beams, not "
-                     f"{arch.n_adc} and {arch.simultaneous_beams}; use the parametric model")
-            for cls in cfg.adc_classes:
-                try:
-                    lookup_power(arch, AdcModel(cls), cfg.b_sc)
-                except PowerTableError as exc:
-                    raise ConfigError(str(exc)) from exc
+    """Energy over the b_sc grid: one file per (scenario, ADC class, bits); under lookup
+    power, lookup_power refuses what the table did not measure before any file is written."""
     arch_names = tuple(a.name for a in cfg.architectures)
     tables = []
     labels = []  # (scenario, ADC class, bits) of each grid
@@ -468,12 +448,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[list, int, str]:
     header = ("architecture", "scenario", "sweep_order", "b_sc_hz", "n_targets",
               "min_s", "mean_s", "max_s", "analytic_s", "passed", "first_mismatch")
     calls = [(arch, scenario, order) for arch in cfg.architectures
-             for scenario in cfg.scenarios for order in cfg.sweep_orders]
+             for scenario in cfg.scenarios for order in SWEEP_ORDERS]
     results = [verify_columns(arch, scenario, cfg.geom, cfg.b_sc, sweep_order=order)
                for arch, scenario, order in calls]
     labels = [(arch.name, scenario.kind, order) for arch, scenario, order in calls]
     passed = np.array([cols.passed for cols in results])
-    combos_passed = passed.reshape(-1, len(cfg.sweep_orders)).all(axis=1)
+    combos_passed = passed.reshape(-1, len(SWEEP_ORDERS)).all(axis=1)
     n_b_sc = len(cfg.b_sc)
     # Rows run call-major, b_sc-minor; a call's one verdict repeats over its b_sc rows.
     columns = [
@@ -562,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             tables, status, summary = COMMANDS[args.command][0](cfg)
         _emit(cfg, tables)
-    except ConfigError as exc:
+    except (ConfigError, PowerTableError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary maps failures to exit 1

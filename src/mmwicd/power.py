@@ -34,7 +34,7 @@ _REL_TOL = 1e-9
 
 
 class PowerTableError(LookupError):
-    """Requested point is not in the bundled table; use the parametric model."""
+    """The table did not measure this receiver, resolution or b_sc; use the parametric model."""
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,9 @@ def lookup_power(arch: Architecture, adc: AdcModel, b_sc):
     """Exact bundled-table entry for (architecture, ADC class, b_sc); 6-bit only.
 
     b_sc may be a numpy array, giving the entry at each point.  What
-    parametric_power refuses raises its ValueError; a point not in the table
-    (every point, for a pair it lacks) raises PowerTableError, naming the first.
+    parametric_power refuses raises its ValueError; PowerTableError refuses
+    another resolution, a receiver that differs from default_architectures()[name],
+    and a point not in the table (every point, for a pair it lacks), naming the first.
     """
     if not _b_sc_ok(b_sc):
         raise ValueError(_B_SC_REFUSED.format(b_sc))
@@ -85,6 +86,13 @@ def lookup_power(arch: Architecture, adc: AdcModel, b_sc):
         raise PowerTableError(
             f"table holds {TABLE_BITS}-bit measurements, not {adc.bits}-bit; "
             "use the parametric model"
+        )
+    measured = default_architectures().get(arch.name, arch)
+    if arch != measured:
+        raise PowerTableError(
+            f"the lookup table measured {arch.name} with {measured.n_adc} converters and "
+            f"{measured.simultaneous_beams} simultaneous beams, not {arch.n_adc} and "
+            f"{arch.simultaneous_beams}; use the parametric model"
         )
     spacings, powers = default_power_table().get((arch.name, adc.cls), (np.empty(0),) * 2)
     points = np.asarray(b_sc, dtype=np.float64)[..., None]

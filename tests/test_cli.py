@@ -185,8 +185,8 @@ class TestSweep:
     @pytest.mark.parametrize("verb", sorted(cli.COMMANDS))
     def test_lookup_sweep_refuses_what_the_table_did_not_measure(self, tmp_path, capsys,
                                                                  verb, raw, message):
-        # sweep alone reads table power for the configured receivers; it refuses
-        # before any work, and the other verbs run as they did
+        # sweep alone reads table power for the configured receivers; lookup_power
+        # refuses before any file is written, and the other verbs run as they did
         code = run_with_config(verb, tmp_path, raw)
         out, err = capsys.readouterr()
         if verb != "sweep":
@@ -382,10 +382,13 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("verb", sorted(cli.COMMANDS))
     def test_resolution_law_is_an_unknown_key(self, tmp_path, capsys, verb):
-        # the converter power grows with 2**bits; there is no other law to choose
-        assert run_with_config(verb, tmp_path, {"resolution_law": "exponential"}) == 2
-        assert capsys.readouterr().err == "config error: unknown config keys: ['resolution_law']\n"
-        assert not (tmp_path / "out").exists()
+        # the converter power grows with 2**bits, and verify walks both sweep orders;
+        # there is no other law or order to choose
+        for key, value in (("resolution_law", "exponential"),
+                           ("sweep_orders", list(sweepsim.SWEEP_ORDERS))):
+            assert run_with_config(verb, tmp_path, {key: value}) == 2
+            assert capsys.readouterr().err == f"config error: unknown config keys: ['{key}']\n"
+            assert not (tmp_path / "out").exists()
 
     def test_malformed_json_is_config_error(self, tmp_path):
         config = tmp_path / "config.json"
@@ -571,7 +574,6 @@ class TestConfigHandling:
         ("architectures", ["ABF", "ABF"]),
         ("scenarios", ["nCI", "CID", "nCI"]),
         ("adc_classes", ["LPADC", "LPADC"]),
-        ("sweep_orders", ["SequentialMsOuter", "SequentialMsOuter"]),
     ])
     def test_repeated_list_entry_is_config_error(self, tmp_path, capsys, key, values):
         # a repeat would write a file twice, or lose a column under a repeated name
@@ -636,7 +638,7 @@ class TestConfigHandling:
         assert config_fingerprint({**DEFAULT_CONFIG, "bits": [8]}) != base
 
     def test_default_config_repeats_the_model_defaults(self):
-        # each paper default is written in the model layer and again in DEFAULT_CONFIG
+        # DEFAULT_CONFIG reads each paper default from the model layer
         arch_params = inspect.signature(build_architecture).parameters.values()
         cid = default_scenarios()["CID"]
         assert DEFAULT_CONFIG["geometry"] == dataclasses.asdict(SweepGeometry())
@@ -880,11 +882,13 @@ budget_floats = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, sys.float_info.ma
 def cli_runs(draw):
     """(verb, format, config): a small geometry and any finite, in-range values.
 
-    Under lookup, b_sc_hz comes from the table's spacings, whose misses exit 1
-    by design, and bits is [6] half the time; any other bits is refused.  Part
-    of the time pss_base_b_sc_hz is a Python int, and each architecture count
-    any int up to 10**308; half of those lie at or above 10**306, where their
-    products with k, scan counts and 2 (the I/Q pair) can pass float range.
+    Under lookup, b_sc_hz comes from the table's spacings, half the time with
+    one off-table spacing added, which sweep refuses (exit 2) as it refuses a
+    receiver the table did not measure; bits is [6] half the time, and any
+    other bits is refused.  Part of the time pss_base_b_sc_hz is a Python int,
+    and each architecture count any int up to 10**308; half of those lie at or
+    above 10**306, where their products with k, scan counts and 2 (the I/Q
+    pair) can pass float range.
     """
     def small_ints(hi):
         return st.lists(st.one_of(st.integers(1, 12), st.integers(1, hi)), min_size=1, max_size=3)
@@ -909,6 +913,9 @@ def cli_runs(draw):
         "k": draw(small_ints(80)),
         "scenario_params": {"t_ci_s": draw(budget_floats), "p_ci_w": draw(budget_floats)},
     }
+    if lookup and draw(st.booleans()):
+        raw["b_sc_hz"].append(draw(positive_floats.filter(
+            lambda b: all(abs(b - t) > 1e-6 * t for t in TABULATED_B_SC))))
     return draw(st.sampled_from(sorted(cli.COMMANDS))), draw(st.sampled_from(["csv", "json"])), raw
 
 
@@ -964,6 +971,8 @@ class TestCliProperty:
     @example(run_args=("pss", "csv", INT_PAST_FLOAT_RANGE["dbf-converters"]))
     @example(run_args=("sweep", "csv", INT_PAST_FLOAT_RANGE["dbf-converters-parametric"]))
     @example(run_args=("convergence", "csv", HBF_CONVERTERS_NEAR_FLOAT_MAX))
+    @example(run_args=("sweep", "csv", {"b_sc_hz": [15e3, 300e3]}))  # lookup_power refuses
+    @example(run_args=("sweep", "json", with_architecture_params(n_ms_antennas=8)))
     @settings(max_examples=200, deadline=None)
     def test_exit_zero_with_finite_outputs_or_exit_two_with_none(self, run_args):
         code, stdout, stderr, written = run_in_process(*run_args)

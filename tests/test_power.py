@@ -64,6 +64,28 @@ class TestLookup:
         with pytest.raises(PowerTableError, match=match):
             lookup_power(Architecture("XYZ", 2, 1), AdcModel("HPADC"), 15e3)
 
+    @pytest.mark.parametrize("arch, counts", [
+        (build_architecture("DBF", n_ms_antennas=8), "32 converters and 16 simultaneous beams, "
+                                                     "not 16 and 8"),
+        (build_architecture("HBF", n_rf_chains=2), "8 converters and 4 simultaneous beams, "
+                                                   "not 4 and 2"),
+        (build_architecture("PSN", n_combiners=8), "2 converters and 4 simultaneous beams, "
+                                                   "not 2 and 8"),
+    ], ids=["8-antenna-DBF", "2-chain-HBF", "8-combiner-PSN"])
+    def test_receiver_the_table_did_not_measure_raises(self, arch, counts):
+        # the table's power holds only for the 16-antenna, 4-chain, 4-combiner front ends
+        match = f"the lookup table measured {arch.name} with {counts}; use the parametric model"
+        with pytest.raises(PowerTableError, match=match):
+            lookup_power(arch, AdcModel("HPADC"), 250e3)
+        with pytest.raises(PowerTableError, match=match):
+            energy_columns(arch, Scenario("nCI"), AdcModel("LPADC"), TABULATED_B_SC,
+                           geom=SweepGeometry(), model=None)
+
+    def test_separately_built_default_receiver_is_accepted(self, archs):
+        adc = AdcModel("HPADC")
+        assert lookup_power(Architecture("ABF", 2, 1), adc, 250e3) == lookup_power(
+            archs["ABF"], adc, 250e3)
+
     def test_non_table_resolution_raises(self, archs):
         with pytest.raises(PowerTableError):
             lookup_power(archs["ABF"], AdcModel("HPADC", bits=8), 15e3)
