@@ -55,9 +55,8 @@ from .energy import (
     CSV_COLUMNS,
     EnergyColumns,
     convergence_value,
-    energy,  # noqa: F401 - unused here; perfbench's tracer test looks it up in this namespace
+    energy,
     energy_columns,
-    proposed_structure_energy,
 )
 from .power import (
     ADC_CLASSES,
@@ -473,8 +472,8 @@ def cmd_verify(cfg: RunConfig) -> tuple[list, int, str]:
 def cmd_pss(cfg: RunConfig) -> tuple[list, int, None]:
     """Widened-sync slot layout: delay and energy vs. k (parametric power).
 
-    Evaluated for nCI (else the first listed scenario), the first ADC class and
-    the first bits under the parametric model; the last four columns name them.
+    Evaluated for nCI (else the first listed scenario), the first ADC class and the first
+    bits, which the last four columns name; proposed report at b_sc with k, baseline at k * b_sc.
     """
     columns = ("architecture", "k", "b_sc_hz", "b_sc_pss_hz", "n_d",
                "sim_worst_delay_s", "analytic_delay_s",
@@ -488,14 +487,12 @@ def cmd_pss(cfg: RunConfig) -> tuple[list, int, None]:
     for arch in cfg.architectures:
         for k in cfg.k_values:
             worst = worst_case_structure_delay(arch, scenario, cfg.geom, frame, k=k)
-            comparison = proposed_structure_energy(
-                arch, scenario, adc, cfg.pss_base_b_sc, k, geom=cfg.geom, model=model,
-            )
-            rows.append((arch.name, k, cfg.pss_base_b_sc, k * frame.b_sc,
-                         comparison.proposed.n_d, worst,
+            proposed = energy(arch, scenario, adc, frame.b_sc, k=k, geom=cfg.geom, model=model)
+            baseline = energy(arch, scenario, adc, k * frame.b_sc, geom=cfg.geom, model=model)
+            rows.append((arch.name, k, cfg.pss_base_b_sc, k * frame.b_sc, proposed.n_d, worst,
                          total_delay(arch, scenario, cfg.geom, frame, k),
-                         comparison.proposed.e_total, comparison.baseline.e_total,
-                         comparison.energy_ratio, scenario.kind, cls, bits, "parametric"))
+                         proposed.e_total, baseline.e_total, proposed.e_total / baseline.e_total,
+                         scenario.kind, cls, bits, "parametric"))
     return [("pss", columns, list(zip(*rows)))], 0, None
 
 

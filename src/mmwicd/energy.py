@@ -161,16 +161,15 @@ def ec_crossover(
 ) -> float | None:
     """b_sc (Hz) where the two architectures' scan energies are equal.
 
-    Under the parametric model the difference has the form A / b_sc + C with
-    A from the base powers and C from the converter terms; the root -A / C is
-    returned, or None when the curves do not cross at a positive bandwidth.
+    Under the parametric model the difference has the form A / b_sc + C with A from
+    the base powers and C the difference of the two convergence_value limits; the
+    root -A / C is returned, or None when the curves do not cross at a positive bandwidth.
     """
-    _check_class(model, adc)
-    r = resolution_factor(adc.bits)
+    c_term = (convergence_value(arch_a, scenario, adc, geom, model)
+              - convergence_value(arch_b, scenario, adc, geom, model))
     n_a, n_b = (float(directional_scans(arch, scenario, geom)) for arch in (arch_a, arch_b))
     scale = derive_frame(1.0).t_pss  # t_pss * b_sc, the inverse-proportionality constant
     a_term = scale * (n_a * model.base_power[arch_a.name] - n_b * model.base_power[arch_b.name])
-    c_term = SYNC_TIME_BANDWIDTH * model.c * r * (n_a * arch_a.n_adc - n_b * arch_b.n_adc)
     if c_term == 0:
         return None
     root = -a_term / c_term

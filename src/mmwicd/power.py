@@ -30,8 +30,6 @@ from .signaling import _B_SC_REFUSED, _b_sc_ok, frame_scaling
 ADC_CLASSES = ("LPADC", "HPADC")
 TABLE_BITS = 6  # the bundled table was measured with 6-bit converters
 
-_REL_TOL = 1e-9
-
 
 class PowerTableError(LookupError):
     """The table did not measure this receiver, resolution or b_sc; use the parametric model."""
@@ -78,7 +76,7 @@ def lookup_power(arch: Architecture, adc: AdcModel, b_sc):
     b_sc may be a numpy array, giving the entry at each point.  What
     parametric_power refuses raises its ValueError; PowerTableError refuses
     another resolution, a receiver that differs from default_architectures()[name],
-    and a point not in the table (every point, for a pair it lacks), naming the first.
+    and a point that equals no table spacing (every point, for a pair it lacks), naming the first.
     """
     if not _b_sc_ok(b_sc):
         raise ValueError(_B_SC_REFUSED.format(b_sc))
@@ -96,7 +94,7 @@ def lookup_power(arch: Architecture, adc: AdcModel, b_sc):
         )
     spacings, powers = default_power_table().get((arch.name, adc.cls), (np.empty(0),) * 2)
     points = np.asarray(b_sc, dtype=np.float64)[..., None]
-    match = np.abs(spacings - points) <= _REL_TOL * np.maximum(np.abs(spacings), np.abs(points))
+    match = spacings == points
     missing = points[~match.any(axis=-1)]
     if missing.size:
         raise PowerTableError(

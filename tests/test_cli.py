@@ -178,10 +178,12 @@ class TestSweep:
 
     @pytest.mark.parametrize("raw, message", [
         ({"b_sc_hz": [15e3, 300e3]}, "no table entry for (ABF, HPADC, b_sc=300000.0 Hz)"),
+        # 4e-10 off 250 kHz: the table answers only at a spacing it equals
+        ({"b_sc_hz": [15e3, 250000.0001]}, "no table entry for (ABF, HPADC, b_sc=250000.0001 Hz)"),
         (with_architecture_params(n_ms_antennas=8),
          "the lookup table measured DBF with 32 converters and 16 simultaneous beams, "
          "not 16 and 8"),
-    ], ids=["untabulated-b_sc", "8-antenna-DBF"])
+    ], ids=["untabulated-b_sc", "near-tabulated-b_sc", "8-antenna-DBF"])
     @pytest.mark.parametrize("verb", sorted(cli.COMMANDS))
     def test_lookup_sweep_refuses_what_the_table_did_not_measure(self, tmp_path, capsys,
                                                                  verb, raw, message):
@@ -870,52 +872,67 @@ class TestColumnWriter:
         assert not (tmp_path / "out").exists()
 
 
-# Any positive float up to the largest, and any float a CI budget may hold;
-# half of the draws come from the paper's range, where most configs run clean.
-positive_floats = st.one_of(st.floats(1e3, 1e7),
-                            st.floats(min_value=0.0, max_value=sys.float_info.max,
-                                      exclude_min=True))
+# The paper's range, where a config runs clean, and the whole range the config
+# checks take, where most configs are refused or drive an output past float range.
+paper_floats = st.floats(1e3, 1e7)
+positive_floats = st.one_of(paper_floats, st.floats(min_value=0.0, max_value=sys.float_info.max,
+                                                    exclude_min=True))
 budget_floats = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, sys.float_info.max))
+big_ints = st.one_of(st.integers(1, 10**308), st.integers(10**306, 10**308))
 
 
 @st.composite
 def cli_runs(draw):
-    """(verb, format, config): a small geometry and any finite, in-range values.
+    """(verb, format, config): a small geometry, with values in the paper's range in
+    about two draws of three, so that most draws run their verb to the end.
 
-    Under lookup, b_sc_hz comes from the table's spacings, half the time with
-    one off-table spacing added, which sweep refuses (exit 2) as it refuses a
-    receiver the table did not measure; bits is [6] half the time, and any
-    other bits is refused.  Part of the time pss_base_b_sc_hz is a Python int,
-    and each architecture count any int up to 10**308; half of those lie at or
-    above 10**306, where their products with k, scan counts and 2 (the I/Q
-    pair) can pass float range.
+    The other draws are wide: list entries may repeat, bits and convergence_bits
+    entries reach 1100 (2**1024 passes float range), spacings, budgets and
+    pss_base_b_sc_hz any positive float (pss_base_b_sc_hz also an int up to
+    10**308), and each architecture count any int up to 10**308, half of those at
+    or above 10**306, where their products with k, scan counts and 2 (the I/Q
+    pair) can pass float range.  Under lookup, b_sc_hz comes from the table's
+    spacings, half the time with a spacing it did not measure added (the float
+    next to a tabulated one, or any other), which sweep refuses (exit 2) as it
+    refuses a receiver the table did not measure (any but the default receivers,
+    drawn only in a wide draw); bits is [6], and in a wide draw any other bits
+    half the time, which is refused.  In every draw pss_base_b_sc_hz is a Python
+    int part of the time.
     """
-    def small_ints(hi):
-        return st.lists(st.one_of(st.integers(1, 12), st.integers(1, hi)), min_size=1, max_size=3)
+    wide = draw(st.sampled_from([False, False, True]))
 
-    big_ints = st.one_of(st.integers(1, 10**308), st.integers(10**306, 10**308))
-    arch_counts = st.one_of(st.integers(1, 16), big_ints)
+    def counts(hi, wide_hi):
+        if not wide:
+            return st.lists(st.integers(1, hi), min_size=1, max_size=3, unique=True)
+        return st.lists(st.one_of(st.integers(1, 12), st.integers(1, wide_hi)),
+                        min_size=1, max_size=3)
 
+    arch_counts = st.one_of(st.integers(1, 16), big_ints) if wide else st.integers(1, 16)
+    spacings = positive_floats if wide else paper_floats
+    bits = counts(12, 1100)
     lookup = draw(st.sampled_from(["lookup", "parametric"])) == "lookup"
     raw = {
         "power_mode": "lookup" if lookup else "parametric",
         "geometry": {"n_bs_directions": draw(st.integers(1, 40)),
                      "n_ms_directions": draw(st.integers(1, 10))},
-        "architecture_params": {"n_ms_antennas": draw(arch_counts),
-                                "n_rf_chains": draw(arch_counts),
-                                "n_combiners": draw(arch_counts)},
+        "architecture_params": (
+            {name: draw(arch_counts) for name in ("n_ms_antennas", "n_rf_chains", "n_combiners")}
+            if wide or not lookup else dict(DEFAULT_CONFIG["architecture_params"])),
         "b_sc_hz": draw(st.lists(st.sampled_from(TABULATED_B_SC), min_size=1, max_size=3,
                                  unique=True) if lookup
-                        else st.lists(positive_floats, min_size=1, max_size=3)),
-        "pss_base_b_sc_hz": draw(st.one_of(positive_floats, big_ints)),
-        "bits": draw(st.one_of(st.just([6]), small_ints(1100)) if lookup else small_ints(1100)),
-        "convergence_bits": draw(small_ints(1100)),
-        "k": draw(small_ints(80)),
-        "scenario_params": {"t_ci_s": draw(budget_floats), "p_ci_w": draw(budget_floats)},
+                        else st.lists(spacings, min_size=1, max_size=3, unique=not wide)),
+        "pss_base_b_sc_hz": draw(st.one_of(spacings, big_ints if wide
+                                           else st.integers(10**3, 10**7))),
+        "bits": draw((st.one_of(st.just([6]), bits) if wide else st.just([6])) if lookup else bits),
+        "convergence_bits": draw(bits),
+        "k": draw(counts(80, 80)),
+        "scenario_params": {key: draw(budget_floats if wide else st.floats(0.0, 10.0))
+                            for key in ("t_ci_s", "p_ci_w")},
     }
     if lookup and draw(st.booleans()):
-        raw["b_sc_hz"].append(draw(positive_floats.filter(
-            lambda b: all(abs(b - t) > 1e-6 * t for t in TABULATED_B_SC))))
+        raw["b_sc_hz"].append(draw(st.one_of(
+            st.sampled_from(TABULATED_B_SC).map(lambda t: float(np.nextafter(t, np.inf))),
+            positive_floats.filter(lambda b: b not in TABULATED_B_SC))))
     return draw(st.sampled_from(sorted(cli.COMMANDS))), draw(st.sampled_from(["csv", "json"])), raw
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,15 @@ class TestLookup:
         with pytest.raises(PowerTableError, match="8-bit"):
             lookup_power(archs["HBF"], AdcModel("LPADC", bits=8), b_sc)
 
+    @pytest.mark.parametrize("b_sc", [float(np.nextafter(250e3, np.inf)), 250e3 * (1 + 1e-12)],
+                             ids=["one-ulp-above", "1e-12-above"])
+    def test_spacing_next_to_a_table_spacing_raises(self, archs, b_sc):
+        # an entry answers only the spacing it was measured at, not a neighbouring float
+        match = rf"no table entry for \(PSN, LPADC, b_sc={re.escape(repr(b_sc))} Hz\)"
+        for value in (b_sc, np.array([15e3, b_sc])):
+            with pytest.raises(PowerTableError, match=match):
+                lookup_power(archs["PSN"], AdcModel("LPADC"), value)
+
     @pytest.mark.parametrize("call", [
         lambda archs, adc: lookup_power(archs["DBF"], adc, np.inf),
         lambda archs, adc: lookup_power(archs["DBF"], adc, -np.inf),
@@ -109,8 +120,7 @@ class TestLookup:
                                           k=10**10, geom=SweepGeometry(), model=None),
     ], ids=["inf", "-inf", "array-with-inf", "energy-columns-k-overflow"])
     def test_infinite_bandwidth_matches_no_entry(self, archs, call):
-        # refused as parametric_power refuses it, before |s - b| <= tol * max(|s|, |b|)
-        # could read inf <= inf
+        # refused as parametric_power refuses it, not as a spacing the table lacks
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite number > 0"):
             call(archs, AdcModel("HPADC"))
 
