@@ -14,17 +14,21 @@ is the reference the grid is tested against.
 
 verify_columns compares slots: the slowest slot, read from the two vectors,
 against the closed-form slot count, one integer comparison per call.  Only
-its mean reads the grid, one pass over it for a whole b_sc column of means;
-verify_against_analytic returns the same VerificationColumns at one b_sc.
+its mean reads the grid, one pass over it for a whole b_sc column of means,
+once per distinct slot vectors, CI lead and t_pss column within one bounded
+memo; verify_against_analytic returns the same VerificationColumns at one b_sc.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .architectures import (
+    ARCHITECTURE_NAMES,
+    SCENARIO_KINDS,
     Architecture,
     Scenario,
     SweepGeometry,
@@ -41,6 +45,12 @@ SWEEP_ORDERS = (SEQUENTIAL_BS_OUTER, SEQUENTIAL_MS_OUTER)
 # Most float64 discovery times verify_columns holds at once: a block is as
 # many b_sc rows of the grid as fit, and one row when a grid is bigger.
 _BLOCK_VALUES = 2**20
+
+# verify_columns' means, oldest first, read-only, keyed by what the mean reads:
+# the slot vectors (their lengths and a digest, so no per-direction data is
+# kept), the CI lead and the t_pss column.  One CLI verify run's calls fit.
+_MEANS: dict[tuple, np.ndarray] = {}
+_MEANS_MAX = len(ARCHITECTURE_NAMES) * len(SCENARIO_KINDS) * len(SWEEP_ORDERS)
 
 
 def _check_order(sweep_order: str) -> None:
@@ -168,24 +178,35 @@ def verify_columns(
     the worst target (the grid's first row-major argmax) is their argmaxes.
     The mean takes one float row of discovery_slot_grid per b_sc, in blocks of
     whole rows (numpy sums each row in the pairwise order of the 1-D array),
-    at most _BLOCK_VALUES values or one row when a row is bigger.
+    at most _BLOCK_VALUES values or one row when a row is bigger.  It is
+    computed once per distinct slot vectors, CI lead and t_pss column, and
+    returned read-only; the other fields are derived on every call.
     """
     t_pss, _ = frame_scaling(_b_sc_array(b_sc))
     bs, ms = discovery_slot_sides(arch, scenario, geom, sweep_order=sweep_order)
     t_ci = ci_cost(arch, scenario, geom)[0]
-    flat = discovery_slot_grid(arch, scenario, geom, sweep_order=sweep_order).reshape(1, -1)
-    mean_time = np.empty_like(t_pss)
-    step = max(1, _BLOCK_VALUES // flat.size)
-    for start in range(0, len(t_pss), step):
-        rows = slice(start, start + step)
-        block = flat * t_pss[rows, None]
-        block += t_ci
-        mean_time[rows] = block.mean(axis=1)
-        del block  # freed before the next block is allocated
+    digest = hashlib.blake2b(bs)
+    digest.update(ms)
+    key = (bs.size, ms.size, digest.digest(), t_ci, t_pss.tobytes())
+    mean_time = _MEANS.get(key)
+    if mean_time is None:
+        flat = discovery_slot_grid(arch, scenario, geom, sweep_order=sweep_order).reshape(1, -1)
+        mean_time = np.empty_like(t_pss)
+        step = max(1, _BLOCK_VALUES // flat.size)
+        for start in range(0, len(t_pss), step):
+            rows = slice(start, start + step)
+            block = flat * t_pss[rows, None]
+            block += t_ci
+            mean_time[rows] = block.mean(axis=1)
+            del block  # freed before the next block is allocated
+        mean_time.setflags(write=False)
+        if len(_MEANS) >= _MEANS_MAX:
+            del _MEANS[next(iter(_MEANS))]
+        _MEANS[key] = mean_time
     worst, scans = int(bs.max() + ms.max()), directional_scans(arch, scenario, geom)
     passed = worst == scans
     return VerificationColumns(
-        n_targets=flat.size,
+        n_targets=bs.size * ms.size,
         passed=passed,
         first_mismatch=None if passed else (int(np.argmax(bs)), int(np.argmax(ms))),
         min_time=(bs.min() + ms.min()) * t_pss + t_ci,

@@ -27,7 +27,7 @@ from mmwicd import (
     verify_columns,
     worst_case_structure_delay,
 )
-from mmwicd import sweepsim
+from mmwicd import cli, sweepsim
 from mmwicd.architectures import DEFAULT_P_CI
 from conftest import TABULATED_B_SC
 
@@ -345,6 +345,7 @@ class TestVerifyColumns:
         with pytest.MonkeyPatch.context() as mp:
             if block_values is not None:
                 mp.setattr(sweepsim, "_BLOCK_VALUES", block_values)
+            sweepsim._MEANS.clear()  # a remembered mean would skip the blocks
             columns = verify_columns(arch, scenario, geom, b_sc, sweep_order=order)
         grid = discovery_slot_grid(arch, scenario, geom, sweep_order=order)
         t_ci_paid = ci_cost(arch, scenario, geom)[0]
@@ -395,6 +396,7 @@ class TestVerifyColumns:
         # 2**20 targets: the int64 grid and a one-row float64 block, 8 MiB each
         geom = SweepGeometry(n_bs_directions=1024, n_ms_directions=1024)
         b_sc = [15e3, 250e3, 10e6]
+        sweepsim._MEANS.clear()  # a remembered mean would allocate neither
         tracemalloc.start()
         try:
             columns = verify_columns(archs["ABF"], scens["nCI"], geom, b_sc)
@@ -406,3 +408,106 @@ class TestVerifyColumns:
         assert peak <= grid_bytes + block_bytes + 2**18
         grid = discovery_slot_grid(archs["ABF"], scens["nCI"], geom)
         assert columns.mean_time.tolist() == [(grid * derive_frame(b).t_pss).mean() for b in b_sc]
+
+
+@st.composite
+def verify_inputs(draw, like=None):
+    """verify_columns' arguments as a dict; each one that `like` holds is kept
+    half the time, so that two draws often agree on all but one input."""
+    fields = {
+        "n_bs": st.integers(1, 40),
+        "n_ms": st.integers(1, 10),
+        "beams": st.integers(1, 12),
+        "kind": st.sampled_from(SCENARIO_KINDS),
+        "t_ci": st.floats(0.0, 10.0),
+        "order": st.sampled_from(SWEEP_ORDERS),
+        "b_sc": st.lists(st.floats(1e3, 1e9), min_size=1, max_size=5),
+    }
+    return {name: like[name] if like is not None and draw(st.booleans()) else draw(strategy)
+            for name, strategy in fields.items()}
+
+
+def _verify(inputs):
+    kind, t_ci = inputs["kind"], inputs["t_ci"]
+    scenario = Scenario("CID", t_ci, DEFAULT_P_CI) if kind == "CID" else Scenario(kind)
+    geom = SweepGeometry(n_bs_directions=inputs["n_bs"], n_ms_directions=inputs["n_ms"])
+    return verify_columns(_beams_arch(inputs["beams"]), scenario, geom, inputs["b_sc"],
+                          sweep_order=inputs["order"])
+
+
+def _spy_grid(monkeypatch):
+    """The argument tuples of every discovery_slot_grid call from here on."""
+    real, calls = sweepsim.discovery_slot_grid, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweepsim, "discovery_slot_grid", spy)
+    return calls
+
+
+class TestVerifyMemo:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_warm_memo_gives_the_cold_columns(self, data):
+        first = data.draw(verify_inputs())
+        second = data.draw(verify_inputs(like=first))
+        sweepsim._MEANS.clear()
+        _verify(first)
+        warm = _verify(second)
+        sweepsim._MEANS.clear()
+        cold = _verify(second)
+        for field, got, want in zip(VerificationColumns._fields, warm, cold):
+            if isinstance(want, np.ndarray):
+                assert got.tobytes() == want.tobytes(), field
+            else:
+                assert got == want, field
+
+    # (config, distinct means): CInD and CID pin the beam set, so every receiver
+    # and order shares one slot grid, with or without the CI lead; HBF and PSN
+    # both form 4 beams; at 64x16 DBF's 16 beams see every MS direction at once.
+    @pytest.mark.parametrize("raw,grids", [
+        ({}, 6),
+        ({"b_sc_hz": [250e3], "geometry": {"n_bs_directions": 512, "n_ms_directions": 256},
+          "k": [1, 2, 4, 8, 16]}, 8),
+    ], ids=["defaults", "large-grid"])
+    def test_verify_enumerates_each_distinct_grid_once(self, raw, grids, monkeypatch):
+        sweepsim._MEANS.clear()
+        calls = _spy_grid(monkeypatch)
+        _, status, _ = cli.cmd_verify(cli.resolve_config(raw))
+        assert status == 0
+        assert len(calls) == grids
+        assert len(sweepsim._MEANS) == grids
+
+    def test_memo_keeps_one_verify_run(self, archs, scens, geom, monkeypatch):
+        sweepsim._MEANS.clear()
+        for b in range(sweepsim._MEANS_MAX + 1):
+            verify_columns(archs["ABF"], scens["nCI"], geom, [15e3 + b])
+        assert len(sweepsim._MEANS) == sweepsim._MEANS_MAX == 24
+        # the oldest mean went first, so its call enumerates the grid again
+        calls = _spy_grid(monkeypatch)
+        verify_columns(archs["ABF"], scens["nCI"], geom, [15e3 + sweepsim._MEANS_MAX])
+        verify_columns(archs["ABF"], scens["nCI"], geom, [15e3])
+        assert len(calls) == 1
+
+    def test_key_tells_where_the_vectors_split(self, archs, scens, geom, monkeypatch):
+        # the same three slots, split 2 + 1 and 1 + 2: other grids, other means
+        sides = {}
+        monkeypatch.setattr(sweepsim, "discovery_slot_sides", lambda *args, **kwargs: sides["now"])
+        sweepsim._MEANS.clear()
+        means = []
+        for bs, ms in [([1, 2], [0]), ([1], [2, 0])]:
+            sides["now"] = np.array(bs), np.array(ms)
+            means.append(verify_columns(archs["ABF"], scens["nCI"], geom, [15e3]).mean_time)
+        t_pss = derive_frame(15e3).t_pss
+        assert [m.tolist() for m in means] == [[np.mean([t_pss, 2 * t_pss])],
+                                               [np.mean([3 * t_pss, t_pss])]]
+
+    def test_returned_mean_is_read_only(self, archs, scens, geom):
+        columns = verify_columns(archs["HBF"], scens["nCI"], geom, [15e3, 1e6])
+        before = columns.mean_time.tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            columns.mean_time[0] = 0.0
+        again = verify_columns(archs["HBF"], scens["nCI"], geom, [15e3, 1e6])
+        assert again.mean_time.tolist() == before
