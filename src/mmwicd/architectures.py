@@ -7,7 +7,7 @@ on whether positioning context removes the MS-side half of the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,23 +37,41 @@ def _check_counts(**counts) -> None:
             raise ValueError(f"{name} must be an integer >= 1 that a float holds, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Architecture:
+class _Checked:
+    """Base of a validated record, a named tuple whose __new__ checks its fields.
+
+    _make, and with it _replace, builds through the class, not tuple.__new__,
+    so no way to build the record skips the check; copy and pickle call
+    __new__ with the fields.  Each __new__ names its first parameter _cls, as
+    collections.namedtuple does, so a field may be called cls.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _ArchitectureFields(NamedTuple):
+    name: str
+    n_adc: int
+    simultaneous_beams: int
+
+
+class Architecture(_Checked, _ArchitectureFields):
     """One receiver beamforming scheme, as the delay and energy models read it.
 
     simultaneous_beams is the number of MS directions examined per dwell;
     n_adc counts physical converters, two per RF chain (the I/Q pair).
     """
 
-    name: str
-    n_adc: int
-    simultaneous_beams: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_counts(n_adc=self.n_adc, simultaneous_beams=self.simultaneous_beams)
+    def __new__(_cls, name: str, n_adc: int, simultaneous_beams: int):
+        _check_counts(n_adc=n_adc, simultaneous_beams=simultaneous_beams)
         # Held as Python ints: numpy ones wrap at 2**63 in the models' products.
-        object.__setattr__(self, "n_adc", int(self.n_adc))
-        object.__setattr__(self, "simultaneous_beams", int(self.simultaneous_beams))
+        return super().__new__(_cls, name, int(n_adc), int(simultaneous_beams))
 
 
 def build_architecture(
@@ -91,8 +109,13 @@ def default_architectures() -> dict[str, Architecture]:
     return {name: build_architecture(name) for name in ARCHITECTURE_NAMES}
 
 
-@dataclass(frozen=True)
-class Scenario:
+class _ScenarioFields(NamedTuple):
+    kind: str
+    t_ci: float  # s
+    p_ci: float  # W
+
+
+class Scenario(_Checked, _ScenarioFields):
     """Context-information regime for the discovery search.
 
     nCI: no positioning context; the full BS x MS grid is searched.
@@ -100,24 +123,21 @@ class Scenario:
     CID: positioning is first acquired: t_ci seconds at p_ci watts, held as Python floats.
     """
 
-    kind: str
-    t_ci: float = 0.0  # s
-    p_ci: float = 0.0  # W
+    __slots__ = ()
 
-    def __post_init__(self):
-        t, p = self.t_ci, self.p_ci
+    def __new__(_cls, kind: str, t_ci: float = 0.0, p_ci: float = 0.0):
+        t, p = t_ci, p_ci
         if not (_real_ok(t) and _real_ok(p) and np.ndim(t) == np.ndim(p) == 0):
             raise ValueError(f"CI budget must be two finite numbers, got t_ci={t!r}, p_ci={p!r}")
-        t, p = float(t), float(p)
-        object.__setattr__(self, "t_ci", t)  # Python floats, as Architecture holds ints
-        object.__setattr__(self, "p_ci", p)
-        if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario {self.kind!r}; expected one of {SCENARIO_KINDS}")
-        if self.kind != "CID" and (t, p) != (0.0, 0.0):
-            raise ValueError(f"{self.kind} carries no context-acquisition budget")
+        t, p = float(t), float(p)  # Python floats, as Architecture holds ints
+        if kind not in SCENARIO_KINDS:
+            raise ValueError(f"unknown scenario {kind!r}; expected one of {SCENARIO_KINDS}")
+        if kind != "CID" and (t, p) != (0.0, 0.0):
+            raise ValueError(f"{kind} carries no context-acquisition budget")
         if min(t, p) < 0:
             raise ValueError("CID acquisition delay and power must be finite and >= 0, "
                              f"got t_ci={t}, p_ci={p}")
+        return super().__new__(_cls, kind, t, p)
 
 
 def default_scenarios() -> dict[str, Scenario]:
@@ -126,18 +146,21 @@ def default_scenarios() -> dict[str, Scenario]:
             for kind in SCENARIO_KINDS}
 
 
-@dataclass(frozen=True)
-class SweepGeometry:
+class _SweepGeometryFields(NamedTuple):
+    n_bs_directions: int
+    n_ms_directions: int
+
+
+class SweepGeometry(_Checked, _SweepGeometryFields):
     """Angular search grid: one direction per antenna on each side."""
 
-    n_bs_directions: int = 64
-    n_ms_directions: int = 16
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_counts(n_bs_directions=self.n_bs_directions, n_ms_directions=self.n_ms_directions)
-        object.__setattr__(self, "n_bs_directions", int(self.n_bs_directions))  # as in Architecture
-        object.__setattr__(self, "n_ms_directions", int(self.n_ms_directions))
-        _check_counts(n_targets=self.n_bs_directions * self.n_ms_directions)  # caps scan counts
+    def __new__(_cls, n_bs_directions: int = 64, n_ms_directions: int = 16):
+        _check_counts(n_bs_directions=n_bs_directions, n_ms_directions=n_ms_directions)
+        n_bs, n_ms = int(n_bs_directions), int(n_ms_directions)  # as in Architecture
+        _check_counts(n_targets=n_bs * n_ms)  # caps scan counts
+        return super().__new__(_cls, n_bs, n_ms)
 
 
 def directional_scans(

@@ -29,9 +29,9 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from itertools import chain, islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,7 +96,7 @@ DEFAULT_CONFIG = {
     "bits": [TABLE_BITS],
     "convergence_bits": list(range(1, 13)),
     "power_mode": "lookup",
-    "geometry": asdict(SweepGeometry()),
+    "geometry": SweepGeometry()._asdict(),
     "architecture_params": dict(build_architecture.__kwdefaults__),
     "scenario_params": {"t_ci_s": DEFAULT_T_CI, "p_ci_w": DEFAULT_P_CI},
     "k": [1, 2, 4, 8, 16],
@@ -110,8 +110,7 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-@dataclass(frozen=True, eq=False)  # an array field has no truth value; compare fingerprints
-class RunConfig:
+class RunConfig(NamedTuple):  # an array field has no truth value; compare fingerprints
     fingerprint: str  # sha256 of the scientific part of the merged config
     b_sc: np.ndarray  # float64, read-only; every verb passes it on as it is
     architectures: tuple[Architecture, ...]

@@ -13,7 +13,6 @@ table (lookup_power), a PowerModel evaluates its calibrated fit
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -50,8 +49,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     """Delay, power, and energy for one (architecture, scenario, ADC, b_sc) point."""
 
     arch: str
@@ -67,8 +65,7 @@ class EnergyReport:
 
     def csv_row(self) -> list:
         """Field values in CSV_COLUMNS order."""
-        return [self.arch, self.scenario, self.adc_class, self.bits, self.b_sc,
-                self.n_d, self.t_del, self.p_rx, self.e_ci, self.e_total]
+        return list(self)
 
 
 class EnergyColumns(NamedTuple):
@@ -176,8 +173,7 @@ def ec_crossover(
     return root if root > 0 else None
 
 
-@dataclass(frozen=True)
-class StructureComparison:
+class StructureComparison(NamedTuple):
     """Wide-band sync slot layout vs. running everything at the widened bandwidth.
 
     The proposed layout widens only the sync sub-carrier by k, packing k sync

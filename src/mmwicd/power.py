@@ -17,14 +17,13 @@ and W, the entries and each entry's points in file order.
 
 from __future__ import annotations
 
-import csv
 import functools
 import importlib.resources
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .architectures import Architecture, _check_counts, default_architectures
+from .architectures import Architecture, _check_counts, _Checked, default_architectures
 from .signaling import _B_SC_REFUSED, _b_sc_ok, frame_scaling
 
 ADC_CLASSES = ("LPADC", "HPADC")
@@ -35,17 +34,21 @@ class PowerTableError(LookupError):
     """The table did not measure this receiver, resolution or b_sc; use the parametric model."""
 
 
-@dataclass(frozen=True)
-class AdcModel:
+class _AdcModelFields(NamedTuple):
+    cls: str
+    bits: int
+
+
+class AdcModel(_Checked, _AdcModelFields):
     """Converter class and resolution; the class's energy constant is PowerModel.c."""
 
-    cls: str
-    bits: int = TABLE_BITS
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.cls not in ADC_CLASSES:
-            raise ValueError(f"unknown ADC class {self.cls!r}; expected one of {ADC_CLASSES}")
-        _check_counts(bits=self.bits)
+    def __new__(_cls, cls: str, bits: int = TABLE_BITS):
+        if cls not in ADC_CLASSES:
+            raise ValueError(f"unknown ADC class {cls!r}; expected one of {ADC_CLASSES}")
+        _check_counts(bits=bits)
+        return super().__new__(_cls, cls, bits)
 
 
 def resolution_factor(bits: int) -> float:
@@ -55,15 +58,21 @@ def resolution_factor(bits: int) -> float:
 
 @functools.cache
 def default_power_table() -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
-    """The bundled table's columns (see the module docstring); '#' lines are comments."""
+    """The bundled table's columns (see the module docstring); '#' lines are comments.
+
+    The file is plain comma-separated text: a header naming the columns, then
+    one row per line, with no quoted cell; a blank line is skipped.
+    """
     ref = importlib.resources.files("mmwicd").joinpath("data/power_tables.csv")
+    header, *rows = (line.split(",") for line in ref.read_text(encoding="utf-8").splitlines()
+                     if line.strip() and not line.lstrip().startswith("#"))
+    arch, cls, b_sc_hz, power_w = map(header.index,
+                                      ("architecture", "adc_class", "b_sc_hz", "power_w"))
     columns: dict = {}
-    with ref.open("r", encoding="utf-8") as fh:
-        rows = (line for line in fh if not line.lstrip().startswith("#"))
-        for rec in csv.DictReader(rows):
-            b_sc, power = columns.setdefault((rec["architecture"], rec["adc_class"]), ([], []))
-            b_sc.append(float(rec["b_sc_hz"]))
-            power.append(float(rec["power_w"]))
+    for row in rows:
+        b_sc, power = columns.setdefault((row[arch], row[cls]), ([], []))
+        b_sc.append(float(row[b_sc_hz]))
+        power.append(float(row[power_w]))
     table = {key: (np.array(b_sc), np.array(power)) for key, (b_sc, power) in columns.items()}
     for b_sc, power in table.values():  # every caller shares the cached columns
         b_sc.flags.writeable = power.flags.writeable = False
@@ -105,8 +114,7 @@ def lookup_power(arch: Architecture, adc: AdcModel, b_sc):
     return power if isinstance(b_sc, np.ndarray) else float(power)
 
 
-@dataclass(frozen=True)
-class PowerModel:
+class PowerModel(NamedTuple):
     """Calibrated affine power model for one ADC class.
 
     base_power holds the bandwidth-independent watts per architecture; c is the

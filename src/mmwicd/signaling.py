@@ -14,7 +14,7 @@ power drawn at k * b_sc.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ SYNC_TIME_BANDWIDTH = SUBCARRIERS_PER_RB * RBS_FOR_SYNC * PSS_TIME_SCALE / SYNC_
 _B_SC_REFUSED = "sub-carrier bandwidth must be a finite number > 0, got {!r}"
 
 
-@dataclass(frozen=True)
-class FrameConfig:
+class FrameConfig(NamedTuple):
     """Timing/bandwidth quantities derived from one sub-carrier bandwidth."""
 
     b_sc: float  # Hz, sub-carrier bandwidth

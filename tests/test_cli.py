@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import inspect
 import io
 import json
@@ -643,7 +642,7 @@ class TestConfigHandling:
         # DEFAULT_CONFIG reads each paper default from the model layer
         arch_params = inspect.signature(build_architecture).parameters.values()
         cid = default_scenarios()["CID"]
-        assert DEFAULT_CONFIG["geometry"] == dataclasses.asdict(SweepGeometry())
+        assert DEFAULT_CONFIG["geometry"] == SweepGeometry()._asdict()
         assert DEFAULT_CONFIG["architecture_params"] == {
             p.name: p.default for p in arch_params if p.kind is p.KEYWORD_ONLY}
         assert DEFAULT_CONFIG["scenario_params"] == {"t_ci_s": cid.t_ci, "p_ci_w": cid.p_ci}

@@ -7,9 +7,18 @@ deleted would go unnoticed.  Each module under src/mmwicd except __init__.py
 somewhere in its module, and a `# noqa: F401` comment exempts none.
 __init__.py's `__all__` must name exactly the names it imports, plus
 `__version__`, so a deleted export leaves no dangling entry.
+
+Every CLI verb is a fresh process, so what importing the package costs is
+paid on every run: the records are named tuples, and importing the CLI loads
+neither `dataclasses` (whose decorator generates and compiles code per class)
+nor `csv`.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +67,15 @@ def test_all_names_exactly_the_imports():
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert sorted(mmwicd.__all__) == sorted([*imported, "__version__"])
     assert [name for name in mmwicd.__all__ if not hasattr(mmwicd, name)] == []
+
+
+def test_cli_import_loads_no_dataclasses_or_csv():
+    # Measured against numpy's own imports, so numpy's version does not matter.
+    probe = ("import json, sys; import numpy; before = set(sys.modules); import mmwicd.cli; "
+             "print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    added = json.loads(result.stdout)
+    assert "mmwicd.cli" in added
+    assert [name for name in ("dataclasses", "csv") if name in added] == []

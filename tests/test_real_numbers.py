@@ -7,7 +7,13 @@ ValueError, and so are spacings <= 0, by both power sources alike.  A count is
 a real number too, and an integer >= 1: one past float range is refused as
 well, since the models multiply counts into floats.  Warnings are errors here,
 as everywhere in the suite, so a narrow float that overflows a cast fails too.
+
+The four validated records (Architecture, Scenario, SweepGeometry, AdcModel)
+are named tuples; every way to build one refuses the same values.
 """
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -160,3 +166,77 @@ def test_converter_count_near_float_range_gives_inf_not_overflow():
     hbf = build_architecture("HBF", n_rf_chains=5 * 10**307)
     assert convergence_value(hbf, NCI, ADC, GEOM, MODEL) == np.inf
     assert ec_crossover(hbf, ARCHS["ABF"], NCI, ADC, GEOM, MODEL) is None
+
+
+# Each validated record: a valid field tuple, and per field what it must refuse.
+RECORDS = {
+    "Architecture": (Architecture, ("ABF", 2, 1), {"n_adc": COUNTS_REFUSED,
+                                                   "simultaneous_beams": COUNTS_REFUSED}),
+    "Scenario": (Scenario, ("CID", 1.5, 0.1), {"kind": ["xCI"], "t_ci": [*REFUSED, -1.0],
+                                               "p_ci": [*REFUSED, -1.0]}),
+    "SweepGeometry": (SweepGeometry, (64, 16), {"n_bs_directions": COUNTS_REFUSED,
+                                                "n_ms_directions": COUNTS_REFUSED}),
+    "AdcModel": (AdcModel, ("HPADC", 6), {"cls": ["MPADC"], "bits": COUNTS_REFUSED}),
+}
+
+
+def _forged(record, values):
+    """A record holding values, built past its checks as only tuple.__new__ can."""
+    return tuple.__new__(record, values)
+
+
+# Each way to build a record from a field tuple (a copy or pickle copies one).
+BUILDS = {
+    "positional": lambda record, values: record(*values),
+    "keyword": lambda record, values: record(**dict(zip(record._fields, values))),
+    "_make": lambda record, values: record._make(values),
+    "_replace": lambda record, values: record._make(RECORDS[record.__name__][1])._replace(
+        **dict(zip(record._fields, values))),
+    "copy": lambda record, values: copy.copy(_forged(record, values)),
+    "pickle": lambda record, values: pickle.loads(pickle.dumps(_forged(record, values))),
+}
+
+
+@pytest.mark.parametrize("build", BUILDS)
+@pytest.mark.parametrize("name", RECORDS)
+def test_every_build_of_a_record_checks_it(name, build):
+    record, valid, refused = RECORDS[name]
+    assert BUILDS[build](record, valid) == valid and type(BUILDS[build](record, valid)) is record
+    for field, values in refused.items():
+        i = record._fields.index(field)
+        for value in values:
+            with pytest.raises(ValueError):
+                BUILDS[build](record, (*valid[:i], value, *valid[i + 1:]))
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_every_build_holds_python_numbers(build):
+    geom = BUILDS[build](SweepGeometry, (np.int64(8), np.uint8(4)))
+    cid = BUILDS[build](Scenario, ("CID", np.float32(1.5), np.int64(2)))
+    assert [type(v) for v in (*geom, cid.t_ci, cid.p_ci)] == [int, int, float, float]
+
+
+def test_adc_class_field_is_a_keyword():
+    assert AdcModel(cls="HPADC", bits=8) == ("HPADC", 8)
+    assert AdcModel("HPADC")._replace(cls="LPADC") == AdcModel("LPADC")
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_fields_are_read_only(name):
+    record, valid, _ = RECORDS[name]
+    built = record(*valid)
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(built, field, getattr(built, field))
+    with pytest.raises(AttributeError):
+        built.extra = 1
+
+
+def test_record_reprs():
+    assert [repr(SweepGeometry()), repr(build_architecture("DBF")),
+            repr(Scenario("CID", 1.5, 0.1)), repr(AdcModel("HPADC"))] == [
+        "SweepGeometry(n_bs_directions=64, n_ms_directions=16)",
+        "Architecture(name='DBF', n_adc=32, simultaneous_beams=16)",
+        "Scenario(kind='CID', t_ci=1.5, p_ci=0.1)",
+        "AdcModel(cls='HPADC', bits=6)",
+    ]
