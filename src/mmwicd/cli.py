@@ -365,20 +365,20 @@ def cmd_tables(cfg: RunConfig) -> tuple[list, int, None]:
     tables.append(("tables-ii", ("architecture", "scenario", "n_scans", "t_ci_s"),
                    list(zip(*rows_ii))))
 
-    archs = default_architectures()
+    archs, table = default_architectures(), default_power_table()
     for file_name, cls in (("tables-iii", "HPADC"), ("tables-iv", "LPADC")):
         if cls not in cfg.adc_classes:
             continue
-        entries = {name: columns for (name, c), columns in default_power_table().items()
-                   if c == cls}
-        b_sc, power = map(np.concatenate, zip(*entries.values()))
+        rows = table["adc_class"] == cls
         header = ("architecture", "adc_class", "b_sc_hz", "power_w")
-        columns = [np.repeat(list(entries), [len(spacings) for spacings, _ in entries.values()]),
-                   [cls] * len(b_sc), b_sc, power]
+        columns = [table[title][rows] for title in header]
         if cfg.power_mode == "parametric":
             model, adc = default_power_model(cls), AdcModel(cls)
-            modeled = np.concatenate([parametric_power(model, archs[name], adc, spacings)
-                                      for name, (spacings, _) in entries.items()])
+            names, _, b_sc, power = columns
+            modeled = np.empty_like(power)
+            for name in dict.fromkeys(names.tolist()):  # np.unique(names) imports numpy.ma
+                arch_rows = names == name
+                modeled[arch_rows] = parametric_power(model, archs[name], adc, b_sc[arch_rows])
             header += ("model_power_w", "rel_residual")
             columns += [modeled, (modeled - power) / power]
         tables.append((file_name, header, columns))

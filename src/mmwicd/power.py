@@ -10,15 +10,17 @@ of merit) and r(bits) = 2**bits is the number of conversion steps at that ADC
 resolution.  Calibration fits the per-architecture bases and the shared c
 jointly against the bundled table by least squares.
 
-default_power_table() reads the bundled table once, on first use, into
-{(architecture, adc_class): (b_sc, power)}: read-only float64 columns in Hz
-and W, the entries and each entry's points in file order.
+default_power_table() reads the bundled table once, on first use, as the
+file's four columns keyed by their titles, in file order: architecture and
+adc_class (str), b_sc_hz and power_w (float64, Hz and W), all read-only.
+Lookup, fit and printed tables each select their rows with a mask.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib.resources
+import types
 from typing import NamedTuple
 
 import numpy as np
@@ -57,7 +59,7 @@ def resolution_factor(bits: int) -> float:
 
 
 @functools.cache
-def default_power_table() -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
+def default_power_table() -> types.MappingProxyType[str, np.ndarray]:
     """The bundled table's columns (see the module docstring); '#' lines are comments.
 
     The file is plain comma-separated text: a header naming the columns, then
@@ -66,17 +68,12 @@ def default_power_table() -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]
     ref = importlib.resources.files("mmwicd").joinpath("data/power_tables.csv")
     header, *rows = (line.split(",") for line in ref.read_text(encoding="utf-8").splitlines()
                      if line.strip() and not line.lstrip().startswith("#"))
-    arch, cls, b_sc_hz, power_w = map(header.index,
-                                      ("architecture", "adc_class", "b_sc_hz", "power_w"))
-    columns: dict = {}
-    for row in rows:
-        b_sc, power = columns.setdefault((row[arch], row[cls]), ([], []))
-        b_sc.append(float(row[b_sc_hz]))
-        power.append(float(row[power_w]))
-    table = {key: (np.array(b_sc), np.array(power)) for key, (b_sc, power) in columns.items()}
-    for b_sc, power in table.values():  # every caller shares the cached columns
-        b_sc.flags.writeable = power.flags.writeable = False
-    return table
+    table = dict(zip(header, map(np.array, zip(*rows))))
+    for title in ("b_sc_hz", "power_w"):
+        table[title] = table[title].astype(np.float64)
+    for column in table.values():  # every caller shares the cached columns
+        column.flags.writeable = False
+    return types.MappingProxyType(table)
 
 
 def lookup_power(arch: Architecture, adc: AdcModel, b_sc):
@@ -101,16 +98,17 @@ def lookup_power(arch: Architecture, adc: AdcModel, b_sc):
             f"{measured.simultaneous_beams} simultaneous beams, not {arch.n_adc} and "
             f"{arch.simultaneous_beams}; use the parametric model"
         )
-    spacings, powers = default_power_table().get((arch.name, adc.cls), (np.empty(0),) * 2)
+    table = default_power_table()
     points = np.asarray(b_sc, dtype=np.float64)[..., None]
-    match = spacings == points
+    match = ((table["architecture"] == arch.name) & (table["adc_class"] == adc.cls)
+             & (table["b_sc_hz"] == points))
     missing = points[~match.any(axis=-1)]
     if missing.size:
         raise PowerTableError(
             f"no table entry for ({arch.name}, {adc.cls}, b_sc={float(missing[0, 0])!r} Hz); "
             "use the parametric model"
         )
-    power = powers[match.argmax(axis=-1)]
+    power = table["power_w"][match.argmax(axis=-1)]
     return power if isinstance(b_sc, np.ndarray) else float(power)
 
 
@@ -136,17 +134,15 @@ def calibrate(adc_class: str) -> PowerModel:
     """
     AdcModel(adc_class)  # refuses an unknown class
     architectures = default_architectures()
-    entries = {name: columns for (name, cls), columns in default_power_table().items()
-               if cls == adc_class}
-    b_sc, observed = map(np.concatenate, zip(*entries.values()))
-    names = np.repeat(list(entries), [len(spacings) for spacings, _ in entries.values()])
-    arch_names, arch_index = np.unique(names, return_inverse=True)
+    table = default_power_table()
+    rows = table["adc_class"] == adc_class
+    arch_names, arch_index = np.unique(table["architecture"][rows], return_inverse=True)
     # One indicator column per architecture (its base power), then the converter term.
     n_adc = np.array([architectures[name].n_adc for name in arch_names])[arch_index]
-    slope = n_adc * resolution_factor(TABLE_BITS) * frame_scaling(b_sc)[1]
+    slope = n_adc * resolution_factor(TABLE_BITS) * frame_scaling(table["b_sc_hz"][rows])[1]
     design = np.column_stack([np.eye(len(arch_names))[arch_index], slope])
 
-    solution, *_ = np.linalg.lstsq(design, observed, rcond=None)
+    solution, *_ = np.linalg.lstsq(design, table["power_w"][rows], rcond=None)
     return PowerModel(
         adc_class=adc_class,
         c=float(solution[-1]),

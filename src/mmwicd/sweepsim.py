@@ -76,6 +76,8 @@ def simulate(
     target's MS direction, so only the BS groups are swept.
     """
     tb, tm = target
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in target):
+        raise ValueError(f"target {target} is not a pair of integer directions")
     if not (0 <= tb < geom.n_bs_directions and 0 <= tm < geom.n_ms_directions):
         raise ValueError(f"target {target} outside geometry {geom}")
     _check_order(sweep_order)

@@ -52,8 +52,9 @@ def scens():
 def table_rows():
     """The bundled power table as (architecture, adc_class, b_sc, power) rows of
     Python values, in file order."""
-    return [(name, cls, b, p) for (name, cls), (b_sc, power) in default_power_table().items()
-            for b, p in zip(b_sc.tolist(), power.tolist())]
+    table = default_power_table()
+    return list(zip(*(table[title].tolist()
+                      for title in ("architecture", "adc_class", "b_sc_hz", "power_w"))))
 
 
 def read_csv(path):

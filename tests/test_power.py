@@ -28,19 +28,27 @@ from conftest import TABULATED_B_SC, rel_err, table_rows
 class TestPowerTable:
     def test_shape(self):
         table = default_power_table()
-        assert sum(len(b_sc) for b_sc, _ in table.values()) == 40
-        assert len(table) == len(ADC_CLASSES) * len(ARCHITECTURE_NAMES)
+        assert list(table) == ["architecture", "adc_class", "b_sc_hz", "power_w"]
+        assert {len(column) for column in table.values()} == {40}
+        assert table["b_sc_hz"].dtype == table["power_w"].dtype == np.float64
         for cls in ADC_CLASSES:
             for name in ARCHITECTURE_NAMES:
-                b_sc, power = table[name, cls]
-                assert b_sc.dtype == power.dtype == np.float64 and len(power) == len(b_sc)
-                assert sorted(b_sc.tolist()) == sorted(TABULATED_B_SC)
+                rows = (table["architecture"] == name) & (table["adc_class"] == cls)
+                assert sorted(table["b_sc_hz"][rows].tolist()) == sorted(TABULATED_B_SC)
 
     def test_columns_are_read_only(self):
-        b_sc, power = default_power_table()["DBF", "HPADC"]
+        table = default_power_table()
         with pytest.raises(ValueError):
-            power[0] = 0.0
-        assert not b_sc.flags.writeable
+            table["power_w"][0] = 0.0
+        with pytest.raises(TypeError):
+            table["power_w"] = np.zeros(40)
+        assert not any(column.flags.writeable for column in table.values())
+
+    def test_rows_in_file_order(self):
+        # calibrate's least-squares rows and the printed tables follow the file
+        rows = table_rows()
+        assert rows[:2] == [("DBF", "HPADC", 15e3, 1.31), ("DBF", "HPADC", 250e3, 1.87)]
+        assert rows[-1] == ("PSN", "LPADC", 10e6, 2.36)
 
     def test_spot_measurements(self):
         table = {(name, cls, b_sc): power for name, cls, b_sc, power in table_rows()}
@@ -111,6 +119,25 @@ class TestLookup:
         for value in (b_sc, np.array([15e3, b_sc])):
             with pytest.raises(PowerTableError, match=match):
                 lookup_power(archs["PSN"], AdcModel("LPADC"), value)
+
+    def test_match_reads_architecture_class_and_spacing_together(self, archs, monkeypatch):
+        # 77 kHz is listed for (ABF, HPADC) only; the bundled table lists the same
+        # five spacings for every pair, so only a table like this one tells a match
+        # on all three columns from one that ignores the architecture or the class
+        table = {"architecture": np.array(["ABF", "ABF", "DBF", "ABF"]),
+                 "adc_class": np.array(["HPADC", "HPADC", "HPADC", "LPADC"]),
+                 "b_sc_hz": np.array([15e3, 77e3, 15e3, 15e3]),
+                 "power_w": np.array([1.0, 1.5, 2.0, 0.5])}
+        monkeypatch.setattr("mmwicd.power.default_power_table", lambda: table)
+        assert lookup_power(archs["ABF"], AdcModel("HPADC"), 77e3) == 1.5
+        powers = lookup_power(archs["ABF"], AdcModel("HPADC"), np.array([77e3, 15e3]))
+        assert powers.tolist() == [1.5, 1.0]
+        assert lookup_power(archs["DBF"], AdcModel("HPADC"), 15e3) == 2.0
+        assert lookup_power(archs["ABF"], AdcModel("LPADC"), 15e3) == 0.5
+        for name, cls in (("DBF", "HPADC"), ("ABF", "LPADC")):
+            match = rf"no table entry for \({name}, {cls}, b_sc=77000\.0 Hz\)"
+            with pytest.raises(PowerTableError, match=match):
+                lookup_power(archs[name], AdcModel(cls), 77e3)
 
     @pytest.mark.parametrize("call", [
         lambda archs, adc: lookup_power(archs["DBF"], adc, np.inf),

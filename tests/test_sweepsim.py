@@ -109,6 +109,11 @@ class TestSingleTargetSim:
             simulate(archs["ABF"], scens["nCI"], geom, (64, 0))
         with pytest.raises(ValueError):
             simulate(archs["ABF"], scens["nCI"], geom, (0, -1))
+        # a coordinate that is not an integer names no direction: refused, not walked
+        with pytest.raises(ValueError, match="not a pair of integer directions"):
+            simulate(archs["ABF"], scens["nCI"], geom, (3.5, 2))
+        with pytest.raises(ValueError, match="not a pair of integer directions"):
+            simulate(archs["ABF"], scens["nCI"], geom, (True, 0))
 
     def test_unknown_order_rejected(self, archs, scens, geom):
         with pytest.raises(ValueError):
