@@ -62,49 +62,8 @@ from .sweepsim import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ADC_CLASSES",
-    "ARCHITECTURE_NAMES",
-    "SCENARIO_KINDS",
-    "SEQUENTIAL_BS_OUTER",
-    "SEQUENTIAL_MS_OUTER",
-    "SWEEP_ORDERS",
-    "SYNC_TIME_BANDWIDTH",
-    "AdcModel",
-    "Architecture",
-    "EnergyColumns",
-    "EnergyReport",
-    "FrameConfig",
-    "PowerModel",
-    "PowerTableError",
-    "Scenario",
-    "StructureComparison",
-    "SweepGeometry",
-    "VerificationColumns",
-    "build_architecture",
-    "calibrate",
-    "ci_cost",
-    "convergence_value",
-    "default_architectures",
-    "default_power_model",
-    "default_power_table",
-    "default_scenarios",
-    "derive_frame",
-    "directional_scans",
-    "discovery_slot_grid",
-    "discovery_slot_sides",
-    "ec_crossover",
-    "energy",
-    "energy_columns",
-    "frame_scaling",
-    "lookup_power",
-    "parametric_power",
-    "proposed_structure_energy",
-    "resolution_factor",
-    "simulate",
-    "total_delay",
-    "verify_against_analytic",
-    "verify_columns",
-    "worst_case_structure_delay",
-    "__version__",
-]
+# Every public name imported above, not the submodules that importing binds; the
+# `energy` submodule's own import rebinds `energy` to the function, which is exported.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and type(value) is not type(architectures)]
+__all__.append("__version__")

@@ -96,7 +96,7 @@ def energy_columns(
     e_total = p_rx * scan time + e_ci.  k > 1 is the widened-sync layout of
     proposed_structure_energy: k BS directions share a dwell and power is
     drawn at k * b_sc; directional_scans checks k.  n_d is the plain (k = 1)
-    scan count, exact (int64 if it fits).  A float64 b_sc is used as it is, unscanned.
+    scan count, exact (int64 if it fits).  b_sc is one-dimensional; float64 is used unscanned.
     """
     b_sc = _b_sc_array(b_sc)
     t_pss, _ = frame_scaling(b_sc)

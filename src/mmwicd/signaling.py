@@ -61,14 +61,20 @@ def _b_sc_ok(b_sc) -> bool:
 
 
 def _b_sc_array(b_sc) -> np.ndarray:
-    """Sub-carrier bandwidths as float64: a numpy array of a dtype _real_ok takes (itself
-    when float64), a sequence when every entry passes _real_ok; frame_scaling checks > 0."""
+    """Sub-carrier bandwidths as a one-dimensional float64 array (b_sc itself when it is one),
+    from a numpy array of a dtype _real_ok takes or a sequence whose entries all pass
+    _real_ok.  A scalar, a 0-d or 2-d array or a sequence of arrays is refused as not
+    one-dimensional; frame_scaling checks > 0."""
     if isinstance(b_sc, np.ndarray):
-        if b_sc.dtype.kind in "iuf" and b_sc.dtype.itemsize <= 8:
-            return b_sc.astype(np.float64, copy=False)
-    elif all(map(_real_ok, b_sc)):
-        return np.asarray(b_sc, dtype=np.float64)
-    raise ValueError(f"sub-carrier bandwidths must be numbers a float holds, got {b_sc!r}")
+        numbers = b_sc.dtype.kind in "iuf" and b_sc.dtype.itemsize <= 8
+    else:
+        numbers = all(map(_real_ok, b_sc if np.iterable(b_sc) else [b_sc]))
+    if not numbers:
+        raise ValueError(f"sub-carrier bandwidths must be numbers a float holds, got {b_sc!r}")
+    array = np.asarray(b_sc, dtype=np.float64)
+    if array.ndim != 1:
+        raise ValueError(f"sub-carrier bandwidths must be one-dimensional, got {b_sc!r}")
+    return array
 
 
 def frame_scaling(b_sc):

@@ -172,7 +172,7 @@ def verify_columns(
     sweep_order: str = SEQUENTIAL_BS_OUTER,
 ) -> VerificationColumns:
     """Pass when the slowest discovery slot equals the closed-form slot count
-    (directional_scans).
+    (directional_scans), at each b_sc of a one-dimensional column.
 
     Each timing equals, bit for bit, the reduction of times = grid * t_pss +
     t_ci at that b_sc.  min and max are the slot vectors' summed minima and

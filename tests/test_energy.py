@@ -136,9 +136,12 @@ class TestEnergyColumns:
 
     @pytest.mark.parametrize(
         "bad", [[math.nan], [15e3, math.inf], [True], [15e3, np.bool_(True)], [10**400],
-                np.array([True]), np.array([10**400], dtype=object), np.array([np.nan])],
+                np.array([True]), np.array([10**400], dtype=object), np.array([np.nan]),
+                15e3, np.array(15e3), np.array([[15e3, 250e3]]), [[15e3, 250e3]],
+                [np.array([15e3, 250e3])]],
         ids=["nan", "inf", "bool", "numpy-bool", "int-past-float-range",
-             "bool-array", "object-array", "nan-array"],
+             "bool-array", "object-array", "nan-array",
+             "scalar", "0-d-array", "2-d-array", "list-of-lists", "list-of-arrays"],
     )
     def test_rejects_bad_bandwidth(self, archs, scens, geom, bad):
         with pytest.raises(ValueError):

@@ -397,6 +397,17 @@ class TestVerifyColumns:
         with pytest.raises(ValueError, match="must be numbers"):
             verify_columns(archs["ABF"], scens["nCI"], geom, [15e3, True])
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(15e3, "one-dimensional"), (np.array(15e3), "one-dimensional"),
+         (np.array([[15e3, 250e3]]), "one-dimensional"), ([[15e3, 250e3]], "must be numbers"),
+         ([np.array([15e3, 250e3])], "one-dimensional")],
+        ids=["scalar", "0-d-array", "2-d-array", "list-of-lists", "list-of-arrays"],
+    )
+    def test_b_sc_not_a_column_rejected(self, archs, scens, geom, bad, message):
+        with pytest.raises(ValueError, match=message):
+            verify_columns(archs["ABF"], scens["nCI"], geom, bad)
+
     def test_peak_memory_is_grid_plus_one_block(self, archs, scens):
         # 2**20 targets: the int64 grid and a one-row float64 block, 8 MiB each
         geom = SweepGeometry(n_bs_directions=1024, n_ms_directions=1024)
