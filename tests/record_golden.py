@@ -1,4 +1,4 @@
-"""Golden outputs: every file each verb writes, in both formats, on two configs.
+"""Golden outputs: every file each verb writes, in both formats, on the configs below.
 
 tests/test_cli.py checks the current tree against what this module records.
 Run it as a script, from the repository root, to record them again:
@@ -14,10 +14,14 @@ Python 3.11.7 and numpy 2.4.6.
 
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
 from mmwicd import cli
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import make_config  # noqa: E402 - found on the path added above
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 FORMATS = ("csv", "json")
@@ -33,6 +37,29 @@ GOLDEN_CONFIGS = {
         "bits": [3, 6, 9],
         "k": [1, 3, 5, 7],
     },
+    # Row order that holds only for the listed b_sc order, spacings spelled as
+    # JSON integers, and pss finding nCI when it is not the first scenario.
+    "unsorted-b_sc": {"b_sc_hz": [1000000, 15000, 250000], "scenarios": ["CID", "nCI"]},
+    # Tables of one column per name: one receiver, one scenario, one ADC class.
+    "one-each": {"architectures": ["HBF"], "scenarios": ["CInD"], "adc_classes": ["LPADC"]},
+    # The ends of the resolution range, where 2**bits is smallest and largest.
+    "bits-1-12": {"power_mode": "parametric", "bits": [1, 12]},
+    # k values that do not divide the 64 BS directions.
+    "k-not-dividing": {"k": [3, 5, 7, 48]},
+    # Beams wider than their side: 32 DBF, 20 HBF and 24 PSN beams on 16 MS directions.
+    "wide-beams": {"power_mode": "parametric",
+                   "architecture_params": {"n_ms_antennas": 32, "n_rf_chains": 20,
+                                           "n_combiners": 24}},
+    # One BS and one MS direction, so every k but 1 exceeds the BS side.
+    "1x1": {"geometry": {"n_bs_directions": 1, "n_ms_directions": 1}},
+    # A CID budget of 0: no lead time and no acquisition power.
+    "cid-budget-0": {"scenario_params": {"t_ci_s": 0.0, "p_ci_w": 0.0}},
+    # A 1e20 s CID lead, beside which a slot is below the delay's float resolution.
+    "cid-lead-1e20": {"scenario_params": {"t_ci_s": 1e20, "p_ci_w": 0.1}},
+    # Spacings whose values print with exponents (parametric: the table lacks them).
+    "b_sc-extremes": {"power_mode": "parametric", "b_sc_hz": [1e-3, 1e12]},
+    # The dense-bsc benchmark workload at seed 0: 150 spacings, bits 1-12.
+    "dense-bsc-0": make_config("dense-bsc", 0),
 }
 
 
