@@ -4,13 +4,13 @@ Verbs: tables | sweep | convergence | verify | pss.  Outputs are deterministic
 CSV (or JSON) files; every file embeds the tool version and a hash of the
 scientific configuration so results can be traced back to their inputs.
 Each verb returns its tables as columns; main reads each column once, by its
-dtype, both to check it and to pick how CSV renders it, then writes every
-table column by column, in the bytes csv.writer would write.  A float64 array
-renders each distinct float once per verb, keyed by its bit pattern, however
-many columns and files hold it; an integer or bool array each distinct value
-once; anything else str per cell.  A non-finite float is refused (exit 2),
-naming the file and column, before any file is written, so a verb that fails
-writes no file.
+dtype, both to check it and to spell its cells, then one writer writes every
+table from that text, in the bytes csv.writer or json.dump(indent=2) would.  A
+float64 array renders each distinct float once per verb, keyed by its bit
+pattern, however many columns and files hold it; an integer or bool array, or
+a column of str, each distinct value at most once; anything else cell by cell.
+A non-finite float is refused (exit 2), naming the file and column, before
+any file is written, so a verb that fails writes no file.
 
 Config file keys override DEFAULT_CONFIG, and flags override both.  A list is
 non-empty with every entry valid and distinct, a choice one of its names, a
@@ -159,10 +159,10 @@ def _params(raw: dict, key: str) -> dict:
     return params
 
 
-def _build(key: str, build, *args, **params):
-    """build(*args, **params), whose ValueError is a bad raw[key]."""
+def _build(key: str, build, **params):
+    """build(**params), whose ValueError is a bad raw[key]."""
     try:
-        return build(*args, **params)
+        return build(**params)
     except ValueError as exc:
         raise ConfigError(f"bad {key}: {exc}") from exc
 
@@ -198,10 +198,11 @@ def resolve_config(raw: dict) -> RunConfig:
     _require(n_targets <= MAX_TARGETS,
              f"geometry has {n_targets} (BS, MS) direction pairs, more than the "
              f"{MAX_TARGETS} (2**24) that verify enumerates")
-    architectures = tuple(_build("architecture_params", build_architecture, name, **arch_params)
-                          for name in arch_names)
+    architectures = tuple(
+        _build("architecture_params", build_architecture, name=name, **arch_params)
+        for name in arch_names)
     # The CI budget is checked whether or not CID is listed.
-    cid = _build("scenario_params", Scenario, "CID", t_ci=ci["t_ci_s"], p_ci=ci["p_ci_w"])
+    cid = _build("scenario_params", Scenario, kind="CID", t_ci=ci["t_ci_s"], p_ci=ci["p_ci_w"])
     scenarios = tuple(cid if kind == "CID" else Scenario(kind) for kind in scenario_kinds)
 
     for key, values in (("bits", bits), ("convergence_bits", convergence_bits)):
@@ -253,24 +254,20 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 # Output helpers
 
 
-def _cells(column):
-    """A column as plain Python values (json cannot encode numpy numbers)."""
-    return column.tolist() if isinstance(column, np.ndarray) else column
-
-
-def _distinct_text(column: np.ndarray) -> np.ndarray:
-    """str of each cell of a float64, integer or bool array, as an object array
+def _distinct_text(column: np.ndarray, spell) -> np.ndarray:
+    """spell of each cell of a float64, integer or bool array, as an object array
     of references to one string per distinct value; floats are keyed by bit
     pattern, so 0.0 and -0.0 stay apart."""
     keys, inverse = np.unique(column.view(np.int64) if column.dtype == np.float64 else column,
                               return_inverse=True)
-    return np.array(list(map(str, keys.view(column.dtype).tolist())), dtype=object)[inverse]
+    return np.array(list(map(spell, keys.view(column.dtype).tolist())), dtype=object)[inverse]
 
 
 def _prepare(fmt: str, tables: list) -> list:
-    """Refuse a table that cannot be written, else return each table's columns
-    as its file writes them; under CSV, as csv.writer spells them (str, which
-    is repr for a float).
+    """Refuse a table that cannot be written, else return each table's titles
+    and columns as the text of their cells: str under CSV (csv.writer's
+    spelling) and json.dumps under JSON, which differ only for a bool (True,
+    true) and a str (as is, or quoted and escaped); a float is repr in both.
 
     Refused, table by table: columns of unequal length, then, for the titles
     and each column in turn, a non-finite float or (CSV only) a cell that
@@ -279,10 +276,11 @@ def _prepare(fmt: str, tables: list) -> list:
     float64 array is tested as a whole; those of every table render
     together, each distinct float once, as views of one object array of
     references to the shared strings.  Any other column is listed and its
-    distinct cells hashed once, to test them; it passes through as it came
-    when they are all str, else that list's cells are rendered by str as its
-    file is written.
+    distinct cells hashed once, to test them.  A column of str passes as it
+    came under CSV, and JSON spells each distinct str once; any other column
+    is spelled cell by cell (0.0 == -0.0, 1 == True) as its file is written.
     """
+    spell = str if fmt == "csv" else json.dumps
     floats, start, prepared = [], 0, []
     for name, header, columns in tables:
         file = f"{name}.{fmt}"
@@ -296,26 +294,28 @@ def _prepare(fmt: str, tables: list) -> list:
             if dtype == np.float64:
                 bad = column[~np.isfinite(column)][:1].tolist()
             elif dtype.kind not in "iub":
-                cells = _cells(column)
+                cells = column.tolist() if isinstance(column, np.ndarray) else column
                 distinct = set(cells)
                 bad = [v for v in distinct if isinstance(v, float) and not math.isfinite(v)]
             if bad:
                 raise ConfigError(f"refusing to write {file}: column {title} holds {bad[0]}; "
                                   "the config drives it out of float range")
-            if fmt == "csv":
-                if not _QUOTED_CHARS.isdisjoint("".join(v for v in distinct if isinstance(v, str))):
-                    raise ValueError(f"{file}: column {title} holds a cell that needs CSV quoting")
-                if dtype == np.float64:
-                    floats.append(column)
-                    start += len(column)
-                    column = slice(start - len(column), start)
-                elif dtype.kind in "iub":
-                    column = _distinct_text(column)
-                elif not all(isinstance(v, str) for v in distinct):
-                    column = map(str, cells)
+            if fmt == "csv" and not _QUOTED_CHARS.isdisjoint(
+                    "".join(v for v in distinct if isinstance(v, str))):
+                raise ValueError(f"{file}: column {title} holds a cell that needs CSV quoting")
+            if dtype == np.float64:
+                floats.append(column)
+                start += len(column)
+                column = slice(start - len(column), start)
+            elif dtype.kind in "iub":
+                column = _distinct_text(column, spell)
+            elif not all(isinstance(v, str) for v in distinct):
+                column = map(spell, cells)
+            elif fmt == "json":
+                column = map({v: spell(v) for v in distinct}.__getitem__, cells)
             table.append(column)
-        prepared.append(table[1:])  # the titles were checked, and are written as given
-    text = _distinct_text(np.concatenate([np.empty(0), *floats]))
+        prepared.append(table)
+    text = _distinct_text(np.concatenate([np.empty(0), *floats]), str)
     return [[text[c] if isinstance(c, slice) else c for c in table] for table in prepared]
 
 
@@ -323,27 +323,34 @@ def _emit(cfg: RunConfig, tables: list) -> None:
     """Check and prepare every table, each given as (name, header, one list or
     numpy array per header column), in one pass (_prepare), then write them all.
 
-    CSV lines are joined column by column (csv.writer's bytes, CRLF line ends,
-    no quoting; every table has two or more columns, so no line is one empty
-    cell that csv.writer would quote); JSON zips the columns back into one
-    object per row.  A table refused by _prepare leaves every file unwritten.
+    Both formats write the prepared text in blocks of 4096 rows; only the head,
+    the row text and the tail differ.  A CSV line joins its cells (csv.writer's
+    bytes, CRLF line ends, no quoting; every table has two or more columns, so
+    no line is one empty cell that csv.writer would quote).  JSON writes what
+    json.dump(..., indent=2) wrote for {"tool", "config_sha256", "rows"}; as in
+    a dict, a repeated title keeps its first place and its last column.  A
+    table refused by _prepare leaves every file unwritten.
     """
     prepared = _prepare(cfg.fmt, tables)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    for (name, header, _), columns in zip(tables, prepared):
+    for (name, _, columns), (titles, *cells) in zip(tables, prepared):
         path = cfg.out_dir / f"{name}.{cfg.fmt}"
-        rows = zip(*map(_cells, columns))
+        if cfg.fmt == "csv":
+            head = f"# tool: mmwicd {__version__}\n# config: sha256:{cfg.fingerprint}\n"
+            rows, sep, tail = map(",".join, chain([titles], zip(*cells))), "\r\n", "\r\n"
+        else:
+            last = {title: i for i, title in enumerate(titles)}
+            row = "\n    {%s\n    }" % ",".join(f"\n      {t.replace('%', '%%')}: %s" for t in last)
+            head = (f'{{\n  "tool": "mmwicd {__version__}",\n'
+                    f'  "config_sha256": "{cfg.fingerprint}",\n  "rows": [')
+            rows = map(row.__mod__, zip(*(cells[i] for i in last.values())))
+            sep, tail = ",", "\n  ]\n}\n" if columns and len(columns[0]) else "]\n}\n"
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            if cfg.fmt == "csv":
-                fh.write(f"# tool: mmwicd {__version__}\n# config: sha256:{cfg.fingerprint}\n")
-                # One write per 4096 lines, never the whole file in memory.
-                lines = map(",".join, chain([header], rows))
-                while block := list(islice(lines, 4096)):
-                    fh.write("\r\n".join(block) + "\r\n")
-            else:
-                json.dump({"tool": f"mmwicd {__version__}", "config_sha256": cfg.fingerprint,
-                           "rows": [dict(zip(header, row)) for row in rows]}, fh, indent=2)
-                fh.write("\n")
+            # One write per 4096 rows, never the whole file in memory.
+            fh.write(head + sep.join(islice(rows, 4096)))
+            while block := list(islice(rows, 4096)):
+                fh.write(sep + sep.join(block))
+            fh.write(tail)
         print(f"wrote {path}")
 
 

@@ -27,7 +27,7 @@ from .architectures import (
 from .power import (
     AdcModel,
     PowerModel,
-    _check_class,
+    _check_model,
     lookup_power,
     parametric_power,
     resolution_factor,
@@ -143,7 +143,7 @@ def convergence_value(
     using the analytically constant time-bandwidth product, so the value is
     independent of b_sc by construction.  Counts multiply as floats: past float range, inf.
     """
-    _check_class(model, adc)
+    _check_model(model, adc)
     n_d = float(directional_scans(arch, scenario, geom))
     return n_d * arch.n_adc * model.c * resolution_factor(adc.bits) * SYNC_TIME_BANDWIDTH
 
@@ -162,6 +162,7 @@ def ec_crossover(
     the base powers and C the difference of the two convergence_value limits; the
     root -A / C is returned, or None when the curves do not cross at a positive bandwidth.
     """
+    _check_model(model, adc, arch_a, arch_b)
     c_term = (convergence_value(arch_a, scenario, adc, geom, model)
               - convergence_value(arch_b, scenario, adc, geom, model))
     n_a, n_b = (float(directional_scans(arch, scenario, geom)) for arch in (arch_a, arch_b))

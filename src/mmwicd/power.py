@@ -115,7 +115,8 @@ def lookup_power(arch: Architecture, adc: AdcModel, b_sc):
 class PowerModel(NamedTuple):
     """Calibrated affine power model for one ADC class.
 
-    base_power holds the bandwidth-independent watts per architecture; c is the
+    base_power holds the bandwidth-independent watts per architecture, read-only
+    since default_power_model shares one model per class; c is the
     shared energy-per-conversion constant recovered from the fit, in J per
     conversion step per Hz of sampling.  A converter at b bits sampling b_tot
     draws c * 2**b * b_tot.
@@ -123,7 +124,7 @@ class PowerModel(NamedTuple):
 
     adc_class: str
     c: float
-    base_power: dict[str, float]
+    base_power: types.MappingProxyType[str, float]
 
 
 def calibrate(adc_class: str) -> PowerModel:
@@ -146,14 +147,17 @@ def calibrate(adc_class: str) -> PowerModel:
     return PowerModel(
         adc_class=adc_class,
         c=float(solution[-1]),
-        base_power=dict(zip(arch_names.tolist(), solution[:-1].tolist())),
+        base_power=types.MappingProxyType(dict(zip(arch_names.tolist(), solution[:-1].tolist()))),
     )
 
 
-def _check_class(model: PowerModel, adc: AdcModel) -> None:
-    """Refuse a model calibrated for another ADC class than the converter's."""
+def _check_model(model: PowerModel, adc: AdcModel, *archs: Architecture) -> None:
+    """Refuse a model calibrated for another ADC class, or not for one of archs."""
     if model.adc_class != adc.cls:
         raise ValueError(f"model calibrated for {model.adc_class}, got {adc.cls}")
+    for arch in archs:
+        if arch.name not in model.base_power:
+            raise ValueError(f"model was not calibrated for architecture {arch.name}")
 
 
 def parametric_power(model: PowerModel, arch: Architecture, adc: AdcModel, b_sc):
@@ -161,9 +165,7 @@ def parametric_power(model: PowerModel, arch: Architecture, adc: AdcModel, b_sc)
 
     b_sc may be a numpy array, giving the power at each point.
     """
-    _check_class(model, adc)
-    if arch.name not in model.base_power:
-        raise ValueError(f"model was not calibrated for architecture {arch.name}")
+    _check_model(model, adc, arch)
     slope = arch.n_adc * model.c * resolution_factor(adc.bits)
     return model.base_power[arch.name] + slope * frame_scaling(b_sc)[1]
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import inspect
 import io
 import json
@@ -673,6 +674,17 @@ class TestJsonFormat:
         assert first["ABF"] == 5.12
 
 
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """(digests, directory) of every verb's outputs on a golden config in one
+    format, each written once for the tests that read them."""
+    @functools.cache
+    def run_once(name, fmt):
+        tmp = tmp_path_factory.mktemp(name)
+        return output_digests(tmp, GOLDEN_CONFIGS[name], fmt), tmp / fmt
+    return run_once
+
+
 class TestGoldenOutputs:
     """Byte-level outputs, spelling of floats and line terminators included,
     as recorded in tests/data/golden_sha256.json from the csv.writer-based
@@ -680,9 +692,23 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
-    def test_outputs_match_recorded_bytes(self, tmp_path, name, fmt):
+    def test_outputs_match_recorded_bytes(self, golden_run, name, fmt):
         golden = json.loads((GOLDEN_DIR / "golden_sha256.json").read_text())
-        assert output_digests(tmp_path, GOLDEN_CONFIGS[name], fmt) == golden[name][fmt]
+        assert golden_run(name, fmt)[0] == golden[name][fmt]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_formats_carry_the_same_values(self, golden_run, name):
+        # str of each JSON value is its CSV cell (True, not true), title by title.
+        csv_dir, json_dir = (golden_run(name, fmt)[1] for fmt in ("csv", "json"))
+        csv_files, json_files = sorted(csv_dir.glob("*/*.csv")), sorted(json_dir.glob("*/*.json"))
+        assert [p.relative_to(csv_dir).with_suffix("") for p in csv_files] == \
+               [p.relative_to(json_dir).with_suffix("") for p in json_files]
+        for csv_path, json_path in zip(csv_files, json_files):
+            with open(csv_path, encoding="utf-8", newline="") as fh:
+                header, *cells = csv.reader(line for line in fh if not line.startswith("#"))
+            rows = json.loads(json_path.read_text())["rows"]
+            assert all(list(row) == header for row in rows), csv_path.name
+            assert [list(map(str, row.values())) for row in rows] == cells, csv_path.name
 
 
 class TestNonFiniteOutput:
@@ -781,7 +807,8 @@ def table_sets(draw):
 
 
 class TestColumnWriter:
-    """_emit writes what csv.writer (and json.dump) wrote for the same rows."""
+    """_emit writes what csv.writer, and json.dump with indent=2, wrote for the
+    same rows: one writer, checked against both references."""
 
     @pytest.fixture(scope="class")
     def configs(self, tmp_path_factory):
@@ -804,6 +831,13 @@ class TestColumnWriter:
         return buf.getvalue().encode()
 
     @example(table=(("a", "b"), [[1.5, 0.0, -0.0, 1.5], [7, True, "x", ""]]))
+    # JSON keeps a repeated title once, at its first place, with its last column
+    @example(table=(("a", "b", "a"), [[1.5, 2.5], [1, 2], ["x", "y"]]))
+    @example(table=(("a", "b"), [[], np.array([])]))
+    # cells that compare equal, and hash alike, across types and signs
+    @example(table=(("a", "b"), [[1, True, 1.0, -0.0, 0.0, False, 0], np.arange(7.0)]))
+    @example(table=(("a", "b"), [[np.float64(1.5), np.float64(-0.0), np.float64(1e16)],
+                                 [np.float64(1e-5), np.float64(5e-324), np.float64(0.1)]]))
     @given(table=tables())
     @settings(max_examples=300, deadline=None)
     def test_bytes_match_csv_writer_and_json_dump(self, configs, table):
@@ -836,6 +870,17 @@ class TestColumnWriter:
         with pytest.raises(ValueError, match="quot"):
             cli._emit(configs["csv"], [("quoted", ("a", cell), [[1.0], ["x"]])])
         assert not (configs["csv"].out_dir / "quoted.csv").exists()
+
+    # json.dumps escapes these (CSV refuses the first and the newline); % and
+    # braces would be format syntax in a row template.
+    @pytest.mark.parametrize("text", ['"', "\\", "\n", "\t", "\x00", "é", "\u2028", "%s", "{0}"])
+    def test_json_escapes_text_as_json_dump_does(self, configs, text):
+        for header, columns in ((("a", "b"), [[1.0, 2.0], ["x", text]]),
+                                (("a", text), [[1.0, 2.0], [text, 3]]),
+                                (("a", "b"), [[1.0, 2.0], np.array([text, text])])):
+            cli._emit(configs["json"], [("escaped", header, columns)])
+            path = configs["json"].out_dir / "escaped.json"
+            assert path.read_bytes() == self.expected(configs["json"], header, columns)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

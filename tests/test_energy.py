@@ -10,6 +10,7 @@ from mmwicd import (
     ARCHITECTURE_NAMES,
     SCENARIO_KINDS,
     AdcModel,
+    Architecture,
     PowerTableError,
     SweepGeometry,
     convergence_value,
@@ -228,6 +229,15 @@ class TestCrossover:
         # An HPADC fit would give the HPADC crossover (4.83 MHz), not the LPADC one.
         with pytest.raises(ValueError):
             ec_crossover(archs["DBF"], archs["PSN"], scens["nCI"], AdcModel("LPADC"), geom,
+                         default_power_model("HPADC"))
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_uncalibrated_architecture_raises_as_parametric_power_does(self, archs, scens, geom,
+                                                                       side):
+        uncalibrated = Architecture("X", 2, 1)
+        pair = (uncalibrated, archs["DBF"]) if side == "a" else (archs["DBF"], uncalibrated)
+        with pytest.raises(ValueError, match="model was not calibrated for architecture X"):
+            ec_crossover(*pair, scens["nCI"], AdcModel("HPADC"), geom,
                          default_power_model("HPADC"))
 
     def test_same_architecture_has_no_crossover(self, archs, scens, geom):

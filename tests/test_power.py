@@ -12,6 +12,7 @@ from mmwicd import (
     Scenario,
     SweepGeometry,
     build_architecture,
+    calibrate,
     default_power_model,
     default_power_table,
     derive_frame,
@@ -234,6 +235,18 @@ class TestCalibration:
         model = default_power_model("HPADC")
         with pytest.raises(ValueError):
             parametric_power(model, archs["ABF"], AdcModel("LPADC"), 15e3)
+
+    def test_shared_base_powers_are_read_only(self):
+        # default_power_model hands every caller in a process the same model.
+        model = default_power_model("HPADC")
+        with pytest.raises(TypeError):
+            model.base_power["ABF"] = 0.0
+        assert model.base_power["ABF"] == calibrate("HPADC").base_power["ABF"] != 0.0
+
+    def test_uncalibrated_architecture_raises(self):
+        with pytest.raises(ValueError, match="not calibrated for architecture X"):
+            parametric_power(default_power_model("HPADC"), Architecture("X", 2, 1),
+                             AdcModel("HPADC"), 15e3)
 
 
 class TestAdcModelValidation:
