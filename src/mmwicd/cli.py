@@ -3,12 +3,13 @@
 Verbs: tables | sweep | convergence | verify | pss.  Outputs are deterministic
 CSV (or JSON) files; every file embeds the tool version and a hash of the
 scientific configuration so results can be traced back to their inputs.
-Each verb returns its tables as columns; main reads each column once, by its
-dtype, both to check it and to spell its cells, then one writer writes every
-table from that text, in the bytes csv.writer or json.dump(indent=2) would.  A
-float64 array renders each distinct float once per verb, keyed by its bit
-pattern, however many columns and files hold it; an integer or bool array, or
-a column of str, each distinct value at most once; anything else cell by cell.
+Each verb returns each table as (file name, {title: column}); main reads each
+column once, by its dtype, both to check it and to spell its cells, then one
+writer writes every table from that text, in the bytes csv.writer or
+json.dump(indent=2) would.  A float64 array renders each distinct float once
+per verb, keyed by its bit pattern, however many columns and files hold it; an
+integer or bool array, or a column of str, each distinct value at most once;
+anything else cell by cell.
 A non-finite float is refused (exit 2), naming the file and column, before
 any file is written, so a verb that fails writes no file.
 
@@ -282,13 +283,13 @@ def _prepare(fmt: str, tables: list) -> list:
     """
     spell = str if fmt == "csv" else json.dumps
     floats, start, prepared = [], 0, []
-    for name, header, columns in tables:
+    for name, columns in tables:
         file = f"{name}.{fmt}"
-        if len(columns) != len(header) or len(set(map(len, columns))) > 1:
-            raise ValueError(f"{file}: {len(header)} titles for columns of lengths "
-                             f"{[len(col) for col in columns]}")
+        if len(set(map(len, columns.values()))) > 1:
+            raise ValueError(f"{file}: columns of unequal lengths "
+                             f"{[len(col) for col in columns.values()]}")
         table = []
-        for title, column in zip(("titles", *header), (header, *columns)):
+        for title, column in zip(("titles", *columns), (tuple(columns), *columns.values())):
             dtype = column.dtype if isinstance(column, np.ndarray) else np.dtype(object)
             bad, distinct = [], ()
             if dtype == np.float64:
@@ -320,31 +321,30 @@ def _prepare(fmt: str, tables: list) -> list:
 
 
 def _emit(cfg: RunConfig, tables: list) -> None:
-    """Check and prepare every table, each given as (name, header, one list or
-    numpy array per header column), in one pass (_prepare), then write them all.
+    """Check and prepare every table, each given as (name, {title: list or numpy
+    array}), in one pass (_prepare), then write them all.
 
     Both formats write the prepared text in blocks of 4096 rows; only the head,
     the row text and the tail differ.  A CSV line joins its cells (csv.writer's
     bytes, CRLF line ends, no quoting; every table has two or more columns, so
     no line is one empty cell that csv.writer would quote).  JSON writes what
-    json.dump(..., indent=2) wrote for {"tool", "config_sha256", "rows"}; as in
-    a dict, a repeated title keeps its first place and its last column.  A
+    json.dump(..., indent=2) wrote for {"tool", "config_sha256", "rows"}.  A
     table refused by _prepare leaves every file unwritten.
     """
     prepared = _prepare(cfg.fmt, tables)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    for (name, _, columns), (titles, *cells) in zip(tables, prepared):
+    for (name, columns), (titles, *cells) in zip(tables, prepared):
         path = cfg.out_dir / f"{name}.{cfg.fmt}"
         if cfg.fmt == "csv":
             head = f"# tool: mmwicd {__version__}\n# config: sha256:{cfg.fingerprint}\n"
             rows, sep, tail = map(",".join, chain([titles], zip(*cells))), "\r\n", "\r\n"
         else:
-            last = {title: i for i, title in enumerate(titles)}
-            row = "\n    {%s\n    }" % ",".join(f"\n      {t.replace('%', '%%')}: %s" for t in last)
+            row = "\n    {%s\n    }" % ",".join(f"\n      {t.replace('%', '%%')}: %s"
+                                                for t in titles)
             head = (f'{{\n  "tool": "mmwicd {__version__}",\n'
                     f'  "config_sha256": "{cfg.fingerprint}",\n  "rows": [')
-            rows = map(row.__mod__, zip(*(cells[i] for i in last.values())))
-            sep, tail = ",", "\n  ]\n}\n" if columns and len(columns[0]) else "]\n}\n"
+            rows = map(row.__mod__, zip(*cells))
+            sep, tail = ",", "\n  ]\n}\n" if len(next(iter(columns.values()))) else "]\n}\n"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             # One write per 4096 rows, never the whole file in memory.
             fh.write(head + sep.join(islice(rows, 4096)))
@@ -361,34 +361,32 @@ def _emit(cfg: RunConfig, tables: list) -> None:
 def cmd_tables(cfg: RunConfig) -> tuple[list, int, None]:
     """Frame timing, scan counts, and the measured/modeled power tables."""
     t_pss, b_tot = frame_scaling(cfg.b_sc)
-    tables = [("tables-i", ("b_sc_hz", "t_pss_s", "b_tot_hz", "b_tot_mhz"),
-               [cfg.b_sc, t_pss, b_tot, [f"{v / 1e6:.1f}" for v in b_tot.tolist()]])]
+    tables = [("tables-i", {"b_sc_hz": cfg.b_sc, "t_pss_s": t_pss, "b_tot_hz": b_tot,
+                            "b_tot_mhz": [f"{v / 1e6:.1f}" for v in b_tot.tolist()]})]
 
     rows_ii = []
     for arch in cfg.architectures:
         for scenario in cfg.scenarios:
             rows_ii.append((arch.name, scenario.kind, directional_scans(arch, scenario, cfg.geom),
                             ci_cost(arch, scenario, cfg.geom)[0]))
-    tables.append(("tables-ii", ("architecture", "scenario", "n_scans", "t_ci_s"),
-                   list(zip(*rows_ii))))
+    tables.append(("tables-ii", dict(zip(("architecture", "scenario", "n_scans", "t_ci_s"),
+                                         zip(*rows_ii)))))
 
     archs, table = default_architectures(), default_power_table()
     for file_name, cls in (("tables-iii", "HPADC"), ("tables-iv", "LPADC")):
         if cls not in cfg.adc_classes:
             continue
         rows = table["adc_class"] == cls
-        header = ("architecture", "adc_class", "b_sc_hz", "power_w")
-        columns = [table[title][rows] for title in header]
+        columns = {title: column[rows] for title, column in table.items()}
         if cfg.power_mode == "parametric":
             model, adc = default_power_model(cls), AdcModel(cls)
-            names, _, b_sc, power = columns
+            names, b_sc, power = columns["architecture"], columns["b_sc_hz"], columns["power_w"]
             modeled = np.empty_like(power)
             for name in dict.fromkeys(names.tolist()):  # np.unique(names) imports numpy.ma
                 arch_rows = names == name
                 modeled[arch_rows] = parametric_power(model, archs[name], adc, b_sc[arch_rows])
-            header += ("model_power_w", "rel_residual")
-            columns += [modeled, (modeled - power) / power]
-        tables.append((file_name, header, columns))
+            columns["model_power_w"], columns["rel_residual"] = modeled, (modeled - power) / power
+        tables.append((file_name, columns))
     return tables, 0, None
 
 
@@ -407,19 +405,19 @@ def cmd_sweep(cfg: RunConfig) -> tuple[list, int, None]:
                 per_arch = [energy_columns(arch, scenario, adc, cfg.b_sc,
                                            geom=cfg.geom, model=model)
                             for arch in cfg.architectures]
-                tables.append((f"sweep-{scenario.kind}-{cls}-{bits}b", ("b_sc_hz", *arch_names),
-                               [cfg.b_sc, *(cols.e_total for cols in per_arch)]))
+                tables.append((f"sweep-{scenario.kind}-{cls}-{bits}b", {
+                    "b_sc_hz": cfg.b_sc, **dict(zip(arch_names, (c.e_total for c in per_arch)))}))
                 labels.append((scenario.kind, cls, bits))
                 grids.append(per_arch)
     # Report rows run grid-major, then b_sc, then architecture.
     rows_per_grid = len(cfg.b_sc) * len(arch_names)
-    tables.append(("sweep-report", CSV_COLUMNS, [
+    tables.append(("sweep-report", dict(zip(CSV_COLUMNS, [
         np.tile(np.array(arch_names, dtype=object), len(cfg.b_sc) * len(grids)),
         *(np.repeat(column, rows_per_grid) for column in zip(*labels)),
         np.tile(np.repeat(cfg.b_sc, len(arch_names)), len(grids)),
         *(np.array([[getattr(cols, field) for cols in per_arch] for per_arch in grids])
           .transpose(0, 2, 1).ravel() for field in EnergyColumns._fields),
-    ]))
+    ]))))
     return tables, 0, None
 
 
@@ -429,17 +427,16 @@ def cmd_convergence(cfg: RunConfig) -> tuple[list, int, None]:
     The limit is that of the full nCI search under the calibrated parametric
     model, whatever the configured scenarios and power_mode.
     """
-    arch_names = tuple(a.name for a in cfg.architectures)
     nci = Scenario("nCI")
     tables = []
     for cls in cfg.adc_classes:
         model = default_power_model(cls)
         adcs = [AdcModel(cls, bits=bits) for bits in cfg.convergence_bits]
-        tables.append((f"convergence-{cls}", ("bits", *arch_names), [
-            cfg.convergence_bits,
-            *([convergence_value(arch, nci, adc, cfg.geom, model) for adc in adcs]
-              for arch in cfg.architectures),
-        ]))
+        tables.append((f"convergence-{cls}", {
+            "bits": cfg.convergence_bits,
+            **{arch.name: [convergence_value(arch, nci, adc, cfg.geom, model) for adc in adcs]
+               for arch in cfg.architectures},
+        }))
     return tables, 0, None
 
 
@@ -471,7 +468,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[list, int, str]:
         np.repeat(["" if cols.passed else "{}|{}".format(*cols.first_mismatch)
                    for cols in results], n_b_sc),
     ]
-    return ([("verify", header, columns)], 0 if combos_passed.all() else 3,
+    return ([("verify", dict(zip(header, columns)))], 0 if combos_passed.all() else 3,
             f"{combos_passed.sum()}/{combos_passed.size} combinations pass")
 
 
@@ -481,10 +478,6 @@ def cmd_pss(cfg: RunConfig) -> tuple[list, int, None]:
     Evaluated for nCI (else the first listed scenario), the first ADC class and the first
     bits, which the last four columns name; proposed report at b_sc with k, baseline at k * b_sc.
     """
-    columns = ("architecture", "k", "b_sc_hz", "b_sc_pss_hz", "n_d",
-               "sim_worst_delay_s", "analytic_delay_s",
-               "e_proposed_j", "e_baseline_j", "energy_ratio",
-               "scenario", "adc_class", "bits", "power_mode")
     scenario = next((s for s in cfg.scenarios if s.kind == "nCI"), cfg.scenarios[0])
     cls, bits = cfg.adc_classes[0], cfg.bits[0]
     adc, model = AdcModel(cls, bits=bits), default_power_model(cls)
@@ -495,11 +488,15 @@ def cmd_pss(cfg: RunConfig) -> tuple[list, int, None]:
             worst = worst_case_structure_delay(arch, scenario, cfg.geom, frame, k=k)
             proposed = energy(arch, scenario, adc, frame.b_sc, k=k, geom=cfg.geom, model=model)
             baseline = energy(arch, scenario, adc, k * frame.b_sc, geom=cfg.geom, model=model)
-            rows.append((arch.name, k, cfg.pss_base_b_sc, k * frame.b_sc, proposed.n_d, worst,
-                         total_delay(arch, scenario, cfg.geom, frame, k),
-                         proposed.e_total, baseline.e_total, proposed.e_total / baseline.e_total,
-                         scenario.kind, cls, bits, "parametric"))
-    return [("pss", columns, list(zip(*rows)))], 0, None
+            rows.append({"architecture": arch.name, "k": k, "b_sc_hz": cfg.pss_base_b_sc,
+                         "b_sc_pss_hz": k * frame.b_sc, "n_d": proposed.n_d,
+                         "sim_worst_delay_s": worst,
+                         "analytic_delay_s": total_delay(arch, scenario, cfg.geom, frame, k),
+                         "e_proposed_j": proposed.e_total, "e_baseline_j": baseline.e_total,
+                         "energy_ratio": proposed.e_total / baseline.e_total,
+                         "scenario": scenario.kind, "adc_class": cls, "bits": bits,
+                         "power_mode": "parametric"})
+    return [("pss", {title: [row[title] for row in rows] for title in rows[0]})], 0, None
 
 
 # Each verb's function and its --help text.

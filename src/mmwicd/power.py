@@ -50,7 +50,7 @@ class AdcModel(_Checked, _AdcModelFields):
         if cls not in ADC_CLASSES:
             raise ValueError(f"unknown ADC class {cls!r}; expected one of {ADC_CLASSES}")
         _check_counts(bits=bits)
-        return super().__new__(_cls, cls, bits)
+        return super().__new__(_cls, cls, int(bits))
 
 
 def resolution_factor(bits: int) -> float:

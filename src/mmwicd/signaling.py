@@ -34,7 +34,8 @@ SYNC_BW_UTILIZATION = 1.08e6 / 1.4e6
 # t_pss * b_tot under the defaults; independent of b_sc.
 SYNC_TIME_BANDWIDTH = SUBCARRIERS_PER_RB * RBS_FOR_SYNC * PSS_TIME_SCALE / SYNC_BW_UTILIZATION
 
-_B_SC_REFUSED = "sub-carrier bandwidth must be a finite number > 0, got {!r}"
+_B_SC_REFUSED = ("sub-carrier bandwidth must be a finite number > 0, or a numpy array of them, "
+                 "got {!r}")
 
 
 class FrameConfig(NamedTuple):
@@ -62,16 +63,17 @@ def _b_sc_ok(b_sc) -> bool:
 
 def _b_sc_array(b_sc) -> np.ndarray:
     """Sub-carrier bandwidths as a one-dimensional float64 array (b_sc itself when it is one),
-    from a numpy array of a dtype _real_ok takes or a sequence whose entries all pass
-    _real_ok.  A scalar, a 0-d or 2-d array or a sequence of arrays is refused as not
-    one-dimensional; frame_scaling checks > 0."""
-    if isinstance(b_sc, np.ndarray):
-        numbers = b_sc.dtype.kind in "iuf" and b_sc.dtype.itemsize <= 8
+    from a numpy array of a dtype _real_ok takes or an iterable, read once into a list, whose
+    entries all pass _real_ok.  A scalar, a 0-d or 2-d array or a sequence of arrays is
+    refused as not one-dimensional; frame_scaling checks > 0."""
+    values = b_sc if isinstance(b_sc, np.ndarray) or not np.iterable(b_sc) else list(b_sc)
+    if isinstance(values, np.ndarray):
+        numbers = values.dtype.kind in "iuf" and values.dtype.itemsize <= 8
     else:
-        numbers = all(map(_real_ok, b_sc if np.iterable(b_sc) else [b_sc]))
+        numbers = all(map(_real_ok, values if np.iterable(values) else [values]))
     if not numbers:
         raise ValueError(f"sub-carrier bandwidths must be numbers a float holds, got {b_sc!r}")
-    array = np.asarray(b_sc, dtype=np.float64)
+    array = np.asarray(values, dtype=np.float64)
     if array.ndim != 1:
         raise ValueError(f"sub-carrier bandwidths must be one-dimensional, got {b_sc!r}")
     return array
@@ -94,5 +96,5 @@ def frame_scaling(b_sc):
 def derive_frame(b_sc: float) -> FrameConfig:
     """Build the frame quantities for a sub-carrier bandwidth (see frame_scaling)."""
     t_pss, b_tot = frame_scaling(b_sc)
-    return FrameConfig(b_sc=float(b_sc), t_pss=t_pss, b_tot=b_tot)
+    return FrameConfig(b_sc=float(b_sc), t_pss=float(t_pss), b_tot=float(b_tot))
 

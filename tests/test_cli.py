@@ -747,37 +747,36 @@ plain_text = st.text(alphabet="abcXYZ019_|.+- ", max_size=4)
 
 @st.composite
 def tables(draw):
-    """(header, columns): float columns that repeat a few values (some as numpy
-    arrays), and columns of ints, bools, short strings and floats mixed."""
+    """{title: column} under distinct titles: float columns that repeat a few
+    values (some as numpy arrays), and columns of ints, bools, short strings and
+    floats mixed."""
     n_rows = draw(st.integers(0, 10))
-    header = tuple(draw(st.lists(plain_text, min_size=2, max_size=5)))
-    columns = []
-    for _ in header:
+    table = {}
+    for title in draw(st.lists(plain_text, min_size=2, max_size=5, unique=True)):
         if draw(st.booleans()):
             pool = draw(st.lists(floats, min_size=1, max_size=4))
             column = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
-            columns.append(np.array(column) if draw(st.booleans()) else column)
+            table[title] = np.array(column) if draw(st.booleans()) else column
         else:
             cell = st.one_of(st.integers(), st.booleans(), plain_text, floats)
-            columns.append(draw(st.lists(cell, min_size=n_rows, max_size=n_rows)))
-    return header, columns
+            table[title] = draw(st.lists(cell, min_size=n_rows, max_size=n_rows))
+    return table
 
 
 @st.composite
 def table_sets(draw):
-    """2-4 (name, header, columns) tables whose float cells come from one shared
-    pool, or (half of the draws) from EDGE_FLOATS: Python lists and float64
-    arrays, int64, uint64 and bool arrays, text as object and 'U' arrays,
-    columns of floats mixed with ints, bools and text, and object arrays of
-    floats mixed with bools and ints past int64."""
+    """2-4 (name, {title: column}) tables under distinct titles, whose float
+    cells come from one shared pool, or (half of the draws) from EDGE_FLOATS:
+    Python lists and float64 arrays, int64, uint64 and bool arrays, text as
+    object and 'U' arrays, columns of floats mixed with ints, bools and text,
+    and object arrays of floats mixed with bools and ints past int64."""
     pool = draw(st.lists(floats, min_size=1, max_size=6))
     pooled = st.one_of(st.sampled_from(pool), st.sampled_from(EDGE_FLOATS))
     result = []
     for i in range(draw(st.integers(2, 4))):
         n_rows = draw(st.integers(0, 8))
-        header = tuple(draw(st.lists(plain_text, min_size=2, max_size=4)))
-        columns = []
-        for _ in header:
+        table = {}
+        for title in draw(st.lists(plain_text, min_size=2, max_size=4, unique=True)):
             kind = draw(st.sampled_from(["list", "array", "int64", "uint64", "bool", "mixed",
                                          "text-object", "text-U", "big-object"]))
             if kind == "int64":
@@ -801,8 +800,8 @@ def table_sets(draw):
                      "big-object": object}.get(kind)
             if dtype is not None:
                 column = np.array(column, dtype=dtype)
-            columns.append(column)
-        result.append((f"table{i}", header, columns))
+            table[title] = column
+        result.append((f"table{i}", table))
     return result
 
 
@@ -816,71 +815,69 @@ class TestColumnWriter:
         return {fmt: cli.resolve_config({"out": str(out), "format": fmt}) for fmt in ("csv", "json")}
 
     @staticmethod
-    def expected(cfg, header, columns):
-        rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    def expected(cfg, table):
+        rows = list(zip(*(column.tolist() if isinstance(column, np.ndarray) else column
+                          for column in table.values())))
         buf = io.StringIO(newline="")
         if cfg.fmt == "csv":
             buf.write(f"# tool: mmwicd 0.1.0\n# config: sha256:{cfg.fingerprint}\n")
             writer = csv.writer(buf)
-            writer.writerow(header)
+            writer.writerow(table)
             writer.writerows(rows)
         else:
             json.dump({"tool": "mmwicd 0.1.0", "config_sha256": cfg.fingerprint,
-                       "rows": [dict(zip(header, row)) for row in rows]}, buf, indent=2)
+                       "rows": [dict(zip(table, row)) for row in rows]}, buf, indent=2)
             buf.write("\n")
         return buf.getvalue().encode()
 
-    @example(table=(("a", "b"), [[1.5, 0.0, -0.0, 1.5], [7, True, "x", ""]]))
-    # JSON keeps a repeated title once, at its first place, with its last column
-    @example(table=(("a", "b", "a"), [[1.5, 2.5], [1, 2], ["x", "y"]]))
-    @example(table=(("a", "b"), [[], np.array([])]))
+    @example(table={"a": [1.5, 0.0, -0.0, 1.5], "b": [7, True, "x", ""]})
+    @example(table={"a": [], "b": np.array([])})
     # cells that compare equal, and hash alike, across types and signs
-    @example(table=(("a", "b"), [[1, True, 1.0, -0.0, 0.0, False, 0], np.arange(7.0)]))
-    @example(table=(("a", "b"), [[np.float64(1.5), np.float64(-0.0), np.float64(1e16)],
-                                 [np.float64(1e-5), np.float64(5e-324), np.float64(0.1)]]))
+    @example(table={"a": [1, True, 1.0, -0.0, 0.0, False, 0], "b": np.arange(7.0)})
+    @example(table={"a": [np.float64(1.5), np.float64(-0.0), np.float64(1e16)],
+                    "b": [np.float64(1e-5), np.float64(5e-324), np.float64(0.1)]})
     @given(table=tables())
     @settings(max_examples=300, deadline=None)
     def test_bytes_match_csv_writer_and_json_dump(self, configs, table):
-        header, columns = table
         for cfg in configs.values():
-            cli._emit(cfg, [("table", header, columns)])
+            cli._emit(cfg, [("table", table)])
             path = cfg.out_dir / f"table.{cfg.fmt}"
-            assert path.read_bytes() == self.expected(cfg, header, columns)
+            assert path.read_bytes() == self.expected(cfg, table)
 
-    @example(table_list=[("table0", ("a", "b"), [[0.0, -0.0], np.array([-0.0, 1.5])]),
-                         ("table1", ("c", "d"), [np.array([1.5, 0.0]), [True, 0.0]])])
+    @example(table_list=[("table0", {"a": [0.0, -0.0], "b": np.array([-0.0, 1.5])}),
+                         ("table1", {"c": np.array([1.5, 0.0]), "d": [True, 0.0]})])
     # one float64 array object in several columns and tables
-    @example(table_list=[("table0", ("a", "b"), [SHARED_FLOATS, SHARED_FLOATS]),
-                         ("table1", ("c", "d"), [np.array([-0.0, 2.5, 1.5]), SHARED_FLOATS])])
+    @example(table_list=[("table0", {"a": SHARED_FLOATS, "b": SHARED_FLOATS}),
+                         ("table1", {"c": np.array([-0.0, 2.5, 1.5]), "d": SHARED_FLOATS})])
     @given(table_list=table_sets())
     @settings(max_examples=300, deadline=None)
     def test_tables_sharing_floats_match_csv_writer(self, configs, table_list):
         for cfg in configs.values():
             cli._emit(cfg, table_list)
-            for name, header, columns in table_list:
+            for name, table in table_list:
                 path = cfg.out_dir / f"{name}.{cfg.fmt}"
-                assert path.read_bytes() == self.expected(cfg, header, columns), path.name
+                assert path.read_bytes() == self.expected(cfg, table), path.name
 
     @pytest.mark.parametrize("cell", [",", '"', "\r", "\n", "a,b", 'say "x"'])
     def test_cell_needing_quotes_raises(self, configs, cell):
         for column in (["x", cell], np.array(["x", cell], dtype=object), np.array(["x", cell])):
             with pytest.raises(ValueError, match="quoted.csv: column b holds a cell that needs "
                                                  "CSV quoting"):
-                cli._emit(configs["csv"], [("quoted", ("a", "b"), [[1.0, 2.0], column])])
+                cli._emit(configs["csv"], [("quoted", {"a": [1.0, 2.0], "b": column})])
         with pytest.raises(ValueError, match="quot"):
-            cli._emit(configs["csv"], [("quoted", ("a", cell), [[1.0], ["x"]])])
+            cli._emit(configs["csv"], [("quoted", {"a": [1.0], cell: ["x"]})])
         assert not (configs["csv"].out_dir / "quoted.csv").exists()
 
     # json.dumps escapes these (CSV refuses the first and the newline); % and
     # braces would be format syntax in a row template.
     @pytest.mark.parametrize("text", ['"', "\\", "\n", "\t", "\x00", "é", "\u2028", "%s", "{0}"])
     def test_json_escapes_text_as_json_dump_does(self, configs, text):
-        for header, columns in ((("a", "b"), [[1.0, 2.0], ["x", text]]),
-                                (("a", text), [[1.0, 2.0], [text, 3]]),
-                                (("a", "b"), [[1.0, 2.0], np.array([text, text])])):
-            cli._emit(configs["json"], [("escaped", header, columns)])
+        for table in ({"a": [1.0, 2.0], "b": ["x", text]},
+                      {"a": [1.0, 2.0], text: [text, 3]},
+                      {"a": [1.0, 2.0], "b": np.array([text, text])}):
+            cli._emit(configs["json"], [("escaped", table)])
             path = configs["json"].out_dir / "escaped.json"
-            assert path.read_bytes() == self.expected(configs["json"], header, columns)
+            assert path.read_bytes() == self.expected(configs["json"], table)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -888,7 +885,7 @@ class TestColumnWriter:
         for column in (np.array([0.5, bad]), np.array([0.5, bad], dtype=object)):
             with pytest.raises(cli.ConfigError,
                                match=f"refusing to write refused.{fmt}: column b holds"):
-                cli._emit(configs[fmt], [("refused", ("a", "b"), [[1, 2], column])])
+                cli._emit(configs[fmt], [("refused", {"a": [1, 2], "b": column})])
         assert not (configs[fmt].out_dir / f"refused.{fmt}").exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -902,17 +899,30 @@ class TestColumnWriter:
                 return super().__iter__()
 
         column = CountingList(cells)
-        cli._emit(configs[fmt], [("counted", ("a", "b"), [[1.0, 2.0], column])])
+        cli._emit(configs[fmt], [("counted", {"a": [1.0, 2.0], "b": column})])
         assert column.iterations <= 2
         path = configs[fmt].out_dir / f"counted.{fmt}"
-        assert path.read_bytes() == self.expected(configs[fmt], ("a", "b"), [[1.0, 2.0], cells])
+        assert path.read_bytes() == self.expected(configs[fmt], {"a": [1.0, 2.0], "b": cells})
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_refused_table_leaves_every_table_unwritten(self, tmp_path, fmt):
         cfg = cli.resolve_config({"out": str(tmp_path / "out"), "format": fmt})
         with pytest.raises(cli.ConfigError, match=f"refusing to write second.{fmt}: column b"):
-            cli._emit(cfg, [("first", ("a", "b"), [[1.0], [2.0]]),
-                            ("second", ("a", "b"), [[1.0], [math.inf]])])
+            cli._emit(cfg, [("first", {"a": [1.0], "b": [2.0]}),
+                            ("second", {"a": [1.0], "b": [math.inf]})])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unequal_columns_exit_one_writing_nothing(self, tmp_path, capsys, monkeypatch, fmt):
+        def uneven(cfg):
+            return [("first", {"a": [1.0], "b": [2.0]}),
+                    ("uneven", {"a": [1.0, 2.0], "b": [3.0]})], 0, None
+
+        monkeypatch.setitem(cli.COMMANDS, "tables", (uneven, "columns of unequal lengths"))
+        assert run(["tables"], tmp_path, ("--format", fmt)) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: uneven.{fmt}: columns of unequal lengths [2, 1]")
+        assert err.count("\n") == 1 and err.endswith("\n") and "wrote" not in out
         assert not (tmp_path / "out").exists()
 
 

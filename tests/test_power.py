@@ -152,6 +152,14 @@ class TestLookup:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite number > 0"):
             call(archs, AdcModel("HPADC"))
 
+    def test_a_list_is_refused_naming_what_is_taken(self, archs):
+        adc, model = AdcModel("HPADC"), default_power_model("HPADC")
+        for call in (lambda: lookup_power(archs["DBF"], adc, [15e3]),
+                     lambda: parametric_power(model, archs["DBF"], adc, [15e3])):
+            with pytest.raises(ValueError, match=re.escape(
+                    "must be a finite number > 0, or a numpy array of them, got [15000.0]")):
+                call()
+
 
 class TestResolutionFactor:
     def test_laws(self):

@@ -82,6 +82,8 @@ def test_accepted(entry, value):
     result = ENTRIES[entry](value)
     if entry == "Scenario":
         assert type(result.t_ci) is float and result.t_ci == float(value)
+    elif entry == "derive_frame":
+        assert [type(v) for v in result] == [float, float, float]
 
 
 @pytest.mark.parametrize("value", REFUSED, ids=_id)
@@ -103,6 +105,20 @@ def test_both_power_sources_refuse_the_same_spacings():
               np.array([250e3, np.nan]), np.float32(np.inf), np.array([250e3], dtype=object)]
     lookup, parametric = ENTRIES["lookup_power"], ENTRIES["parametric_power"]
     assert [_refuses(lookup, v) for v in values] == [_refuses(parametric, v) for v in values]
+
+
+@pytest.mark.parametrize("entry", ["energy_columns", "verify_columns"])
+def test_spacing_iterator_gives_the_columns_of_its_list(entry):
+    columns = {
+        "energy_columns": lambda b_sc: energy_columns(ARCHS["ABF"], Scenario("nCI"), ADC, b_sc,
+                                                      geom=GEOM, model=None),
+        "verify_columns": lambda b_sc: verify_columns(ARCHS["ABF"], Scenario("CID"), GEOM, b_sc),
+    }[entry]
+    spacings = [15e3, 250e3]
+    from_list, from_iterator = columns(spacings), columns(v for v in spacings)
+    assert [np.asarray(v).tolist() for v in from_iterator] == \
+        [np.asarray(v).tolist() for v in from_list]
+    assert len(from_list[-1]) == len(spacings)
 
 
 @pytest.mark.parametrize("value", [np.float16(15e3), np.float32(250e3)], ids=_id)
@@ -214,6 +230,13 @@ def test_every_build_holds_python_numbers(build):
     geom = BUILDS[build](SweepGeometry, (np.int64(8), np.uint8(4)))
     cid = BUILDS[build](Scenario, ("CID", np.float32(1.5), np.int64(2)))
     assert [type(v) for v in (*geom, cid.t_ci, cid.p_ci)] == [int, int, float, float]
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_every_build_of_an_adc_model_holds_int_bits(build):
+    for bits in (np.int64(6), np.uint8(6)):
+        adc = BUILDS[build](AdcModel, ("HPADC", bits))
+        assert type(adc.bits) is int and adc == ("HPADC", 6)
 
 
 def test_adc_class_field_is_a_keyword():
