@@ -7,9 +7,8 @@ on whether positioning context removes the MS-side half of the search.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
-
-import numpy as np
 
 from .signaling import FrameConfig, _real_ok
 
@@ -20,9 +19,18 @@ DEFAULT_T_CI = 1.5  # s, positioning acquisition delay (assisted-GPS fix budget)
 DEFAULT_P_CI = 0.1  # W, receiver draw while acquiring positioning
 
 
+def _integer_ok(value) -> bool:
+    """The one integer rule: a Python or numpy integer, as operator.index takes it, not a bool."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
+
+
 def _count_ok(value) -> bool:
-    """The one count rule: _real_ok, and an integer >= 1, Python or numpy (not a bool)."""
-    return isinstance(value, (int, np.integer)) and _real_ok(value) and value >= 1
+    """The one count rule: _real_ok, and an integer >= 1 (_integer_ok)."""
+    return _real_ok(value) and _integer_ok(value) and value >= 1
 
 
 def _check_counts(**counts) -> None:
@@ -101,7 +109,7 @@ def build_architecture(
     if name not in wiring:
         raise ValueError(f"unknown architecture {name!r}; expected one of {ARCHITECTURE_NAMES}")
     rf, beams = wiring[name]
-    return Architecture(name=name, n_adc=2 * int(rf), simultaneous_beams=beams)
+    return Architecture(name=str(name), n_adc=2 * int(rf), simultaneous_beams=beams)
 
 
 def default_architectures() -> dict[str, Architecture]:
@@ -127,11 +135,12 @@ class Scenario(_Checked, _ScenarioFields):
 
     def __new__(_cls, kind: str, t_ci: float = 0.0, p_ci: float = 0.0):
         t, p = t_ci, p_ci
-        if not (_real_ok(t) and _real_ok(p) and np.ndim(t) == np.ndim(p) == 0):
+        if not (_real_ok(t) and _real_ok(p)):
             raise ValueError(f"CI budget must be two finite numbers, got t_ci={t!r}, p_ci={p!r}")
         t, p = float(t), float(p)  # Python floats, as Architecture holds ints
         if kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario {kind!r}; expected one of {SCENARIO_KINDS}")
+        kind = str(kind)  # a str subclass such as numpy's str_ is held as the str
         if kind != "CID" and (t, p) != (0.0, 0.0):
             raise ValueError(f"{kind} carries no context-acquisition budget")
         if min(t, p) < 0:

@@ -3,15 +3,16 @@
 Verbs: tables | sweep | convergence | verify | pss.  Outputs are deterministic
 CSV (or JSON) files; every file embeds the tool version and a hash of the
 scientific configuration so results can be traced back to their inputs.
-Each verb returns each table as (file name, {title: column}); main reads each
-column once, by its dtype, both to check it and to spell its cells, then one
-writer writes every table from that text, in the bytes csv.writer or
-json.dump(indent=2) would.  A float64 array renders each distinct float once
-per verb, keyed by its bit pattern, however many columns and files hold it; an
-integer or bool array, or a column of str, each distinct value at most once;
-anything else cell by cell.
+Each verb returns each table as (file name, {title: column}), every column a
+sequence of Python values; main reads each column once, both to check it and
+to spell its cells, then one writer writes every table from that text, in the
+bytes csv.writer or json.dump(indent=2) would.  A column of floats renders
+each distinct float once per verb, however many columns and files hold it (a
+zero by its sign); a column of ints, bools or str each distinct value once;
+any other column cell by cell.
 A non-finite float is refused (exit 2), naming the file and column, before
-any file is written, so a verb that fails writes no file.
+any file is written, so a verb that fails writes no file.  Every verb but
+verify and pss computes in Python floats and ints and runs without numpy.
 
 Config file keys override DEFAULT_CONFIG, and flags override both.  A list is
 non-empty with every entry valid and distinct, a choice one of its names, a
@@ -30,11 +31,9 @@ import hashlib
 import json
 import math
 import sys
-from itertools import chain, islice
+from itertools import chain, filterfalse, islice, repeat
 from pathlib import Path
 from typing import NamedTuple
-
-import numpy as np
 
 from . import __version__
 from .architectures import (
@@ -111,9 +110,9 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-class RunConfig(NamedTuple):  # an array field has no truth value; compare fingerprints
+class RunConfig(NamedTuple):
     fingerprint: str  # sha256 of the scientific part of the merged config
-    b_sc: np.ndarray  # float64, read-only; every verb passes it on as it is
+    b_sc: tuple[float, ...]  # every verb passes it on as it is
     architectures: tuple[Architecture, ...]
     scenarios: tuple[Scenario, ...]
     adc_classes: tuple[str, ...]
@@ -177,8 +176,7 @@ def resolve_config(raw: dict) -> RunConfig:
     geometry, arch_params, ci = (_params(merged, key) for key in
                                  ("geometry", "architecture_params", "scenario_params"))
 
-    b_sc = np.array(_entries(merged, "b_sc_hz", _b_sc_ok, "finite numbers > 0"), dtype=np.float64)
-    b_sc.flags.writeable = False
+    b_sc = tuple(map(float, _entries(merged, "b_sc_hz", _b_sc_ok, "finite numbers > 0")))
     bits, convergence_bits, k_values = (_entries(merged, key, _count_ok,
                                                  "integers >= 1 that a float holds")
                                         for key in ("bits", "convergence_bits", "k"))
@@ -255,15 +253,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 # Output helpers
 
 
-def _distinct_text(column: np.ndarray, spell) -> np.ndarray:
-    """spell of each cell of a float64, integer or bool array, as an object array
-    of references to one string per distinct value; floats are keyed by bit
-    pattern, so 0.0 and -0.0 stay apart."""
-    keys, inverse = np.unique(column.view(np.int64) if column.dtype == np.float64 else column,
-                              return_inverse=True)
-    return np.array(list(map(spell, keys.view(column.dtype).tolist())), dtype=object)[inverse]
-
-
 def _prepare(fmt: str, tables: list) -> list:
     """Refuse a table that cannot be written, else return each table's titles
     and columns as the text of their cells: str under CSV (csv.writer's
@@ -272,17 +261,18 @@ def _prepare(fmt: str, tables: list) -> list:
 
     Refused, table by table: columns of unequal length, then, for the titles
     and each column in turn, a non-finite float or (CSV only) a cell that
-    needs quoting.  Each column is read once, by its dtype.  An integer or
-    bool array holds neither, and renders each distinct value once.  A
-    float64 array is tested as a whole; those of every table render
-    together, each distinct float once, as views of one object array of
-    references to the shared strings.  Any other column is listed and its
-    distinct cells hashed once, to test them.  A column of str passes as it
-    came under CSV, and JSON spells each distinct str once; any other column
-    is spelled cell by cell (0.0 == -0.0, 1 == True) as its file is written.
+    needs quoting.  Each column is taken as a list (a numpy array as its
+    tolist()), read once for its cell types and once for its distinct cells,
+    in first-seen order.  A column of floats renders each distinct float once
+    per verb, from one dict of every table's floats; 0.0 and -0.0 share a key
+    there, so a column holding a zero spells its zeros cell by cell.  A column
+    of ints, of bools or of str spells each distinct value once (under CSV a
+    str is its own text); any other column cell by cell, since 1 == True ==
+    1.0 share a key.
     """
     spell = str if fmt == "csv" else json.dumps
-    floats, start, prepared = [], 0, []
+    floats: dict[float, str] = {}  # each float of the verb and its text
+    prepared = []
     for name, columns in tables:
         file = f"{name}.{fmt}"
         if len(set(map(len, columns.values()))) > 1:
@@ -290,39 +280,36 @@ def _prepare(fmt: str, tables: list) -> list:
                              f"{[len(col) for col in columns.values()]}")
         table = []
         for title, column in zip(("titles", *columns), (tuple(columns), *columns.values())):
-            dtype = column.dtype if isinstance(column, np.ndarray) else np.dtype(object)
-            bad, distinct = [], ()
-            if dtype == np.float64:
-                bad = column[~np.isfinite(column)][:1].tolist()
-            elif dtype.kind not in "iub":
-                cells = column.tolist() if isinstance(column, np.ndarray) else column
-                distinct = set(cells)
-                bad = [v for v in distinct if isinstance(v, float) and not math.isfinite(v)]
+            cells = (column if type(column) in (list, tuple)
+                     else column.tolist() if hasattr(column, "tolist") else list(column))
+            kinds, distinct = set(map(type, cells)), dict.fromkeys(cells)
+            bad = [] if kinds <= {float} and all(map(math.isfinite, distinct)) else [
+                v for v in distinct if isinstance(v, float) and not math.isfinite(v)]
             if bad:
                 raise ConfigError(f"refusing to write {file}: column {title} holds {bad[0]}; "
                                   "the config drives it out of float range")
-            if fmt == "csv" and not _QUOTED_CHARS.isdisjoint(
+            if fmt == "csv" and not kinds <= {float, int, bool} and not _QUOTED_CHARS.isdisjoint(
                     "".join(v for v in distinct if isinstance(v, str))):
                 raise ValueError(f"{file}: column {title} holds a cell that needs CSV quoting")
-            if dtype == np.float64:
-                floats.append(column)
-                start += len(column)
-                column = slice(start - len(column), start)
-            elif dtype.kind in "iub":
-                column = _distinct_text(column, spell)
-            elif not all(isinstance(v, str) for v in distinct):
+            if kinds <= {float}:
+                fresh = list(filterfalse(floats.__contains__, distinct))
+                floats.update(zip(fresh, map(repr, fresh)))
+                column = ([floats[v] if v else repr(v) for v in cells] if 0.0 in distinct
+                          else list(map(floats.__getitem__, cells)))
+            elif kinds == {str} and fmt == "csv":
+                column = cells
+            elif kinds in ({int}, {bool}, {str}):
+                column = map(dict(zip(distinct, map(spell, distinct))).__getitem__, cells)
+            else:
                 column = map(spell, cells)
-            elif fmt == "json":
-                column = map({v: spell(v) for v in distinct}.__getitem__, cells)
             table.append(column)
         prepared.append(table)
-    text = _distinct_text(np.concatenate([np.empty(0), *floats]), str)
-    return [[text[c] if isinstance(c, slice) else c for c in table] for table in prepared]
+    return prepared
 
 
 def _emit(cfg: RunConfig, tables: list) -> None:
-    """Check and prepare every table, each given as (name, {title: list or numpy
-    array}), in one pass (_prepare), then write them all.
+    """Check and prepare every table, each given as (name, {title: column}), in
+    one pass (_prepare), then write them all.
 
     Both formats write the prepared text in blocks of 4096 rows; only the head,
     the row text and the tail differ.  A CSV line joins its cells (csv.writer's
@@ -358,11 +345,16 @@ def _emit(cfg: RunConfig, tables: list) -> None:
 # Commands
 
 
+def _repeat(values, n: int) -> list:
+    """Each of values n times in a row, in order."""
+    return list(chain.from_iterable(map(repeat, values, repeat(n))))
+
+
 def cmd_tables(cfg: RunConfig) -> tuple[list, int, None]:
     """Frame timing, scan counts, and the measured/modeled power tables."""
     t_pss, b_tot = frame_scaling(cfg.b_sc)
     tables = [("tables-i", {"b_sc_hz": cfg.b_sc, "t_pss_s": t_pss, "b_tot_hz": b_tot,
-                            "b_tot_mhz": [f"{v / 1e6:.1f}" for v in b_tot.tolist()]})]
+                            "b_tot_mhz": [f"{v / 1e6:.1f}" for v in b_tot]})]
 
     rows_ii = []
     for arch in cfg.architectures:
@@ -376,16 +368,18 @@ def cmd_tables(cfg: RunConfig) -> tuple[list, int, None]:
     for file_name, cls in (("tables-iii", "HPADC"), ("tables-iv", "LPADC")):
         if cls not in cfg.adc_classes:
             continue
-        rows = table["adc_class"] == cls
-        columns = {title: column[rows] for title, column in table.items()}
+        rows = [i for i, row_cls in enumerate(table["adc_class"]) if row_cls == cls]
+        columns = {title: [column[i] for i in rows] for title, column in table.items()}
         if cfg.power_mode == "parametric":
             model, adc = default_power_model(cls), AdcModel(cls)
             names, b_sc, power = columns["architecture"], columns["b_sc_hz"], columns["power_w"]
-            modeled = np.empty_like(power)
-            for name in dict.fromkeys(names.tolist()):  # np.unique(names) imports numpy.ma
-                arch_rows = names == name
-                modeled[arch_rows] = parametric_power(model, archs[name], adc, b_sc[arch_rows])
-            columns["model_power_w"], columns["rel_residual"] = modeled, (modeled - power) / power
+            # One parametric_power call per architecture, over its rows in file order.
+            per_arch = {name: iter(parametric_power(model, archs[name], adc, [
+                b for row_name, b in zip(names, b_sc) if row_name == name]))
+                for name in dict.fromkeys(names)}
+            modeled = [next(per_arch[name]) for name in names]
+            columns["model_power_w"] = modeled
+            columns["rel_residual"] = [(m - p) / p for m, p in zip(modeled, power)]
         tables.append((file_name, columns))
     return tables, 0, None
 
@@ -412,11 +406,12 @@ def cmd_sweep(cfg: RunConfig) -> tuple[list, int, None]:
     # Report rows run grid-major, then b_sc, then architecture.
     rows_per_grid = len(cfg.b_sc) * len(arch_names)
     tables.append(("sweep-report", dict(zip(CSV_COLUMNS, [
-        np.tile(np.array(arch_names, dtype=object), len(cfg.b_sc) * len(grids)),
-        *(np.repeat(column, rows_per_grid) for column in zip(*labels)),
-        np.tile(np.repeat(cfg.b_sc, len(arch_names)), len(grids)),
-        *(np.array([[getattr(cols, field) for cols in per_arch] for per_arch in grids])
-          .transpose(0, 2, 1).ravel() for field in EnergyColumns._fields),
+        arch_names * (len(cfg.b_sc) * len(grids)),
+        *(_repeat(column, rows_per_grid) for column in zip(*labels)),
+        _repeat(cfg.b_sc, len(arch_names)) * len(grids),
+        *(list(chain.from_iterable(chain.from_iterable(
+            zip(*(getattr(cols, field) for cols in per_arch)) for per_arch in grids)))
+          for field in EnergyColumns._fields),
     ]))))
     return tables, 0, None
 
@@ -454,22 +449,22 @@ def cmd_verify(cfg: RunConfig) -> tuple[list, int, str]:
     results = [verify_columns(arch, scenario, cfg.geom, cfg.b_sc, sweep_order=order)
                for arch, scenario, order in calls]
     labels = [(arch.name, scenario.kind, order) for arch, scenario, order in calls]
-    passed = np.array([cols.passed for cols in results])
-    combos_passed = passed.reshape(-1, len(SWEEP_ORDERS)).all(axis=1)
+    combos_passed = [all(cols.passed for cols in results[i:i + len(SWEEP_ORDERS)])
+                     for i in range(0, len(results), len(SWEEP_ORDERS))]
     n_b_sc = len(cfg.b_sc)
     # Rows run call-major, b_sc-minor; a call's one verdict repeats over its b_sc rows.
     columns = [
-        *(np.repeat(column, n_b_sc) for column in zip(*labels)),
-        np.tile(cfg.b_sc, len(results)),
-        np.repeat([cols.n_targets for cols in results], n_b_sc),
-        *(np.concatenate([getattr(cols, field) for cols in results])
+        *(_repeat(column, n_b_sc) for column in zip(*labels)),
+        cfg.b_sc * len(results),
+        _repeat([cols.n_targets for cols in results], n_b_sc),
+        *([value for cols in results for value in getattr(cols, field).tolist()]
           for field in ("min_time", "mean_time", "max_time", "analytic_delay")),
-        np.repeat(passed, n_b_sc),
-        np.repeat(["" if cols.passed else "{}|{}".format(*cols.first_mismatch)
-                   for cols in results], n_b_sc),
+        _repeat([cols.passed for cols in results], n_b_sc),
+        _repeat(["" if cols.passed else "{}|{}".format(*cols.first_mismatch)
+                 for cols in results], n_b_sc),
     ]
-    return ([("verify", dict(zip(header, columns)))], 0 if combos_passed.all() else 3,
-            f"{combos_passed.sum()}/{combos_passed.size} combinations pass")
+    return ([("verify", dict(zip(header, columns)))], 0 if all(combos_passed) else 3,
+            f"{sum(combos_passed)}/{len(combos_passed)} combinations pass")
 
 
 def cmd_pss(cfg: RunConfig) -> tuple[list, int, None]:
@@ -537,10 +532,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        # A finite config can still overflow numpy arithmetic; _prepare refuses
-        # the non-finite result, so numpy's own warning would only be noise.
-        with np.errstate(over="ignore", invalid="ignore"):
-            tables, status, summary = COMMANDS[args.command][0](cfg)
+        tables, status, summary = COMMANDS[args.command][0](cfg)
         _emit(cfg, tables)
     except (ConfigError, PowerTableError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -4,7 +4,7 @@ The receive chain is off while positioning is acquired, so a CID search costs
 p_rx over the scan time plus the separate acquisition budget p_ci * t_ci.
 
 energy_columns() evaluates a whole b_sc column of one (architecture,
-scenario, ADC) combination in one numpy pass; energy() is its one-point case
+scenario, ADC) combination in one pass; energy() is its one-point case
 and returns the same numbers as an EnergyReport.  Both take the sweep
 geometry and the power source explicitly: model=None reads the bundled 6-bit
 table (lookup_power), a PowerModel evaluates its calibrated fit
@@ -14,8 +14,6 @@ table (lookup_power), a PowerModel evaluates its calibrated fit
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .architectures import (
     Architecture,
@@ -32,7 +30,7 @@ from .power import (
     parametric_power,
     resolution_factor,
 )
-from .signaling import SYNC_TIME_BANDWIDTH, _b_sc_array, derive_frame, frame_scaling
+from .signaling import SYNC_TIME_BANDWIDTH, _b_sc_floats, derive_frame, frame_scaling
 
 # Fixed export schema for energy grids.
 CSV_COLUMNS = (
@@ -69,20 +67,20 @@ class EnergyReport(NamedTuple):
 
 
 class EnergyColumns(NamedTuple):
-    """EnergyReport's numeric columns over a b_sc sequence, as numpy arrays."""
+    """EnergyReport's numeric columns over a b_sc sequence, as tuples of Python numbers."""
 
-    n_d: np.ndarray  # directional scans (the same at every point); int64 for any CLI config
-    t_del: np.ndarray  # s
-    p_rx: np.ndarray  # W
-    e_ci: np.ndarray  # J
-    e_total: np.ndarray  # J
+    n_d: tuple[int, ...]  # directional scans (the same at every point)
+    t_del: tuple[float, ...]  # s
+    p_rx: tuple[float, ...]  # W
+    e_ci: tuple[float, ...]  # J
+    e_total: tuple[float, ...]  # J
 
 
 def energy_columns(
     arch: Architecture,
     scenario: Scenario,
     adc: AdcModel,
-    b_sc: np.ndarray | Sequence[float],
+    b_sc: Sequence[float],
     *,
     k: int = 1,
     geom: SweepGeometry,
@@ -96,21 +94,24 @@ def energy_columns(
     e_total = p_rx * scan time + e_ci.  k > 1 is the widened-sync layout of
     proposed_structure_energy: k BS directions share a dwell and power is
     drawn at k * b_sc; directional_scans checks k.  n_d is the plain (k = 1)
-    scan count, exact (int64 if it fits).  b_sc is one-dimensional; float64 is used unscanned.
+    scan count, an exact int.  b_sc is one-dimensional (see _b_sc_floats).
     """
-    b_sc = _b_sc_array(b_sc)
+    b_sc = _b_sc_floats(b_sc)
     t_pss, _ = frame_scaling(b_sc)
     n_d = directional_scans(arch, scenario, geom)
-    scan_time = directional_scans(arch, scenario, geom, k) * t_pss
+    # An int count multiplies as its float; SweepGeometry and the k check keep it in range.
+    scans = float(directional_scans(arch, scenario, geom, k))
+    scan_time = tuple(scans * t for t in t_pss)
     t_ci, e_ci = ci_cost(arch, scenario, geom)
-    p_rx = (lookup_power(arch, adc, k * b_sc) if model is None
-            else parametric_power(model, arch, adc, k * b_sc))
+    wide = b_sc if k == 1 else tuple(float(k) * v for v in b_sc)
+    p_rx = (lookup_power(arch, adc, wide) if model is None
+            else parametric_power(model, arch, adc, wide))
     return EnergyColumns(
-        n_d=np.full(b_sc.shape, n_d),
-        t_del=scan_time + t_ci,
+        n_d=(n_d,) * len(b_sc),
+        t_del=tuple(t + t_ci for t in scan_time),
         p_rx=p_rx,
-        e_ci=np.full(b_sc.shape, e_ci),
-        e_total=p_rx * scan_time + e_ci,
+        e_ci=(e_ci,) * len(b_sc),
+        e_total=tuple(p * t + e_ci for p, t in zip(p_rx, scan_time)),
     )
 
 
@@ -127,7 +128,7 @@ def energy(
     """Full energy report for one configuration point (energy_columns at one b_sc)."""
     columns = energy_columns(arch, scenario, adc, [b_sc], k=k, geom=geom, model=model)
     return EnergyReport(arch.name, scenario.kind, adc.cls, adc.bits, float(b_sc),
-                        *(column.tolist()[0] for column in columns))  # object: no .item()
+                        *(column[0] for column in columns))
 
 
 def convergence_value(

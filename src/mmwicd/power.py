@@ -7,13 +7,15 @@ power is affine in the total system bandwidth:
 
 where c is the per-class energy per conversion step (a Walden-style figure
 of merit) and r(bits) = 2**bits is the number of conversion steps at that ADC
-resolution.  Calibration fits the per-architecture bases and the shared c
-jointly against the bundled table by least squares.
+resolution.  The per-architecture bases and the shared c are a joint least-squares
+fit to the bundled table, pinned here as the constants numpy's lstsq gave
+(see calibrate), so no output reads a numerical library.
 
 default_power_table() reads the bundled table once, on first use, as the
 file's four columns keyed by their titles, in file order: architecture and
-adc_class (str), b_sc_hz and power_w (float64, Hz and W), all read-only.
-Lookup, fit and printed tables each select their rows with a mask.
+adc_class (str), b_sc_hz and power_w (float, Hz and W), each a tuple.
+Lookup and printed tables each select their rows by class.  Both power sources
+take one sub-carrier bandwidth, giving a float, or a sequence, giving a tuple.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ import importlib.resources
 import types
 from typing import NamedTuple
 
-import numpy as np
-
 from .architectures import Architecture, _check_counts, _Checked, default_architectures
-from .signaling import _B_SC_REFUSED, _b_sc_ok, frame_scaling
+from .signaling import _checked_b_sc, frame_scaling
 
 ADC_CLASSES = ("LPADC", "HPADC")
 TABLE_BITS = 6  # the bundled table was measured with 6-bit converters
@@ -50,7 +50,7 @@ class AdcModel(_Checked, _AdcModelFields):
         if cls not in ADC_CLASSES:
             raise ValueError(f"unknown ADC class {cls!r}; expected one of {ADC_CLASSES}")
         _check_counts(bits=bits)
-        return super().__new__(_cls, cls, int(bits))
+        return super().__new__(_cls, str(cls), int(bits))  # a str_ is held as the str
 
 
 def resolution_factor(bits: int) -> float:
@@ -59,7 +59,7 @@ def resolution_factor(bits: int) -> float:
 
 
 @functools.cache
-def default_power_table() -> types.MappingProxyType[str, np.ndarray]:
+def default_power_table() -> types.MappingProxyType[str, tuple]:
     """The bundled table's columns (see the module docstring); '#' lines are comments.
 
     The file is plain comma-separated text: a header naming the columns, then
@@ -68,24 +68,21 @@ def default_power_table() -> types.MappingProxyType[str, np.ndarray]:
     ref = importlib.resources.files("mmwicd").joinpath("data/power_tables.csv")
     header, *rows = (line.split(",") for line in ref.read_text(encoding="utf-8").splitlines()
                      if line.strip() and not line.lstrip().startswith("#"))
-    table = dict(zip(header, map(np.array, zip(*rows))))
+    table = dict(zip(header, zip(*rows)))
     for title in ("b_sc_hz", "power_w"):
-        table[title] = table[title].astype(np.float64)
-    for column in table.values():  # every caller shares the cached columns
-        column.flags.writeable = False
+        table[title] = tuple(map(float, table[title]))
     return types.MappingProxyType(table)
 
 
 def lookup_power(arch: Architecture, adc: AdcModel, b_sc):
     """Exact bundled-table entry for (architecture, ADC class, b_sc); 6-bit only.
 
-    b_sc may be a numpy array, giving the entry at each point.  What
+    b_sc may be a sequence, giving a tuple of the entries at its points.  What
     parametric_power refuses raises its ValueError; PowerTableError refuses
     another resolution, a receiver that differs from default_architectures()[name],
     and a point that equals no table spacing (every point, for a pair it lacks), naming the first.
     """
-    if not _b_sc_ok(b_sc):
-        raise ValueError(_B_SC_REFUSED.format(b_sc))
+    b_sc = _checked_b_sc(b_sc)
     if adc.bits != TABLE_BITS:
         raise PowerTableError(
             f"table holds {TABLE_BITS}-bit measurements, not {adc.bits}-bit; "
@@ -99,17 +96,20 @@ def lookup_power(arch: Architecture, adc: AdcModel, b_sc):
             f"{arch.simultaneous_beams}; use the parametric model"
         )
     table = default_power_table()
-    points = np.asarray(b_sc, dtype=np.float64)[..., None]
-    match = ((table["architecture"] == arch.name) & (table["adc_class"] == adc.cls)
-             & (table["b_sc_hz"] == points))
-    missing = points[~match.any(axis=-1)]
-    if missing.size:
+    entries = {}  # spacing -> power of this pair's rows, the first row of a spacing
+    for name, cls, spacing, power in zip(table["architecture"], table["adc_class"],
+                                         table["b_sc_hz"], table["power_w"]):
+        if name == arch.name and cls == adc.cls:
+            entries.setdefault(spacing, power)
+    points = b_sc if type(b_sc) is tuple else (b_sc,)
+    missing = [point for point in points if point not in entries]
+    if missing:
         raise PowerTableError(
-            f"no table entry for ({arch.name}, {adc.cls}, b_sc={float(missing[0, 0])!r} Hz); "
+            f"no table entry for ({arch.name}, {adc.cls}, b_sc={missing[0]!r} Hz); "
             "use the parametric model"
         )
-    power = table["power_w"][match.argmax(axis=-1)]
-    return power if isinstance(b_sc, np.ndarray) else float(power)
+    power = tuple(map(entries.__getitem__, points))
+    return power if type(b_sc) is tuple else power[0]
 
 
 class PowerModel(NamedTuple):
@@ -127,27 +127,32 @@ class PowerModel(NamedTuple):
     base_power: types.MappingProxyType[str, float]
 
 
+# calibrate's constants: per ADC class, c and the base power of each architecture, in
+# name order.  They are the least-squares solution over the bundled table's rows of the
+# class that numpy 2.4.6's lstsq gives, with one indicator column per architecture and a
+# converter column n_adc * 2**TABLE_BITS * b_tot; tests/test_power.py refits them.
+_FIT = {
+    "LPADC": ("0x1.15e0000000000p-41", {
+        "ABF": "0x1.fe528cdd5dfecp-1", "DBF": "0x1.46a5d368b0462p+0",
+        "HBF": "0x1.36975cf107292p+1", "PSN": "0x1.266a72e2251e3p+1"}),
+    "HPADC": ("0x1.b722000000000p-37", {
+        "ABF": "0x1.fe7380004f71ep-1", "DBF": "0x1.4d83a1cded62cp+0",
+        "HBF": "0x1.358ec78472820p+1", "PSN": "0x1.3e0c7335e6267p+1"}),
+}
+
+
 def calibrate(adc_class: str) -> PowerModel:
-    """Fit per-architecture base powers and the shared conversion constant.
+    """Per-architecture base powers and the shared conversion constant of one ADC class.
 
-    Least squares over the bundled table's rows of the selected ADC class, in
-    file order, with b_tot derived from each row's b_sc.
+    The pinned least-squares fit of the bundled table (see _FIT), a new model each call.
     """
-    AdcModel(adc_class)  # refuses an unknown class
-    architectures = default_architectures()
-    table = default_power_table()
-    rows = table["adc_class"] == adc_class
-    arch_names, arch_index = np.unique(table["architecture"][rows], return_inverse=True)
-    # One indicator column per architecture (its base power), then the converter term.
-    n_adc = np.array([architectures[name].n_adc for name in arch_names])[arch_index]
-    slope = n_adc * resolution_factor(TABLE_BITS) * frame_scaling(table["b_sc_hz"][rows])[1]
-    design = np.column_stack([np.eye(len(arch_names))[arch_index], slope])
-
-    solution, *_ = np.linalg.lstsq(design, table["power_w"][rows], rcond=None)
+    adc_class = AdcModel(adc_class).cls  # refuses an unknown class
+    c, base_power = _FIT[adc_class]
     return PowerModel(
         adc_class=adc_class,
-        c=float(solution[-1]),
-        base_power=types.MappingProxyType(dict(zip(arch_names.tolist(), solution[:-1].tolist()))),
+        c=float.fromhex(c),
+        base_power=types.MappingProxyType({name: float.fromhex(watts)
+                                           for name, watts in base_power.items()}),
     )
 
 
@@ -163,11 +168,13 @@ def _check_model(model: PowerModel, adc: AdcModel, *archs: Architecture) -> None
 def parametric_power(model: PowerModel, arch: Architecture, adc: AdcModel, b_sc):
     """Model power (W) at any b_sc and resolution for a calibrated class.
 
-    b_sc may be a numpy array, giving the power at each point.
+    b_sc may be a sequence, giving a tuple of the power at each point.
     """
     _check_model(model, adc, arch)
     slope = arch.n_adc * model.c * resolution_factor(adc.bits)
-    return model.base_power[arch.name] + slope * frame_scaling(b_sc)[1]
+    base, b_tot = model.base_power[arch.name], frame_scaling(b_sc)[1]
+    power = tuple(base + slope * value for value in (b_tot if type(b_tot) is tuple else (b_tot,)))
+    return power if type(b_tot) is tuple else power[0]
 
 
 @functools.cache

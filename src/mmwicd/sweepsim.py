@@ -17,14 +17,16 @@ against the closed-form slot count, one integer comparison per call.  Only
 its mean reads the grid, one pass over it for a whole b_sc column of means,
 once per distinct slot vectors, CI lead and t_pss column within one bounded
 memo; verify_against_analytic returns the same VerificationColumns at one b_sc.
+
+This is the only module that uses numpy, and it imports it only inside the functions
+that build the slot vectors or the grid or take the mean, so that the verbs that
+enumerate no target start without it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .architectures import (
     ARCHITECTURE_NAMES,
@@ -33,10 +35,11 @@ from .architectures import (
     Scenario,
     SweepGeometry,
     _check_counts,
+    _integer_ok,
     ci_cost,
     directional_scans,
 )
-from .signaling import FrameConfig, _b_sc_array, frame_scaling
+from .signaling import FrameConfig, _b_sc_floats, frame_scaling
 
 SEQUENTIAL_BS_OUTER = "SequentialBsOuter"
 SEQUENTIAL_MS_OUTER = "SequentialMsOuter"
@@ -49,7 +52,7 @@ _BLOCK_VALUES = 2**20
 # verify_columns' means, oldest first, read-only, keyed by what the mean reads:
 # the slot vectors (their lengths and a digest, so no per-direction data is
 # kept), the CI lead and the t_pss column.  One CLI verify run's calls fit.
-_MEANS: dict[tuple, np.ndarray] = {}
+_MEANS: dict[tuple, object] = {}
 _MEANS_MAX = len(ARCHITECTURE_NAMES) * len(SCENARIO_KINDS) * len(SWEEP_ORDERS)
 
 
@@ -76,7 +79,7 @@ def simulate(
     target's MS direction, so only the BS groups are swept.
     """
     tb, tm = target
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in target):
+    if not all(map(_integer_ok, target)):
         raise ValueError(f"target {target} is not a pair of integer directions")
     if not (0 <= tb < geom.n_bs_directions and 0 <= tm < geom.n_ms_directions):
         raise ValueError(f"target {target} outside geometry {geom}")
@@ -113,8 +116,8 @@ def discovery_slot_sides(
     *,
     sweep_order: str = SEQUENTIAL_BS_OUTER,
     k: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(bs, ms), int64 vectors over the BS and MS directions: target (tb, tm)
+) -> tuple:
+    """(bs, ms), numpy int64 vectors over the BS and MS directions: target (tb, tm)
     is found in 1-based slot bs[tb] + ms[tm].
 
     It is seen in the one slot that pairs its BS group (tb // k) with its beam
@@ -123,6 +126,8 @@ def discovery_slot_sides(
     scenarios pin each target to its own set, so only the BS groups are swept
     and the set is 0.  The only copy of this schedule; simulate walks it.
     """
+    import numpy as np
+
     _check_order(sweep_order)
     _check_counts(k=k)
     n_bs, n_ms = geom.n_bs_directions, geom.n_ms_directions
@@ -144,7 +149,7 @@ def discovery_slot_grid(
     *,
     sweep_order: str = SEQUENTIAL_BS_OUTER,
     k: int = 1,
-) -> np.ndarray:
+):
     """1-based discovery slot for every (bs, ms) target, shape
     (n_bs_directions, n_ms_directions): the outer sum of discovery_slot_sides."""
     bs, ms = discovery_slot_sides(arch, scenario, geom, sweep_order=sweep_order, k=k)
@@ -152,22 +157,22 @@ def discovery_slot_grid(
 
 
 class VerificationColumns(NamedTuple):
-    """The oracle's verdict over a b_sc sequence; the timings as numpy arrays."""
+    """The oracle's verdict over a b_sc sequence; the timings as numpy float64 arrays."""
 
     n_targets: int  # the same at every b_sc, as are passed and first_mismatch
     passed: bool
     first_mismatch: tuple[int, int] | None  # worst target when the check fails
-    min_time: np.ndarray  # s
-    mean_time: np.ndarray  # s
-    max_time: np.ndarray  # s
-    analytic_delay: np.ndarray  # s
+    min_time: object  # s
+    mean_time: object  # s
+    max_time: object  # s
+    analytic_delay: object  # s
 
 
 def verify_columns(
     arch: Architecture,
     scenario: Scenario,
     geom: SweepGeometry,
-    b_sc: np.ndarray | Sequence[float],
+    b_sc: Sequence[float],
     *,
     sweep_order: str = SEQUENTIAL_BS_OUTER,
 ) -> VerificationColumns:
@@ -182,40 +187,44 @@ def verify_columns(
     whole rows (numpy sums each row in the pairwise order of the 1-D array),
     at most _BLOCK_VALUES values or one row when a row is bigger.  It is
     computed once per distinct slot vectors, CI lead and t_pss column, and
-    returned read-only; the other fields are derived on every call.
+    returned read-only; the other fields are derived on every call.  A t_pss
+    past what a timing holds gives inf, as the numpy arithmetic does, unwarned.
     """
-    t_pss, _ = frame_scaling(_b_sc_array(b_sc))
+    import numpy as np
+
+    t_pss, _ = frame_scaling(_b_sc_floats(b_sc))
     bs, ms = discovery_slot_sides(arch, scenario, geom, sweep_order=sweep_order)
     t_ci = ci_cost(arch, scenario, geom)[0]
     digest = hashlib.blake2b(bs)
     digest.update(ms)
-    key = (bs.size, ms.size, digest.digest(), t_ci, t_pss.tobytes())
-    mean_time = _MEANS.get(key)
-    if mean_time is None:
-        flat = discovery_slot_grid(arch, scenario, geom, sweep_order=sweep_order).reshape(1, -1)
-        mean_time = np.empty_like(t_pss)
-        step = max(1, _BLOCK_VALUES // flat.size)
-        for start in range(0, len(t_pss), step):
-            rows = slice(start, start + step)
-            block = flat * t_pss[rows, None]
-            block += t_ci
-            mean_time[rows] = block.mean(axis=1)
-            del block  # freed before the next block is allocated
-        mean_time.setflags(write=False)
-        if len(_MEANS) >= _MEANS_MAX:
-            del _MEANS[next(iter(_MEANS))]
-        _MEANS[key] = mean_time
-    worst, scans = int(bs.max() + ms.max()), directional_scans(arch, scenario, geom)
-    passed = worst == scans
-    return VerificationColumns(
-        n_targets=bs.size * ms.size,
-        passed=passed,
-        first_mismatch=None if passed else (int(np.argmax(bs)), int(np.argmax(ms))),
-        min_time=(bs.min() + ms.min()) * t_pss + t_ci,
-        mean_time=mean_time,
-        max_time=worst * t_pss + t_ci,
-        analytic_delay=scans * t_pss + t_ci,
-    )
+    key = (bs.size, ms.size, digest.digest(), t_ci, t_pss)
+    mean_time, t_pss = _MEANS.get(key), np.array(t_pss, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mean_time is None:
+            flat = discovery_slot_grid(arch, scenario, geom, sweep_order=sweep_order).reshape(1, -1)
+            mean_time = np.empty_like(t_pss)
+            step = max(1, _BLOCK_VALUES // flat.size)
+            for start in range(0, len(t_pss), step):
+                rows = slice(start, start + step)
+                block = flat * t_pss[rows, None]
+                block += t_ci
+                mean_time[rows] = block.mean(axis=1)
+                del block  # freed before the next block is allocated
+            mean_time.setflags(write=False)
+            if len(_MEANS) >= _MEANS_MAX:
+                del _MEANS[next(iter(_MEANS))]
+            _MEANS[key] = mean_time
+        worst, scans = int(bs.max() + ms.max()), directional_scans(arch, scenario, geom)
+        passed = worst == scans
+        return VerificationColumns(
+            n_targets=bs.size * ms.size,
+            passed=passed,
+            first_mismatch=None if passed else (int(np.argmax(bs)), int(np.argmax(ms))),
+            min_time=(bs.min() + ms.min()) * t_pss + t_ci,
+            mean_time=mean_time,
+            max_time=worst * t_pss + t_ci,
+            analytic_delay=scans * t_pss + t_ci,
+        )
 
 
 def verify_against_analytic(

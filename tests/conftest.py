@@ -53,8 +53,8 @@ def table_rows():
     """The bundled power table as (architecture, adc_class, b_sc, power) rows of
     Python values, in file order."""
     table = default_power_table()
-    return list(zip(*(table[title].tolist()
-                      for title in ("architecture", "adc_class", "b_sc_hz", "power_w"))))
+    return list(zip(*(table[title] for title in ("architecture", "adc_class", "b_sc_hz",
+                                                 "power_w"))))
 
 
 def read_csv(path):

@@ -11,7 +11,9 @@ __init__.py's `__all__` must name exactly the names it imports, plus
 Every CLI verb is a fresh process, so what importing the package costs is
 paid on every run: the records are named tuples, and importing the CLI loads
 neither `dataclasses` (whose decorator generates and compiles code per class)
-nor `csv`.
+nor `csv`.  numpy, about half of a quick verb's time, is imported only inside
+the sweepsim functions that enumerate targets: `--version`, tables, sweep and
+convergence never load it, under either power mode, and verify and pss do.
 """
 
 import ast
@@ -67,6 +69,67 @@ def test_all_names_exactly_the_imports():
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert sorted(mmwicd.__all__) == sorted([*imported, "__version__"])
     assert [name for name in mmwicd.__all__ if not hasattr(mmwicd, name)] == []
+
+
+def numpy_reads(source: str) -> list[str]:
+    """Each import of numpy outside every function body, and each mention of linalg."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            modules = ([alias.name for alias in child.names] if isinstance(child, ast.Import)
+                       else [child.module or ""] if isinstance(child, ast.ImportFrom) else [])
+            if any(module.split(".")[0] == "numpy" for module in modules):
+                found.append(f"line {child.lineno}: imports numpy")
+            visit(child)
+
+    tree = ast.parse(source)
+    visit(tree)
+    found += [f"line {node.lineno}: linalg" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "linalg"
+              or isinstance(node, ast.Name) and node.id == "linalg"
+              or isinstance(node, ast.alias) and "linalg" in node.name.split(".")]
+    return found
+
+
+@pytest.mark.parametrize("module", [*MODULES, PACKAGE / "__init__.py"], ids=lambda p: p.name)
+def test_numpy_is_imported_only_inside_functions(module):
+    assert numpy_reads(module.read_text(encoding="utf-8")) == []
+
+
+def test_a_module_level_numpy_import_is_caught():
+    source = ("import numpy as np\nfrom numpy.linalg import lstsq\n\nclass C:\n"
+              "    import numpy\n\ndef f():\n    import numpy as np\n    return np.linalg\n")
+    assert numpy_reads(source) == ["line 1: imports numpy", "line 2: imports numpy",
+                                   "line 5: imports numpy", "line 9: linalg"]
+
+
+NUMPY_PROBE = """\
+import json, sys
+import mmwicd.cli
+try:
+    code = mmwicd.cli.main(sys.argv[1:])
+except SystemExit as exc:  # --version
+    code = exc.code
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+# Each verb under both power modes; only verify and pss enumerate targets.
+NUMPY_RUNS = [["--version"], *([verb, "--power-mode", mode]
+                               for verb in ("tables", "sweep", "convergence", "verify", "pss")
+                               for mode in ("lookup", "parametric"))]
+
+
+@pytest.mark.parametrize("args", NUMPY_RUNS, ids=" ".join)
+def test_only_verify_and_pss_load_numpy(tmp_path, args):
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = [] if args == ["--version"] else ["--out", str(tmp_path)]
+    result = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *args, *out], env=env,
+                            capture_output=True, text=True, check=True)
+    assert json.loads(result.stdout.splitlines()[-1]) == [0, args[0] in ("verify", "pss")]
 
 
 def test_cli_import_loads_no_dataclasses_or_csv():

@@ -31,19 +31,21 @@ class TestPowerTable:
         table = default_power_table()
         assert list(table) == ["architecture", "adc_class", "b_sc_hz", "power_w"]
         assert {len(column) for column in table.values()} == {40}
-        assert table["b_sc_hz"].dtype == table["power_w"].dtype == np.float64
+        assert [set(map(type, column)) for column in table.values()] == [{str}, {str}, {float},
+                                                                          {float}]
         for cls in ADC_CLASSES:
             for name in ARCHITECTURE_NAMES:
-                rows = (table["architecture"] == name) & (table["adc_class"] == cls)
-                assert sorted(table["b_sc_hz"][rows].tolist()) == sorted(TABULATED_B_SC)
+                spacings = [b_sc for row_name, row_cls, b_sc, _ in table_rows()
+                            if (row_name, row_cls) == (name, cls)]
+                assert sorted(spacings) == sorted(TABULATED_B_SC)
 
     def test_columns_are_read_only(self):
         table = default_power_table()
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             table["power_w"][0] = 0.0
         with pytest.raises(TypeError):
-            table["power_w"] = np.zeros(40)
-        assert not any(column.flags.writeable for column in table.values())
+            table["power_w"] = (0.0,) * 40
+        assert all(type(column) is tuple for column in table.values())
 
     def test_rows_in_file_order(self):
         # calibrate's least-squares rows and the printed tables follow the file
@@ -105,7 +107,7 @@ class TestLookup:
         adc = AdcModel("LPADC")
         b_sc = np.array(TABULATED_B_SC[::-1])
         powers = lookup_power(archs["HBF"], adc, b_sc)
-        assert powers.tolist() == [lookup_power(archs["HBF"], adc, b) for b in b_sc.tolist()]
+        assert powers == tuple(lookup_power(archs["HBF"], adc, b) for b in b_sc.tolist())
         # the first spacing off the table in input order, not the smallest
         with pytest.raises(PowerTableError, match=r"b_sc=123000\.0 Hz"):
             lookup_power(archs["HBF"], adc, np.array([15e3, 123e3, 250e3, 7e3]))
@@ -132,7 +134,7 @@ class TestLookup:
         monkeypatch.setattr("mmwicd.power.default_power_table", lambda: table)
         assert lookup_power(archs["ABF"], AdcModel("HPADC"), 77e3) == 1.5
         powers = lookup_power(archs["ABF"], AdcModel("HPADC"), np.array([77e3, 15e3]))
-        assert powers.tolist() == [1.5, 1.0]
+        assert powers == (1.5, 1.0)
         assert lookup_power(archs["DBF"], AdcModel("HPADC"), 15e3) == 2.0
         assert lookup_power(archs["ABF"], AdcModel("LPADC"), 15e3) == 0.5
         for name, cls in (("DBF", "HPADC"), ("ABF", "LPADC")):
@@ -152,13 +154,16 @@ class TestLookup:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite number > 0"):
             call(archs, AdcModel("HPADC"))
 
-    def test_a_list_is_refused_naming_what_is_taken(self, archs):
+    def test_a_sequence_gives_a_tuple_and_a_bad_one_names_what_is_taken(self, archs):
         adc, model = AdcModel("HPADC"), default_power_model("HPADC")
-        for call in (lambda: lookup_power(archs["DBF"], adc, [15e3]),
-                     lambda: parametric_power(model, archs["DBF"], adc, [15e3])):
+        for power in (lambda b_sc: lookup_power(archs["DBF"], adc, b_sc),
+                      lambda b_sc: parametric_power(model, archs["DBF"], adc, b_sc)):
+            assert power([15e3]) == power((15e3,)) == power(np.array([15e3])) == (power(15e3),)
+            assert power([]) == ()
             with pytest.raises(ValueError, match=re.escape(
-                    "must be a finite number > 0, or a numpy array of them, got [15000.0]")):
-                call()
+                    "must be a finite number > 0, or a one-dimensional sequence of them, "
+                    "got [15000.0, 0.0]")):
+                power([15e3, 0.0])
 
 
 class TestResolutionFactor:
@@ -205,6 +210,29 @@ class TestCalibration:
         assert hp.base_power["DBF"] == pytest.approx(1.302799, rel=1e-5, abs=0)
         assert lp.base_power["ABF"] == pytest.approx(0.996723, rel=1e-5, abs=0)
 
+    @pytest.mark.parametrize("cls", ADC_CLASSES)
+    def test_pinned_fit_is_the_least_squares_refit(self, cls, archs):
+        # calibrate's constants, bit for bit, against lstsq over one indicator column per
+        # architecture (names sorted) and the converter column, rows in file order
+        rows = [row for row in table_rows() if row[1] == cls]
+        names = sorted({name for name, *_ in rows})
+        indicators = np.eye(len(names))[[names.index(name) for name, *_ in rows]]
+        n_adc = np.array([archs[name].n_adc for name, *_ in rows])
+        b_tot = np.array(frame_scaling([b_sc for _, _, b_sc, _ in rows])[1])
+        design = np.column_stack([indicators, n_adc * resolution_factor(6) * b_tot])
+        solution, *_ = np.linalg.lstsq(design, np.array([power for *_, power in rows]),
+                                       rcond=None)
+        model = calibrate(cls)
+        assert (model.adc_class, list(model.base_power)) == (cls, names)
+        assert [v.hex() for v in (model.c, *model.base_power.values())] == \
+            [float(v).hex() for v in (solution[-1], *solution[:-1])]
+
+    def test_calibrate_holds_python_values(self):
+        model = calibrate(np.str_("LPADC"))
+        assert [type(v) for v in (model.adc_class, model.c, *model.base_power.values())] == \
+            [str, float, float, float, float, float]
+        assert calibrate("LPADC") == model and calibrate("LPADC") is not model
+
     def test_slope_against_two_point_estimate(self, archs):
         # independent slope estimate from the DBF end points of the table
         table = {(name, b_sc): power for name, cls, b_sc, power in table_rows()
@@ -237,7 +265,7 @@ class TestCalibration:
         adc = AdcModel("LPADC", bits=3)
         b_sc = [15e3, 41e3, 2.5e6, 7e8]
         powers = parametric_power(model, archs["PSN"], adc, np.array(b_sc))
-        assert powers.tolist() == [parametric_power(model, archs["PSN"], adc, b) for b in b_sc]
+        assert powers == tuple(parametric_power(model, archs["PSN"], adc, b) for b in b_sc)
 
     def test_class_mismatch_raises(self, archs):
         model = default_power_model("HPADC")

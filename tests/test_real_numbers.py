@@ -126,11 +126,18 @@ def test_narrow_float_computes_as_the_python_float(value):
     wide = float(value)
     frame, expected = derive_frame(value), derive_frame(wide)
     assert (frame.t_pss, frame.b_tot) == (expected.t_pss, expected.b_tot)
-    assert np.asarray(frame.t_pss).dtype == np.asarray(frame.b_tot).dtype == np.float64
+    assert type(frame.t_pss) is type(frame.b_tot) is float
     power = ENTRIES["parametric_power"]
-    assert power(value) == power(wide) and np.asarray(power(value)).dtype == np.float64
+    assert power(value) == power(wide) and type(power(value)) is float
     array = frame_scaling(np.array([value]))
-    assert [column.tolist() for column in array] == [[expected.t_pss], [expected.b_tot]]
+    assert array == ((expected.t_pss,), (expected.b_tot,))
+
+
+@pytest.mark.parametrize("value", [np.array([15e3]), np.array([15e3, 250e3]), [15e3], (15e3,)],
+                         ids=["1-point-array", "2-point-array", "list", "tuple"])
+def test_derive_frame_refuses_a_sequence(value):
+    with pytest.raises(ValueError, match="derive_frame takes one sub-carrier bandwidth"):
+        derive_frame(value)
 
 
 COUNTS_ACCEPTED = [1, np.int64(2**62), 2**70]
@@ -253,6 +260,14 @@ def test_record_fields_are_read_only(name):
             setattr(built, field, getattr(built, field))
     with pytest.raises(AttributeError):
         built.extra = 1
+
+
+def test_records_hold_the_str_of_a_str_subclass():
+    # numpy's str_ passes the name checks; the record keeps the plain str
+    for built, expected in [(Scenario(np.str_("nCI")), Scenario("nCI")),
+                            (build_architecture(np.str_("ABF")), build_architecture("ABF")),
+                            (AdcModel(np.str_("HPADC")), AdcModel("HPADC"))]:
+        assert type(built[0]) is str and repr(built) == repr(expected)
 
 
 def test_record_reprs():
