@@ -12,7 +12,7 @@ zero by its sign); a column of ints, bools or str each distinct value once;
 any other column cell by cell.
 A non-finite float is refused (exit 2), naming the file and column, before
 any file is written, so a verb that fails writes no file.  Every verb but
-verify and pss computes in Python floats and ints and runs without numpy.
+verify computes in Python floats and ints and runs without numpy.
 
 Config file keys override DEFAULT_CONFIG, and flags override both.  A list is
 non-empty with every entry valid and distinct, a choice one of its names, a
@@ -70,7 +70,9 @@ from .power import (
 )
 from .signaling import _b_sc_ok, _real_ok, derive_frame, frame_scaling
 from .sweepsim import (
+    SEQUENTIAL_BS_OUTER,
     SWEEP_ORDERS,
+    _sides,
     verify_columns,
     worst_case_structure_delay,
 )
@@ -467,19 +469,23 @@ def cmd_verify(cfg: RunConfig) -> tuple[list, int, str]:
             f"{sum(combos_passed)}/{len(combos_passed)} combinations pass")
 
 
-def cmd_pss(cfg: RunConfig) -> tuple[list, int, None]:
+def cmd_pss(cfg: RunConfig) -> tuple[list, int, str]:
     """Widened-sync slot layout: delay and energy vs. k (parametric power).
 
     Evaluated for nCI (else the first listed scenario), the first ADC class and the first
     bits, which the last four columns name; proposed report at b_sc with k, baseline at k * b_sc.
+    A row passes when the slowest slot of the schedule's forms equals directional_scans at
+    its k, compared as integers, so that no CI lead can round a gap away in seconds.
     """
     scenario = next((s for s in cfg.scenarios if s.kind == "nCI"), cfg.scenarios[0])
     cls, bits = cfg.adc_classes[0], cfg.bits[0]
     adc, model = AdcModel(cls, bits=bits), default_power_model(cls)
     frame = derive_frame(cfg.pss_base_b_sc)
-    rows = []
+    rows, passes = [], []
     for arch in cfg.architectures:
         for k in cfg.k_values:
+            bs, ms = _sides(arch, scenario, cfg.geom, SEQUENTIAL_BS_OUTER, k)
+            passes.append(bs.max + ms.max == directional_scans(arch, scenario, cfg.geom, k))
             worst = worst_case_structure_delay(arch, scenario, cfg.geom, frame, k=k)
             proposed = energy(arch, scenario, adc, frame.b_sc, k=k, geom=cfg.geom, model=model)
             baseline = energy(arch, scenario, adc, k * frame.b_sc, geom=cfg.geom, model=model)
@@ -491,7 +497,8 @@ def cmd_pss(cfg: RunConfig) -> tuple[list, int, None]:
                          "energy_ratio": proposed.e_total / baseline.e_total,
                          "scenario": scenario.kind, "adc_class": cls, "bits": bits,
                          "power_mode": "parametric"})
-    return [("pss", {title: [row[title] for row in rows] for title in rows[0]})], 0, None
+    return ([("pss", {title: [row[title] for row in rows] for title in rows[0]})],
+            0 if all(passes) else 3, f"{sum(passes)}/{len(passes)} rows pass")
 
 
 # Each verb's function and its --help text.

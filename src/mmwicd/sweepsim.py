@@ -6,21 +6,25 @@ whatever the walk produces, never the closed form.  Detection is decided at
 the end of a dwell, so discovery lands on slot boundaries.  The widened-sync
 layout is the same sweep with k BS directions per dwell.
 
-discovery_slot_sides inverts the walk's slot -> (BS group, beam set) schedule:
-every pair is visited exactly once per sweep, so a target's first-alignment
-slot is a BS term plus an MS term, and the all-targets grid
-(discovery_slot_grid) is their outer sum.  The slot-by-slot walk (simulate)
-is the reference the grid is tested against.
+_sides inverts the walk's slot -> (BS group, beam set) schedule: every pair
+is visited exactly once per sweep, so a target's first-alignment slot is a
+BS term plus an MS term, and each side's term is one arithmetic form,
+start + step * (i // width), whose minimum, maximum and first argmax are
+read off in Python ints.  discovery_slot_sides evaluates the forms into two
+vectors, and the all-targets grid (discovery_slot_grid) is their outer sum.
+The slot-by-slot walk (simulate) is the reference all of them are tested
+against.
 
-verify_columns compares slots: the slowest slot, read from the two vectors,
-against the closed-form slot count, one integer comparison per call.  Only
-its mean reads the grid, one pass over it for a whole b_sc column of means,
-once per distinct slot vectors, CI lead and t_pss column within one bounded
-memo; verify_against_analytic returns the same VerificationColumns at one b_sc.
+worst_case_structure_delay and verify_columns' verdict read the slowest slot
+from the forms, so they build no vector; the verdict compares it with the
+closed-form slot count, one integer comparison per call.  Only verify_columns'
+mean reads the grid, one pass over it for a whole b_sc column of means, once
+per distinct slot vectors, CI lead and t_pss column within one bounded memo;
+verify_against_analytic returns the same VerificationColumns at one b_sc.
 
-This is the only module that uses numpy, and it imports it only inside the functions
-that build the slot vectors or the grid or take the mean, so that the verbs that
-enumerate no target start without it.
+This is the only module that uses numpy, and it imports it only inside the
+functions that build the slot vectors or the grid or take the mean, so that
+every verb but verify, pss included, starts without it.
 """
 
 from __future__ import annotations
@@ -56,9 +60,47 @@ _MEANS: dict[tuple, object] = {}
 _MEANS_MAX = len(ARCHITECTURE_NAMES) * len(SCENARIO_KINDS) * len(SWEEP_ORDERS)
 
 
-def _check_order(sweep_order: str) -> None:
+class _Side(NamedTuple):
+    """One side of the slot schedule: of its n directions, direction i is found in
+    slot term start + step * (i // width).  The smallest term is start, at i = 0."""
+
+    n: int
+    start: int
+    step: int
+    width: int
+    max: int  # start + step * (ceil(n / width) - 1), the last group's term
+    argmax: int  # the first direction of the last group, 0 when step == 0
+
+
+def _sides(
+    arch: Architecture, scenario: Scenario, geom: SweepGeometry, sweep_order: str, k: int
+) -> tuple[_Side, _Side]:
+    """(bs, ms): the slot schedule as two arithmetic forms, in Python ints.
+
+    Target (tb, tm) is seen in the one slot that pairs its BS group (tb // k)
+    with its beam set (tm // beams): 0-based slot set * n_groups + group under
+    SequentialBsOuter, group * n_sets + set under SequentialMsOuter.  Pinned
+    scenarios pin each target to its own set, so only the BS groups are swept
+    and the MS term is 0.  The only copy of this schedule, with its checks of
+    the order and of k; simulate walks it.
+    """
     if sweep_order not in SWEEP_ORDERS:
         raise ValueError(f"unknown sweep order {sweep_order!r}; expected one of {SWEEP_ORDERS}")
+    _check_counts(k=k)
+    n_bs, n_ms = geom.n_bs_directions, geom.n_ms_directions
+    # A group or set wider than its side already holds all of it: no slot moves.
+    k, beams = min(int(k), n_bs), min(arch.simultaneous_beams, n_ms)
+    n_groups, n_sets = -(-n_bs // k), -(-n_ms // beams)
+    if scenario.kind == "nCI":
+        bs_step, ms_step = (1, n_groups) if sweep_order == SEQUENTIAL_BS_OUTER else (n_sets, 1)
+    else:  # the target's own set alone: one set, so only the BS groups move
+        bs_step, ms_step = 1, 0
+    sides = []
+    for n, start, step, width in ((n_bs, 1, bs_step, k), (n_ms, 0, ms_step, beams)):
+        groups = -(-n // width)
+        sides.append(_Side(n, start, step, width, start + step * (groups - 1),
+                           (groups - 1) * width if step else 0))
+    return tuple(sides)
 
 
 def simulate(
@@ -83,8 +125,7 @@ def simulate(
         raise ValueError(f"target {target} is not a pair of integer directions")
     if not (0 <= tb < geom.n_bs_directions and 0 <= tm < geom.n_ms_directions):
         raise ValueError(f"target {target} outside geometry {geom}")
-    _check_order(sweep_order)
-    _check_counts(k=k)
+    _sides(arch, scenario, geom, sweep_order, k)  # the order and k checks; the walk reads no form
     n_bs, n_ms = geom.n_bs_directions, geom.n_ms_directions
     beams = arch.simultaneous_beams
     n_groups = -(-n_bs // k)
@@ -118,28 +159,13 @@ def discovery_slot_sides(
     k: int = 1,
 ) -> tuple:
     """(bs, ms), numpy int64 vectors over the BS and MS directions: target (tb, tm)
-    is found in 1-based slot bs[tb] + ms[tm].
-
-    It is seen in the one slot that pairs its BS group (tb // k) with its beam
-    set (tm // beams): 0-based slot set * n_groups + group under
-    SequentialBsOuter, group * n_sets + set under SequentialMsOuter.  Pinned
-    scenarios pin each target to its own set, so only the BS groups are swept
-    and the set is 0.  The only copy of this schedule; simulate walks it.
+    is found in 1-based slot bs[tb] + ms[tm].  Each is its side's form of the
+    schedule (_sides), start + step * (i // width), evaluated at every direction.
     """
     import numpy as np
 
-    _check_order(sweep_order)
-    _check_counts(k=k)
-    n_bs, n_ms = geom.n_bs_directions, geom.n_ms_directions
-    # A group or set wider than its side already holds all of it: no slot moves.
-    k, beams = min(k, n_bs), min(arch.simultaneous_beams, n_ms)
-    group = np.arange(n_bs, dtype=np.int64) // k
-    n_sets, set_i = -(-n_ms // beams), np.arange(n_ms, dtype=np.int64) // beams
-    if scenario.kind != "nCI":
-        n_sets, set_i = 1, np.zeros_like(set_i)
-    if sweep_order == SEQUENTIAL_BS_OUTER:
-        return group + 1, set_i * -(-n_bs // k)
-    return group * n_sets + 1, set_i
+    return tuple(side.start + side.step * (np.arange(side.n, dtype=np.int64) // side.width)
+                 for side in _sides(arch, scenario, geom, sweep_order, k))
 
 
 def discovery_slot_grid(
@@ -180,19 +206,22 @@ def verify_columns(
     (directional_scans), at each b_sc of a one-dimensional column.
 
     Each timing equals, bit for bit, the reduction of times = grid * t_pss +
-    t_ci at that b_sc.  min and max are the slot vectors' summed minima and
-    maxima, as x * t_pss + t_ci rounds monotonically in x for t_pss > 0, and
-    the worst target (the grid's first row-major argmax) is their argmaxes.
-    The mean takes one float row of discovery_slot_grid per b_sc, in blocks of
-    whole rows (numpy sums each row in the pairwise order of the 1-D array),
-    at most _BLOCK_VALUES values or one row when a row is bigger.  It is
-    computed once per distinct slot vectors, CI lead and t_pss column, and
-    returned read-only; the other fields are derived on every call.  A t_pss
-    past what a timing holds gives inf, as the numpy arithmetic does, unwarned.
+    t_ci at that b_sc.  min and max are the schedule forms' (_sides) summed
+    minima and maxima, as x * t_pss + t_ci rounds monotonically in x for
+    t_pss > 0, and the worst target (the grid's first row-major argmax) is
+    their first argmaxes; no vector is read for them.  Only the mean reads the
+    slot vectors: its memo key digests them, and it takes one float row of
+    discovery_slot_grid per b_sc, in blocks of whole rows (numpy sums each row
+    in the pairwise order of the 1-D array), at most _BLOCK_VALUES values or
+    one row when a row is bigger.  It is computed once per distinct slot
+    vectors, CI lead and t_pss column, and returned read-only; the other
+    fields are derived on every call.  A t_pss past what a timing holds gives
+    inf, as the numpy arithmetic does, unwarned.
     """
     import numpy as np
 
     t_pss, _ = frame_scaling(_b_sc_floats(b_sc))
+    bs_side, ms_side = _sides(arch, scenario, geom, sweep_order, 1)
     bs, ms = discovery_slot_sides(arch, scenario, geom, sweep_order=sweep_order)
     t_ci = ci_cost(arch, scenario, geom)[0]
     digest = hashlib.blake2b(bs)
@@ -214,13 +243,13 @@ def verify_columns(
             if len(_MEANS) >= _MEANS_MAX:
                 del _MEANS[next(iter(_MEANS))]
             _MEANS[key] = mean_time
-        worst, scans = int(bs.max() + ms.max()), directional_scans(arch, scenario, geom)
+        worst, scans = bs_side.max + ms_side.max, directional_scans(arch, scenario, geom)
         passed = worst == scans
         return VerificationColumns(
-            n_targets=bs.size * ms.size,
+            n_targets=bs_side.n * ms_side.n,
             passed=passed,
-            first_mismatch=None if passed else (int(np.argmax(bs)), int(np.argmax(ms))),
-            min_time=(bs.min() + ms.min()) * t_pss + t_ci,
+            first_mismatch=None if passed else (bs_side.argmax, ms_side.argmax),
+            min_time=(bs_side.start + ms_side.start) * t_pss + t_ci,
             mean_time=mean_time,
             max_time=worst * t_pss + t_ci,
             analytic_delay=scans * t_pss + t_ci,
@@ -247,7 +276,8 @@ def worst_case_structure_delay(
     *,
     k: int = 1,
 ) -> float:
-    """Max discovery time over all targets with k BS directions per dwell (s);
-    either sweep order ends in the same last slot, so neither is asked for."""
-    bs, ms = discovery_slot_sides(arch, scenario, geom, k=k)
-    return float(bs.max() + ms.max()) * frame.t_pss + ci_cost(arch, scenario, geom)[0]
+    """Max discovery time over all targets with k BS directions per dwell (s),
+    from the schedule's forms, so no vector is built at any geometry; either
+    sweep order ends in the same last slot, so neither is asked for."""
+    bs, ms = _sides(arch, scenario, geom, SEQUENTIAL_BS_OUTER, k)
+    return float(bs.max + ms.max) * frame.t_pss + ci_cost(arch, scenario, geom)[0]

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmwicd import (AdcModel, SweepGeometry, build_architecture, cli, default_scenarios, power,
-                    signaling, sweepsim)
+from mmwicd import (AdcModel, SweepGeometry, architectures, build_architecture, cli,
+                    default_scenarios, power, signaling, sweepsim)
 from mmwicd.cli import DEFAULT_CONFIG, config_fingerprint, main
 
 from conftest import TABULATED_B_SC, read_csv, scalar_energy
@@ -349,6 +349,30 @@ class TestPss:
         rows = read_csv(tmp_path / "out" / "pss.csv")
         assert len(rows) == 4 * len(raw.get("k", DEFAULT_CONFIG["k"]))
         assert all(r["sim_worst_delay_s"] == r["analytic_delay_s"] for r in rows)
+
+    @pytest.mark.parametrize("one_slot_long, scenarios, code, summary",
+                             [(False, None, 0, "20/20"), (True, None, 3, "0/20"),
+                              (True, ["CID"], 3, "0/20")],
+                             ids=["closed-form", "closed-form-one-slot-long",
+                                  "CID-closed-form-one-slot-long"])
+    def test_verdict_survives_a_huge_lead_time(self, tmp_path, capsys, monkeypatch,
+                                               one_slot_long, scenarios, code, summary):
+        # The golden config evaluates nCI.  Under CID, 1e20 s of lead absorbs a
+        # one-slot gap in the seconds columns, not in the slot verdict.
+        raw = dict(GOLDEN_CONFIGS["cid-lead-1e20"])
+        if scenarios is not None:
+            raw["scenarios"] = scenarios
+        if one_slot_long:
+            real = architectures.directional_scans
+            for module in (architectures, cli):
+                monkeypatch.setattr(module, "directional_scans", lambda *args: real(*args) + 1)
+        assert run_with_config("pss", tmp_path, raw) == code
+        assert capsys.readouterr().out.splitlines()[-1] == f"{summary} rows pass"
+        if scenarios is not None:
+            rows = read_csv(tmp_path / "out" / "pss.csv")
+            # DBF's 16 beams see every MS direction, so it pays no lead
+            assert {r["architecture"] for r in rows
+                    if r["sim_worst_delay_s"] == r["analytic_delay_s"]} == {"ABF", "HBF", "PSN"}
 
     def test_rows_name_what_was_evaluated(self, tmp_path):
         # pss evaluates nCI (when listed), the first ADC class and the first bits
@@ -1059,9 +1083,11 @@ class TestCliProperty:
         assert written and stderr == ""
         for name, numbers in written.items():
             assert all(map(math.isfinite, numbers)), name
-        if verb == "verify":
-            passed, total = stdout.splitlines()[-1].split()[0].split("/")
+        if verb in ("verify", "pss"):
+            counts, *summary = stdout.splitlines()[-1].split()
+            passed, total = counts.split("/")
             assert passed == total
+            assert summary == (["rows", "pass"] if verb == "pss" else ["combinations", "pass"])
 
     @given(run_args=damaged_runs())
     @settings(max_examples=100, deadline=None)

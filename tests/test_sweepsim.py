@@ -315,6 +315,42 @@ class TestDiscoveryGrid:
         assert np.array_equal(grid(2**70, 3), grid(14, 3))
 
 
+counts_past_the_side = st.one_of(st.integers(1, 12), st.just(2**70))
+
+
+class TestScheduleForms:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_bs=st.integers(1, 12),
+        n_ms=st.integers(1, 10),
+        name=st.sampled_from(ARCHITECTURE_NAMES),
+        n_ms_antennas=counts_past_the_side,
+        n_rf_chains=counts_past_the_side,
+        n_combiners=counts_past_the_side,
+        k=counts_past_the_side,
+        order=st.sampled_from(SWEEP_ORDERS),
+        kind=st.sampled_from(SCENARIO_KINDS),
+    )
+    def test_forms_equal_the_vectors_and_the_walk(self, n_bs, n_ms, name, n_ms_antennas,
+                                                  n_rf_chains, n_combiners, k, order, kind):
+        arch = build_architecture(name, n_ms_antennas=n_ms_antennas,
+                                  n_rf_chains=n_rf_chains, n_combiners=n_combiners)
+        scenario = default_scenarios()[kind]
+        geom = SweepGeometry(n_bs_directions=n_bs, n_ms_directions=n_ms)
+        forms = sweepsim._sides(arch, scenario, geom, order, k)
+        vectors = discovery_slot_sides(arch, scenario, geom, sweep_order=order, k=k)
+        for form, vector in zip(forms, vectors):
+            stats = (form.n, form.start, form.max, form.argmax)
+            assert all(type(stat) is int for stat in stats)
+            assert stats == (vector.size, vector.min(), vector.max(), np.argmax(vector))
+        # the walk in either order ends in the slot worst_case_structure_delay reads
+        slowest = max(simulate(arch, scenario, geom, (tb, tm), order, k=k)
+                      for tb in range(n_bs) for tm in range(n_ms))
+        frame = derive_frame(250e3)
+        assert worst_case_structure_delay(arch, scenario, geom, frame, k=k) == (
+            slowest * frame.t_pss + ci_cost(arch, scenario, geom)[0])
+
+
 class TestScaledGeometry:
     @pytest.mark.parametrize("order", SWEEP_ORDERS)
     def test_oracle_holds_off_default_geometry(self, archs, scens, order):
