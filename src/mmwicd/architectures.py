@@ -78,8 +78,10 @@ class Architecture(_Checked, _ArchitectureFields):
 
     def __new__(_cls, name: str, n_adc: int, simultaneous_beams: int):
         _check_counts(n_adc=n_adc, simultaneous_beams=simultaneous_beams)
-        # Held as Python ints: numpy ones wrap at 2**63 in the models' products.
-        return super().__new__(_cls, name, int(n_adc), int(simultaneous_beams))
+        if name not in ARCHITECTURE_NAMES:
+            raise ValueError(f"unknown architecture {name!r}; expected one of {ARCHITECTURE_NAMES}")
+        # Held as a str and Python ints (numpy ones wrap at 2**63 in the models' products).
+        return super().__new__(_cls, str(name), int(n_adc), int(simultaneous_beams))
 
 
 def build_architecture(
@@ -109,7 +111,7 @@ def build_architecture(
     if name not in wiring:
         raise ValueError(f"unknown architecture {name!r}; expected one of {ARCHITECTURE_NAMES}")
     rf, beams = wiring[name]
-    return Architecture(name=str(name), n_adc=2 * int(rf), simultaneous_beams=beams)
+    return Architecture(name=name, n_adc=2 * int(rf), simultaneous_beams=beams)
 
 
 def default_architectures() -> dict[str, Architecture]:

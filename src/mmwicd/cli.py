@@ -4,15 +4,15 @@ Verbs: tables | sweep | convergence | verify | pss.  Outputs are deterministic
 CSV (or JSON) files; every file embeds the tool version and a hash of the
 scientific configuration so results can be traced back to their inputs.
 Each verb returns each table as (file name, {title: column}), every column a
-sequence of Python values; main reads each column once, both to check it and
-to spell its cells, then one writer writes every table from that text, in the
-bytes csv.writer or json.dump(indent=2) would.  A column of floats renders
+list or tuple of one type: float, int, bool or str.  main checks every column
+and spells its cells, then one writer writes every table from that text, in
+the bytes csv.writer or json.dump(indent=2) would.  A column of floats renders
 each distinct float once per verb, however many columns and files hold it (a
-zero by its sign); a column of ints, bools or str each distinct value once;
-any other column cell by cell.
-A non-finite float is refused (exit 2), naming the file and column, before
-any file is written, so a verb that fails writes no file.  Every verb but
-verify computes in Python floats and ints and runs without numpy.
+zero by its sign); any other column each distinct value once.  A non-finite
+float is refused (exit 2), and any other column is a program error (exit 1),
+each naming the file and column before any file is written, so a verb that
+fails writes no file.  Every verb but verify computes in Python floats and
+ints and runs without numpy.
 
 Config file keys override DEFAULT_CONFIG, and flags override both.  A list is
 non-empty with every entry valid and distinct, a choice one of its names, a
@@ -261,50 +261,47 @@ def _prepare(fmt: str, tables: list) -> list:
     spelling) and json.dumps under JSON, which differ only for a bool (True,
     true) and a str (as is, or quoted and escaped); a float is repr in both.
 
-    Refused, table by table: columns of unequal length, then, for the titles
-    and each column in turn, a non-finite float or (CSV only) a cell that
-    needs quoting.  Each column is taken as a list (a numpy array as its
-    tolist()), read once for its cell types and once for its distinct cells,
-    in first-seen order.  A column of floats renders each distinct float once
-    per verb, from one dict of every table's floats; 0.0 and -0.0 share a key
-    there, so a column holding a zero spells its zeros cell by cell.  A column
-    of ints, of bools or of str spells each distinct value once (under CSV a
-    str is its own text); any other column cell by cell, since 1 == True ==
-    1.0 share a key.
+    Refused, table by table, for the titles and each column in turn: a column
+    that is not a list or tuple of one type, float, int, bool or str (a
+    ValueError, as the verbs make no other); a non-finite float (ConfigError);
+    under CSV a str that needs quoting.  Then columns of unequal length.  Each
+    column is read once for its cell types and once for its distinct cells, in
+    first-seen order.  A column of floats renders each distinct float once per
+    verb, from one dict of every table's floats; 0.0 and -0.0 share a key
+    there, so a column holding a zero spells its zeros cell by cell.  Under
+    CSV a column of str is its own text; any other column spells each distinct
+    value once.
     """
     spell = str if fmt == "csv" else json.dumps
     floats: dict[float, str] = {}  # each float of the verb and its text
     prepared = []
     for name, columns in tables:
         file = f"{name}.{fmt}"
+        table = []
+        for title, column in zip(("titles", *columns), (tuple(columns), *columns.values())):
+            kinds = set(map(type, column)) if type(column) in (list, tuple) else None
+            if kinds not in (set(), {float}, {int}, {bool}, {str}):
+                raise ValueError(f"{file}: column {title} is not a list or tuple of one type, "
+                                 "float, int, bool or str")
+            distinct = dict.fromkeys(column)
+            if kinds == {float}:
+                bad = list(filterfalse(math.isfinite, distinct))
+                if bad:
+                    raise ConfigError(f"refusing to write {file}: column {title} holds {bad[0]}; "
+                                      "the config drives it out of float range")
+                fresh = list(filterfalse(floats.__contains__, distinct))
+                floats.update(zip(fresh, map(repr, fresh)))
+                column = ([floats[v] if v else repr(v) for v in column] if 0.0 in distinct
+                          else list(map(floats.__getitem__, column)))
+            elif kinds == {str} and fmt == "csv":
+                if not _QUOTED_CHARS.isdisjoint("".join(distinct)):
+                    raise ValueError(f"{file}: column {title} holds a cell that needs CSV quoting")
+            else:
+                column = map(dict(zip(distinct, map(spell, distinct))).__getitem__, column)
+            table.append(column)
         if len(set(map(len, columns.values()))) > 1:
             raise ValueError(f"{file}: columns of unequal lengths "
                              f"{[len(col) for col in columns.values()]}")
-        table = []
-        for title, column in zip(("titles", *columns), (tuple(columns), *columns.values())):
-            cells = (column if type(column) in (list, tuple)
-                     else column.tolist() if hasattr(column, "tolist") else list(column))
-            kinds, distinct = set(map(type, cells)), dict.fromkeys(cells)
-            bad = [] if kinds <= {float} and all(map(math.isfinite, distinct)) else [
-                v for v in distinct if isinstance(v, float) and not math.isfinite(v)]
-            if bad:
-                raise ConfigError(f"refusing to write {file}: column {title} holds {bad[0]}; "
-                                  "the config drives it out of float range")
-            if fmt == "csv" and not kinds <= {float, int, bool} and not _QUOTED_CHARS.isdisjoint(
-                    "".join(v for v in distinct if isinstance(v, str))):
-                raise ValueError(f"{file}: column {title} holds a cell that needs CSV quoting")
-            if kinds <= {float}:
-                fresh = list(filterfalse(floats.__contains__, distinct))
-                floats.update(zip(fresh, map(repr, fresh)))
-                column = ([floats[v] if v else repr(v) for v in cells] if 0.0 in distinct
-                          else list(map(floats.__getitem__, cells)))
-            elif kinds == {str} and fmt == "csv":
-                column = cells
-            elif kinds in ({int}, {bool}, {str}):
-                column = map(dict(zip(distinct, map(spell, distinct))).__getitem__, cells)
-            else:
-                column = map(spell, cells)
-            table.append(column)
         prepared.append(table)
     return prepared
 

@@ -80,7 +80,7 @@ def lookup_power(arch: Architecture, adc: AdcModel, b_sc):
     b_sc may be a sequence, giving a tuple of the entries at its points.  What
     parametric_power refuses raises its ValueError; PowerTableError refuses
     another resolution, a receiver that differs from default_architectures()[name],
-    and a point that equals no table spacing (every point, for a pair it lacks), naming the first.
+    and a point that equals no table spacing, naming the first.
     """
     b_sc = _checked_b_sc(b_sc)
     if adc.bits != TABLE_BITS:
@@ -88,7 +88,7 @@ def lookup_power(arch: Architecture, adc: AdcModel, b_sc):
             f"table holds {TABLE_BITS}-bit measurements, not {adc.bits}-bit; "
             "use the parametric model"
         )
-    measured = default_architectures().get(arch.name, arch)
+    measured = default_architectures()[arch.name]
     if arch != measured:
         raise PowerTableError(
             f"the lookup table measured {arch.name} with {measured.n_adc} converters and "

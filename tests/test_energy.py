@@ -10,7 +10,7 @@ from mmwicd import (
     ARCHITECTURE_NAMES,
     SCENARIO_KINDS,
     AdcModel,
-    Architecture,
+    PowerModel,
     PowerTableError,
     SweepGeometry,
     convergence_value,
@@ -235,11 +235,12 @@ class TestCrossover:
     @pytest.mark.parametrize("side", ["a", "b"])
     def test_uncalibrated_architecture_raises_as_parametric_power_does(self, archs, scens, geom,
                                                                        side):
-        uncalibrated = Architecture("X", 2, 1)
-        pair = (uncalibrated, archs["DBF"]) if side == "a" else (archs["DBF"], uncalibrated)
-        with pytest.raises(ValueError, match="model was not calibrated for architecture X"):
-            ec_crossover(*pair, scens["nCI"], AdcModel("HPADC"), geom,
-                         default_power_model("HPADC"))
+        model = default_power_model("HPADC")
+        without_psn = PowerModel(model.adc_class, model.c,
+                                 {name: w for name, w in model.base_power.items() if name != "PSN"})
+        pair = (archs["PSN"], archs["DBF"]) if side == "a" else (archs["DBF"], archs["PSN"])
+        with pytest.raises(ValueError, match="model was not calibrated for architecture PSN"):
+            ec_crossover(*pair, scens["nCI"], AdcModel("HPADC"), geom, without_psn)
 
     def test_same_architecture_has_no_crossover(self, archs, scens, geom):
         assert ec_crossover(archs["DBF"], archs["DBF"], scens["nCI"], AdcModel("HPADC"), geom,

@@ -8,6 +8,7 @@ from mmwicd import (
     ARCHITECTURE_NAMES,
     AdcModel,
     Architecture,
+    PowerModel,
     PowerTableError,
     Scenario,
     SweepGeometry,
@@ -73,9 +74,9 @@ class TestLookup:
             lookup_power(archs["ABF"], AdcModel("HPADC"), 123e3)
 
     def test_architecture_not_in_table_raises(self):
-        match = r"no table entry for \(XYZ, HPADC, b_sc=15000.0 Hz\)"
-        with pytest.raises(PowerTableError, match=match):
-            lookup_power(Architecture("XYZ", 2, 1), AdcModel("HPADC"), 15e3)
+        # the table measured every architecture there is; another is refused when built
+        with pytest.raises(ValueError, match="unknown architecture 'XYZ'"):
+            Architecture("XYZ", 2, 1)
 
     @pytest.mark.parametrize("arch, counts", [
         (build_architecture("DBF", n_ms_antennas=8), "32 converters and 16 simultaneous beams, "
@@ -280,9 +281,11 @@ class TestCalibration:
         assert model.base_power["ABF"] == calibrate("HPADC").base_power["ABF"] != 0.0
 
     def test_uncalibrated_architecture_raises(self):
-        with pytest.raises(ValueError, match="not calibrated for architecture X"):
-            parametric_power(default_power_model("HPADC"), Architecture("X", 2, 1),
-                             AdcModel("HPADC"), 15e3)
+        model = default_power_model("HPADC")
+        without_psn = PowerModel(model.adc_class, model.c,
+                                 {name: w for name, w in model.base_power.items() if name != "PSN"})
+        with pytest.raises(ValueError, match="not calibrated for architecture PSN"):
+            parametric_power(without_psn, build_architecture("PSN"), AdcModel("HPADC"), 15e3)
 
 
 class TestAdcModelValidation:

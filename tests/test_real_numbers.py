@@ -193,7 +193,8 @@ def test_converter_count_near_float_range_gives_inf_not_overflow():
 
 # Each validated record: a valid field tuple, and per field what it must refuse.
 RECORDS = {
-    "Architecture": (Architecture, ("ABF", 2, 1), {"n_adc": COUNTS_REFUSED,
+    "Architecture": (Architecture, ("ABF", 2, 1), {"name": ["XYZ", 5],
+                                                   "n_adc": COUNTS_REFUSED,
                                                    "simultaneous_beams": COUNTS_REFUSED}),
     "Scenario": (Scenario, ("CID", 1.5, 0.1), {"kind": ["xCI"], "t_ci": [*REFUSED, -1.0],
                                                "p_ci": [*REFUSED, -1.0]}),
@@ -266,6 +267,7 @@ def test_records_hold_the_str_of_a_str_subclass():
     # numpy's str_ passes the name checks; the record keeps the plain str
     for built, expected in [(Scenario(np.str_("nCI")), Scenario("nCI")),
                             (build_architecture(np.str_("ABF")), build_architecture("ABF")),
+                            (Architecture(np.str_("ABF"), 2, 1), Architecture("ABF", 2, 1)),
                             (AdcModel(np.str_("HPADC")), AdcModel("HPADC"))]:
         assert type(built[0]) is str and repr(built) == repr(expected)
 
