@@ -6,9 +6,10 @@ scientific configuration so results can be traced back to their inputs.
 Each verb returns each table as (file name, {title: column}), every column a
 list or tuple of one type: float, int, bool or str.  main checks every column
 and spells its cells, then one writer writes every table from that text, in
-the bytes csv.writer or json.dump(indent=2) would.  A column of floats renders
-each distinct float once per verb, however many columns and files hold it (a
-zero by its sign); any other column each distinct value once.  A non-finite
+the bytes csv.writer or json.dump(indent=2) would.  A column of floats spells
+each distinct nonzero float once per verb, however many columns and files hold
+it, with one lookup per cell (a zero by its sign, cell by cell); any other
+column each distinct value once.  A non-finite
 float is refused (exit 2), and any other column is a program error (exit 1),
 each naming the file and column before any file is written, so a verb that
 fails writes no file.  Every verb but verify computes in Python floats and
@@ -31,7 +32,7 @@ import hashlib
 import json
 import math
 import sys
-from itertools import chain, filterfalse, islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -54,17 +55,20 @@ from .architectures import (
 from .energy import (
     CSV_COLUMNS,
     EnergyColumns,
+    _energy_columns,
+    _scan_columns,
     convergence_value,
     energy,
-    energy_columns,
 )
 from .power import (
     ADC_CLASSES,
     TABLE_BITS,
     AdcModel,
     PowerTableError,
+    _parametric_column,
     default_power_model,
     default_power_table,
+    lookup_power,
     parametric_power,
     resolution_factor,
 )
@@ -255,6 +259,20 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 # Output helpers
 
 
+class _FloatText(dict):
+    """Each nonzero float a verb writes and its text, repr, spelled on its first lookup;
+    a non-finite float raises ValueError holding it.  0.0 and -0.0 would be one key, so
+    a zero is spelled by its sign without a lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: float) -> str:
+        if not math.isfinite(value):
+            raise ValueError(value)
+        text = self[value] = repr(value)
+        return text
+
+
 def _prepare(fmt: str, tables: list) -> list:
     """Refuse a table that cannot be written, else return each table's titles
     and columns as the text of their cells: str under CSV (csv.writer's
@@ -263,17 +281,16 @@ def _prepare(fmt: str, tables: list) -> list:
 
     Refused, table by table, for the titles and each column in turn: a column
     that is not a list or tuple of one type, float, int, bool or str (a
-    ValueError, as the verbs make no other); a non-finite float (ConfigError);
-    under CSV a str that needs quoting.  Then columns of unequal length.  Each
-    column is read once for its cell types and once for its distinct cells, in
-    first-seen order.  A column of floats renders each distinct float once per
-    verb, from one dict of every table's floats; 0.0 and -0.0 share a key
-    there, so a column holding a zero spells its zeros cell by cell.  Under
-    CSV a column of str is its own text; any other column spells each distinct
-    value once.
+    ValueError, as the verbs make no other); a non-finite float, the column's
+    first (ConfigError); under CSV a str that needs quoting.  Then columns of
+    unequal length.  Each column is read once for its cell types and once for
+    its text.  A column of floats looks each cell up once in one _FloatText of
+    every table's floats, so each distinct nonzero float is spelled once per
+    verb.  Under CSV a column of str is its own text; any other column spells
+    each distinct value once.
     """
     spell = str if fmt == "csv" else json.dumps
-    floats: dict[float, str] = {}  # each float of the verb and its text
+    floats = _FloatText()
     prepared = []
     for name, columns in tables:
         file = f"{name}.{fmt}"
@@ -283,20 +300,18 @@ def _prepare(fmt: str, tables: list) -> list:
             if kinds not in (set(), {float}, {int}, {bool}, {str}):
                 raise ValueError(f"{file}: column {title} is not a list or tuple of one type, "
                                  "float, int, bool or str")
-            distinct = dict.fromkeys(column)
             if kinds == {float}:
-                bad = list(filterfalse(math.isfinite, distinct))
-                if bad:
-                    raise ConfigError(f"refusing to write {file}: column {title} holds {bad[0]}; "
-                                      "the config drives it out of float range")
-                fresh = list(filterfalse(floats.__contains__, distinct))
-                floats.update(zip(fresh, map(repr, fresh)))
-                column = ([floats[v] if v else repr(v) for v in column] if 0.0 in distinct
-                          else list(map(floats.__getitem__, column)))
+                try:
+                    column = [floats[v] if v else repr(v) for v in column]
+                except ValueError as exc:
+                    raise ConfigError(f"refusing to write {file}: column {title} holds "
+                                      f"{exc.args[0]}; the config drives it out of float range"
+                                      ) from None
             elif kinds == {str} and fmt == "csv":
-                if not _QUOTED_CHARS.isdisjoint("".join(distinct)):
+                if not _QUOTED_CHARS.isdisjoint("".join(dict.fromkeys(column))):
                     raise ValueError(f"{file}: column {title} holds a cell that needs CSV quoting")
             else:
+                distinct = dict.fromkeys(column)
                 column = map(dict(zip(distinct, map(spell, distinct))).__getitem__, column)
             table.append(column)
         if len(set(map(len, columns.values()))) > 1:
@@ -385,23 +400,32 @@ def cmd_tables(cfg: RunConfig) -> tuple[list, int, None]:
 
 def cmd_sweep(cfg: RunConfig) -> tuple[list, int, None]:
     """Energy over the b_sc grid: one file per (scenario, ADC class, bits); under lookup
-    power, lookup_power refuses what the table did not measure before any file is written."""
+    power, lookup_power refuses what the table did not measure before any file is written.
+
+    From the grid resolve_config checked, the frame is computed once, receive power once
+    per (ADC class, bits, architecture) and scan time once per (scenario, architecture).
+    """
     arch_names = tuple(a.name for a in cfg.architectures)
+    t_pss, b_tot = frame_scaling(cfg.b_sc)
+    p_rx = {}  # (ADC class, bits) -> each architecture's receive-power column
+    for cls in cfg.adc_classes:
+        model = default_power_model(cls) if cfg.power_mode == "parametric" else None
+        for bits in cfg.bits:
+            adc = AdcModel(cls, bits=bits)
+            p_rx[cls, bits] = [lookup_power(arch, adc, cfg.b_sc) if model is None
+                               else _parametric_column(model, arch, adc, b_tot)
+                               for arch in cfg.architectures]
     tables = []
     labels = []  # (scenario, ADC class, bits) of each grid
     grids = []  # each grid's EnergyColumns, one per architecture
     for scenario in cfg.scenarios:
-        for cls in cfg.adc_classes:
-            model = default_power_model(cls) if cfg.power_mode == "parametric" else None
-            for bits in cfg.bits:
-                adc = AdcModel(cls, bits=bits)
-                per_arch = [energy_columns(arch, scenario, adc, cfg.b_sc,
-                                           geom=cfg.geom, model=model)
-                            for arch in cfg.architectures]
-                tables.append((f"sweep-{scenario.kind}-{cls}-{bits}b", {
-                    "b_sc_hz": cfg.b_sc, **dict(zip(arch_names, (c.e_total for c in per_arch)))}))
-                labels.append((scenario.kind, cls, bits))
-                grids.append(per_arch)
+        scans = [_scan_columns(arch, scenario, cfg.geom, 1, t_pss) for arch in cfg.architectures]
+        for cls, bits in p_rx:
+            per_arch = list(map(_energy_columns, scans, p_rx[cls, bits]))
+            tables.append((f"sweep-{scenario.kind}-{cls}-{bits}b", {
+                "b_sc_hz": cfg.b_sc, **dict(zip(arch_names, (c.e_total for c in per_arch)))}))
+            labels.append((scenario.kind, cls, bits))
+            grids.append(per_arch)
     # Report rows run grid-major, then b_sc, then architecture.
     rows_per_grid = len(cfg.b_sc) * len(arch_names)
     tables.append(("sweep-report", dict(zip(CSV_COLUMNS, [

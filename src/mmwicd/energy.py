@@ -8,7 +8,11 @@ scenario, ADC) combination in one pass; energy() is its one-point case
 and returns the same numbers as an EnergyReport.  Both take the sweep
 geometry and the power source explicitly: model=None reads the bundled 6-bit
 table (lookup_power), a PowerModel evaluates its calibrated fit
-(parametric_power).
+(parametric_power).  energy_columns checks its inputs, then combines two
+private cores over checked columns: _scan_columns (scan time from t_pss) and
+_energy_columns (energy from receive power).  The sweep verb calls them
+directly, so that it computes scan time once per (scenario, architecture) and
+receive power once per (ADC, architecture).
 """
 
 from __future__ import annotations
@@ -97,20 +101,34 @@ def energy_columns(
     scan count, an exact int.  b_sc is one-dimensional (see _b_sc_floats).
     """
     b_sc = _b_sc_floats(b_sc)
-    t_pss, _ = frame_scaling(b_sc)
+    scans = _scan_columns(arch, scenario, geom, k, frame_scaling(b_sc)[0])
+    wide = b_sc if k == 1 else tuple(float(k) * v for v in b_sc)
+    p_rx = (lookup_power(arch, adc, wide) if model is None
+            else parametric_power(model, arch, adc, wide))
+    return _energy_columns(scans, p_rx)
+
+
+def _scan_columns(
+    arch: Architecture, scenario: Scenario, geom: SweepGeometry, k: int, t_pss: tuple[float, ...]
+) -> tuple[int, tuple[float, ...], tuple[float, ...], float]:
+    """(n_d, scan time, t_del, e_ci) of one architecture and scenario over a t_pss column
+    that frame_scaling gave: what energy_columns computes before receive power."""
     n_d = directional_scans(arch, scenario, geom)
     # An int count multiplies as its float; SweepGeometry and the k check keep it in range.
     scans = float(directional_scans(arch, scenario, geom, k))
     scan_time = tuple(scans * t for t in t_pss)
     t_ci, e_ci = ci_cost(arch, scenario, geom)
-    wide = b_sc if k == 1 else tuple(float(k) * v for v in b_sc)
-    p_rx = (lookup_power(arch, adc, wide) if model is None
-            else parametric_power(model, arch, adc, wide))
+    return n_d, scan_time, tuple(t + t_ci for t in scan_time), e_ci
+
+
+def _energy_columns(scans: tuple, p_rx: tuple[float, ...]) -> EnergyColumns:
+    """energy_columns from _scan_columns' result and the receive power at the same points."""
+    n_d, scan_time, t_del, e_ci = scans
     return EnergyColumns(
-        n_d=(n_d,) * len(b_sc),
-        t_del=tuple(t + t_ci for t in scan_time),
+        n_d=(n_d,) * len(p_rx),
+        t_del=t_del,
         p_rx=p_rx,
-        e_ci=(e_ci,) * len(b_sc),
+        e_ci=(e_ci,) * len(p_rx),
         e_total=tuple(p * t + e_ci for p, t in zip(p_rx, scan_time)),
     )
 

@@ -171,10 +171,19 @@ def parametric_power(model: PowerModel, arch: Architecture, adc: AdcModel, b_sc)
     b_sc may be a sequence, giving a tuple of the power at each point.
     """
     _check_model(model, adc, arch)
-    slope = arch.n_adc * model.c * resolution_factor(adc.bits)
-    base, b_tot = model.base_power[arch.name], frame_scaling(b_sc)[1]
-    power = tuple(base + slope * value for value in (b_tot if type(b_tot) is tuple else (b_tot,)))
+    resolution_factor(adc.bits)  # a resolution past float range is refused before b_sc
+    b_tot = frame_scaling(b_sc)[1]
+    power = _parametric_column(model, arch, adc, b_tot if type(b_tot) is tuple else (b_tot,))
     return power if type(b_tot) is tuple else power[0]
+
+
+def _parametric_column(model: PowerModel, arch: Architecture, adc: AdcModel,
+                       b_tot: tuple[float, ...]) -> tuple[float, ...]:
+    """parametric_power over a b_tot column that frame_scaling gave, for a model, receiver
+    and resolution parametric_power accepts; nothing is checked again."""
+    slope = arch.n_adc * model.c * resolution_factor(adc.bits)
+    base = model.base_power[arch.name]
+    return tuple(base + slope * value for value in b_tot)
 
 
 @functools.cache

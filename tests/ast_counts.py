@@ -4,7 +4,8 @@ A script, not a test.  Run it from the repository root:
 
     python3 tests/ast_counts.py [DIR]
 
-It prints four counts over DIR/*.py (default src/mmwicd), as
+It prints the line count of each DIR/*.py (default src/mmwicd) and their
+total, then four counts over the same files, as
 functions/parameters/defaults/fields:
 
 - functions: FunctionDef and AsyncFunctionDef nodes, nested ones included;
@@ -39,4 +40,9 @@ def counts(directory: Path) -> tuple[int, int, int, int]:
 
 if __name__ == "__main__":
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent.parent / "src/mmwicd"
+    lines = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+             for path in sorted(root.glob("*.py"))}
+    for name, n in lines.items():
+        print(f"{n:6d} {name}")
+    print(f"{sum(lines.values()):6d} total")
     print("functions/parameters/defaults/fields: %d/%d/%d/%d" % counts(root))

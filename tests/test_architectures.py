@@ -49,8 +49,14 @@ class TestArchitectureRegistry:
         assert dbf.n_adc == 64
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             build_architecture("XYZ")
+        assert str(refused.value) == ("unknown architecture 'XYZ'; expected one of "
+                                      "('ABF', 'DBF', 'HBF', 'PSN')")
+
+    def test_bad_count_is_named_before_a_bad_name(self):
+        with pytest.raises(ValueError, match="^n_rf_chains must be an integer >= 1"):
+            build_architecture("XYZ", n_rf_chains=0)
 
     def test_nonpositive_counts_rejected(self):
         with pytest.raises(ValueError):
